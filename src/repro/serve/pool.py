@@ -86,6 +86,15 @@ def execute_conv(x: np.ndarray, weight: np.ndarray,
 
     algorithm = getattr(algorithm, "value", algorithm)
     op = str(getattr(op, "value", op))
+    if op == "conv2d" and algorithm == "auto":
+        # Resolved here, as F.conv2d does, so the bandit and the guard
+        # chain both see a concrete algorithm.
+        from repro.selection.heuristic import select_algorithm_rules
+        from repro.utils.shapes import ConvShape
+
+        algorithm = select_algorithm_rules(ConvShape.from_tensors(
+            np.shape(x), np.shape(weight), padding, stride, dilation,
+            groups)).value
     engine_kwargs = {}
     if str(algorithm) == "polyhankel":
         # Other algorithms (and "auto", which may lower to one of them)

@@ -600,16 +600,21 @@ class ClusterServer:
         # long-lived dispatch pairs have pinned every ordinary slot.
         slot = self._alloc.acquire(timeout=self.slot_timeout_s,
                                    use_reserve=True)
+        # Recorded before the send: the reader may handle the worker's
+        # ack before send_control returns, and the ack is what frees it.
+        with self._lock:
+            replica.pending_tensor_slots[slot] = slot
         try:
             seq = self._arena.write(slot, np.asarray(array, dtype=float))
             send_control(replica.conn, {"kind": "tensor", "fp": fp,
                                         "slot": slot, "seq": seq,
                                         "spec": spec})
         except BaseException:
-            self._alloc.release(slot)
+            with self._lock:
+                slot = replica.pending_tensor_slots.pop(slot, None)
+            if slot is not None:
+                self._alloc.release(slot)
             raise
-        with self._lock:
-            replica.pending_tensor_slots[slot] = slot
         replica.shipped.add(fp)
         counters.add("serve.cluster.tensor_ships", replica=replica.id)
 

@@ -183,6 +183,46 @@ class TestBackpressure:
         assert counters.total("serve.cluster.slot_waits") >= before
 
 
+class TestTensorShipAccounting:
+    def test_ack_before_ship_returns_releases_slot(self, rng, monkeypatch):
+        """A weight shipment whose ack the reader handles before
+        ``_ship_tensor`` returns must still give its slot back."""
+        from repro.serve import router
+
+        real_send = router.send_control
+        handled = threading.Event()
+
+        class PopSignal(dict):
+            def pop(self, *args):
+                try:
+                    return super().pop(*args)
+                finally:
+                    handled.set()
+
+        def send_then_wait_for_ack(conn, msg):
+            real_send(conn, msg)
+            if msg.get("kind") == "tensor":
+                assert handled.wait(30), "worker never acked the tensor"
+                handled.clear()
+
+        w = rng.standard_normal((2, 3, 3, 3))
+        b = rng.standard_normal(2)
+        x = rng.standard_normal((1, 3, 8, 8))
+        with make_server(workers=1, slots=8) as server:
+            for replica in server._replicas.values():
+                replica.pending_tensor_slots = PopSignal()
+            monkeypatch.setattr(router, "send_control",
+                                send_then_wait_for_ack)
+            out = server.conv2d(x, w, b, padding=1, timeout=60)
+            monkeypatch.setattr(router, "send_control", real_send)
+            deadline = time.monotonic() + 10
+            while server._alloc.available() < 8 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server._alloc.available() == 8
+        np.testing.assert_array_equal(out, F.conv2d(x, w, b, padding=1))
+
+
 class TestLifecycleAndStats:
     def test_close_is_idempotent(self, rng):
         server = make_server(workers=1)

@@ -184,3 +184,17 @@ class TestProcessPool:
             assert np.array_equal(out, F.conv2d(x, w, padding=1))
         finally:
             pool.close()
+
+
+class TestAutoUnderGuard:
+    def test_guarded_auto_resolves_like_functional(self, rng):
+        """``algorithm="auto"`` is resolved before the guard, exactly as
+        ``F.conv2d`` resolves it, instead of reaching the chain raw."""
+        from repro.guard.state import guarded
+
+        x = rng.standard_normal((1, 3, 8, 8))
+        w = rng.standard_normal((4, 3, 3, 3))
+        want = F.conv2d(x, w, padding=1, algorithm="auto")
+        with guarded():
+            out = execute_conv(x, w, padding=1, algorithm="auto")
+        assert np.array_equal(out, want)
