@@ -42,43 +42,30 @@ import sys
 import numpy as np
 
 
-def _parse_pair(text: str):
-    """Parse ``"2"`` or ``"2,1"`` into an int or an ``(h, w)`` pair."""
-    parts = [p for p in text.split(",") if p]
+def _int_tuple(text: str, lengths: tuple[int, ...], expected: str):
+    """Parse ``"2"`` to an int, or ``"2,1"`` to a tuple of *lengths*."""
     try:
-        values = [int(p) for p in parts]
+        values = [int(p) for p in text.split(",") if p]
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an int or 'h,w' pair, got {text!r}"
-        ) from None
+        values = []
     if len(values) == 1:
         return values[0]
-    if len(values) == 2:
+    if len(values) in lengths:
         return tuple(values)
-    raise argparse.ArgumentTypeError(
-        f"expected an int or 'h,w' pair, got {text!r}"
-    )
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+
+def _parse_pair(text: str):
+    """Parse ``"2"`` or ``"2,1"`` into an int or an ``(h, w)`` pair."""
+    return _int_tuple(text, (2,), "an int or 'h,w' pair")
 
 
 def _parse_padding(text: str):
     """Parse ``"same"``, ``"1"``, ``"1,2"`` or ``"1,1,2,2"``."""
     if text == "same":
         return "same"
-    parts = [p for p in text.split(",") if p]
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'same', an int, 'ph,pw' or 'pt,pb,pl,pr', "
-            f"got {text!r}"
-        ) from None
-    if len(values) == 1:
-        return values[0]
-    if len(values) in (2, 4):
-        return tuple(values)
-    raise argparse.ArgumentTypeError(
-        f"expected 'same', an int, 'ph,pw' or 'pt,pb,pl,pr', got {text!r}"
-    )
+    return _int_tuple(text, (2, 4),
+                      "'same', an int, 'ph,pw' or 'pt,pb,pl,pr'")
 
 
 def _shape_from_args(args) -> "ConvShape":
@@ -227,192 +214,106 @@ def cmd_tune(args) -> int:
 def cmd_bench(args) -> int:
     from repro import bench
 
-    argv = []
-    if args.smoke:
-        argv.append("--smoke")
-    if args.quick:
-        argv.append("--quick")
-    if args.no_json:
-        argv.append("--no-json")
-    if args.out:
-        argv.extend(["--out", args.out])
-    if args.check:
-        argv.extend(["--check", args.check,
-                     "--tolerance", str(args.tolerance),
-                     "--counter-tolerance", str(args.counter_tolerance)])
-    if args.inject is not None:
-        argv.append("--inject")
-        argv.extend(args.inject)
-        argv.extend(["--seed", str(args.seed)])
-    if args.inject_cluster is not None:
-        argv.append("--inject-cluster")
-        argv.extend(args.inject_cluster)
-        argv.extend(["--seed", str(args.seed)])
-    argv.extend(["--repeats", str(args.repeats),
-                 "--workers", str(args.workers)])
-    code = bench.main(argv)
-    if getattr(args, "cache_stats", False):
+    code = bench.run(args)
+    if args.cache_stats:
         _print_cache_stats()
     return code
 
 
+def _check_floor(label: str, section: str, entries: list[dict],
+                 qualifies, floor: float) -> int:
+    """Gate the qualifying *entries* on *floor*: the section's own floor
+    check (see :mod:`repro.observe.regression`) with the bound replaced
+    by *floor* and bound unconditionally.  Exit 2 when no point
+    qualifies."""
+    from repro.bench import SECTIONS
+    from repro.observe.regression import compare_reports
+
+    metric = next(m for m in SECTIONS[section].metrics if m.kind == "floor")
+    points = [e for e in entries if qualifies(e)]
+    if not points:
+        print(f"{label}: no qualifying point in this sweep")
+        return 2
+    gated = {section: [dict(e, gated=True, **{
+        metric.bound: floor if qualifies(e) else None}) for e in entries]}
+    regressions = compare_reports(gated, gated)
+    for r in regressions:
+        print(f"{label} FAILED: {r.case}: {r.metric} {r.current:g} "
+              f"(limit {r.limit:g})")
+    if not regressions:
+        print(f"{label} OK: "
+              + ", ".join(f"{e['name']} {e[metric.key]:g}" for e in points)
+              + f" (floor {floor:g})")
+    return 1 if regressions else 0
+
+
 def cmd_serve_bench(args) -> int:
     import datetime
-    import json as _json
 
-    from repro.bench import (
-        SCHEMA_VERSION, SERVE_PRESETS, env_pins, format_serve_report,
-        run_serve_case,
-    )
-
-    from repro.serve.loadgen import (
-        CLUSTER_PRESETS, OVERLOAD_PRESETS, format_cluster_report,
-        format_overload_report, run_cluster_case, run_overload_case,
-    )
+    from repro import bench
+    from repro.serve import loadgen
 
     if args.list:
-        for preset in SERVE_PRESETS:
-            floor = (f"floor {preset.min_speedup:g}x"
-                     if preset.min_speedup else "ungated")
-            print(f"{preset.name:<24} {preset.requests}x"
-                  f"[{preset.request_batch},{preset.channels},"
-                  f"{preset.size},{preset.size}] k={preset.kernel} "
-                  f"f={preset.filters} max_batch={preset.max_batch} "
-                  f"workers={preset.workers} ({floor})")
-        for preset in CLUSTER_PRESETS:
-            floor = (f"scale-out floor {preset.min_scaleout:g}x@2"
-                     if preset.min_scaleout else "ungated")
-            counts = "/".join(str(w) for w in preset.worker_counts)
-            print(f"{preset.name:<24} {preset.requests}x"
-                  f"[{preset.request_batch},{preset.channels},"
-                  f"{preset.size},{preset.size}] k={preset.kernel} "
-                  f"f={preset.filters} cluster workers={counts} ({floor})")
-        for preset in OVERLOAD_PRESETS:
-            mults = "/".join(f"{m:g}" for m in preset.multipliers)
-            print(f"{preset.name:<24} {preset.requests}x"
-                  f"[{preset.request_batch},{preset.channels},"
-                  f"{preset.size},{preset.size}] k={preset.kernel} "
-                  f"f={preset.filters} overload x{mults} "
-                  f"(goodput floor {preset.min_goodput_pct:.0%}@"
-                  f"x{preset.gate_multiplier:g})")
+        def show(p, detail: str, floor: str | None) -> None:
+            print(f"{p.name:<24} {p.requests}x[{p.request_batch},"
+                  f"{p.channels},{p.size},{p.size}] k={p.kernel} "
+                  f"f={p.filters} {detail} ({floor or 'ungated'})")
+
+        for p in bench.SERVE_PRESETS:
+            show(p, f"max_batch={p.max_batch} workers={p.workers}",
+                 p.min_speedup and f"floor {p.min_speedup:g}x")
+        for p in loadgen.CLUSTER_PRESETS:
+            show(p, "cluster workers="
+                 + "/".join(str(w) for w in p.worker_counts),
+                 p.min_scaleout and f"scale-out floor {p.min_scaleout:g}x@2")
+        for p in loadgen.OVERLOAD_PRESETS:
+            show(p, "overload x" + "/".join(f"{m:g}" for m in p.multipliers),
+                 p.min_goodput_pct and f"goodput floor "
+                 f"{p.min_goodput_pct:.0%}@x{p.gate_multiplier:g}")
         return 0
 
-    if args.overload:
-        # Overload mode: open-loop sweep past capacity, gated on goodput
-        # at the gate multiplier.
-        presets = list(OVERLOAD_PRESETS)
-        if args.preset:
-            presets = [p for p in presets if p.name == args.preset]
-            if not presets:
-                names = ", ".join(p.name for p in OVERLOAD_PRESETS)
-                print(f"unknown overload preset {args.preset!r}; "
-                      f"one of: {names}")
-                return 2
-        multipliers = tuple(args.multipliers) if args.multipliers else None
-        entries = []
-        for preset in presets:
-            entries += run_overload_case(preset, multipliers=multipliers)
-        print(format_overload_report(entries))
-        if args.out:
-            report = {"schema": SCHEMA_VERSION,
-                      "date": datetime.date.today().isoformat(),
-                      "env_pins": env_pins(), "overload": entries}
-            with open(args.out, "w") as fh:
-                _json.dump(report, fh, indent=2)
-                fh.write("\n")
-            print(f"[written to {args.out}]")
-        if args.check_goodput is not None:
-            late = [e for e in entries if e.get("late_completions")]
-            for e in late:
-                print(f"check-goodput FAILED: {e['name']} completed "
-                      f"{e['late_completions']} request(s) after "
-                      f"reporting them shed")
-            gated = [e for e in entries
-                     if e["multiplier"] >= args.gate_multiplier]
-            if not gated:
-                print(f"check-goodput: no point at multiplier >= "
-                      f"{args.gate_multiplier:g} in this sweep")
-                return 2
-            failed = [e for e in gated
-                      if e["goodput_pct"] < args.check_goodput]
-            for e in failed:
-                print(f"check-goodput FAILED: {e['name']} goodput "
-                      f"{e['goodput_pct']:.0%} < floor "
-                      f"{args.check_goodput:.0%}")
-            if not failed and not late:
-                print("check-goodput OK: "
-                      + ", ".join(f"{e['name']} {e['goodput_pct']:.0%}"
-                                  for e in gated)
-                      + f" (floor {args.check_goodput:.0%})")
-            return 1 if failed or late else 0
-        return 0
-
-    if args.workers is not None:
-        # Cluster mode: the Poisson open-loop saturation sweep through
-        # the multi-process shared-memory tier.
-        counts = tuple(args.workers)
-        presets = list(CLUSTER_PRESETS)
-        if args.preset:
-            presets = [p for p in presets if p.name == args.preset]
-            if not presets:
-                names = ", ".join(p.name for p in CLUSTER_PRESETS)
-                print(f"unknown cluster preset {args.preset!r}; "
-                      f"one of: {names}")
-                return 2
-        entries = []
-        for preset in presets:
-            entries += run_cluster_case(preset, repeats=args.repeats,
-                                        worker_counts=counts)
-        print(format_cluster_report(entries))
-        if args.out:
-            report = {"schema": SCHEMA_VERSION,
-                      "date": datetime.date.today().isoformat(),
-                      "env_pins": env_pins(), "cluster": entries}
-            with open(args.out, "w") as fh:
-                _json.dump(report, fh, indent=2)
-                fh.write("\n")
-            print(f"[written to {args.out}]")
-        if args.check_scaleout is not None:
-            # Unconditional floor (no gated flag): CI runners that are
-            # known multi-core opt in explicitly.
-            checked = [e for e in entries
-                       if e.get("scaleout_vs_1") is not None
-                       and e["workers"] == 2]
-            if not checked:
-                print("check-scaleout: no 2-worker point with a "
-                      "1-worker baseline in this sweep")
-                return 2
-            failed = [e for e in checked
-                      if e["scaleout_vs_1"] < args.check_scaleout]
-            for e in failed:
-                print(f"check-scaleout FAILED: {e['name']} scaled "
-                      f"{e['scaleout_vs_1']:g}x < floor "
-                      f"{args.check_scaleout:g}x")
-            if not failed:
-                print(f"check-scaleout OK: "
-                      + ", ".join(f"{e['name']} {e['scaleout_vs_1']:g}x"
-                                  for e in checked)
-                      + f" (floor {args.check_scaleout:g}x)")
-            return 1 if failed else 0
-        return 0
-
-    presets = list(SERVE_PRESETS)
+    # The overload sweep (open loop, past calibrated capacity), the
+    # cluster saturation sweep (Poisson open loop through the
+    # multi-process shared-memory tier), or the in-process presets.
+    section = "overload" if args.overload \
+        else "cluster" if args.workers is not None else "serve"
+    presets, run = {
+        "overload": (loadgen.OVERLOAD_PRESETS, lambda p: (
+            loadgen.run_overload_case(
+                p, multipliers=tuple(args.multipliers)
+                if args.multipliers else None))),
+        "cluster": (loadgen.CLUSTER_PRESETS, lambda p: (
+            loadgen.run_cluster_case(p, repeats=args.repeats,
+                                     worker_counts=tuple(args.workers)))),
+        "serve": (bench.SERVE_PRESETS, lambda p: (
+            [bench.run_serve_case(p, repeats=args.repeats)])),
+    }[section]
     if args.preset:
+        names = ", ".join(p.name for p in presets)
         presets = [p for p in presets if p.name == args.preset]
         if not presets:
-            names = ", ".join(p.name for p in SERVE_PRESETS)
-            print(f"unknown preset {args.preset!r}; one of: {names}")
+            print(f"unknown preset {args.preset!r} for {section}; "
+                  f"one of: {names}")
             return 2
-    entries = [run_serve_case(p, repeats=args.repeats) for p in presets]
-    print(format_serve_report(entries))
+    entries = [entry for preset in presets for entry in run(preset)]
+    print(bench.format_section(section, entries))
     if args.out:
-        report = {"schema": SCHEMA_VERSION,
+        report = {"schema": bench.SCHEMA_VERSION,
                   "date": datetime.date.today().isoformat(),
-                  "env_pins": env_pins(), "serve": entries}
-        with open(args.out, "w") as fh:
-            _json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"[written to {args.out}]")
+                  "env_pins": bench.env_pins(), section: entries}
+        print(f"[written to {bench.write_report(report, args.out)}]")
+    if section == "cluster" and args.check_scaleout is not None:
+        # Unconditional (no gated flag): CI runners that are known
+        # multi-core opt in explicitly.
+        return _check_floor(
+            "check-scaleout", section, entries,
+            lambda e: e["workers"] == 2
+            and e.get("scaleout_vs_1") is not None, args.check_scaleout)
+    if section == "overload" and args.check_goodput is not None:
+        return _check_floor(
+            "check-goodput", section, entries,
+            lambda e: e["multiplier"] >= args.gate_multiplier,
+            args.check_goodput)
     return 0
 
 
@@ -574,41 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print cache hit/miss statistics afterwards")
     tune.set_defaults(fn=cmd_tune)
 
+    from repro.bench import add_arguments as add_bench_arguments
+
     bench = sub.add_parser("bench",
                            help="execution-engine wall-clock suite (JSON)")
-    bench.add_argument("--smoke", action="store_true",
-                       help="fast subset (CI-friendly)")
-    bench.add_argument("--quick", action="store_true",
-                       help="alias for --smoke (the CI gate's spelling)")
-    bench.add_argument("--repeats", type=int, default=25)
-    bench.add_argument("--workers", type=int, default=2)
-    bench.add_argument("--out", default=None,
-                       help="output JSON path (default BENCH_<date>.json)")
-    bench.add_argument("--no-json", action="store_true",
-                       help="print the table only")
-    bench.add_argument("--check", metavar="BASELINE", default=None,
-                       help="regression-gate against a baseline JSON "
-                            "(nonzero exit on regression)")
-    bench.add_argument("--tolerance", type=float, default=0.5,
-                       help="allowed wall-clock growth fraction "
-                            "(default 0.5)")
-    bench.add_argument("--counter-tolerance", type=float, default=0.1,
-                       help="allowed counter-total growth fraction "
-                            "(default 0.1)")
+    add_bench_arguments(bench)
     bench.add_argument("--cache-stats", action="store_true",
                        help="print cache hit/miss statistics afterwards")
-    bench.add_argument("--inject", nargs="*", metavar="FAULT", default=None,
-                       help="run the guard fault-injection recovery drill "
-                            "instead of the timing suite (default: all "
-                            "engine fault kinds)")
-    bench.add_argument("--inject-cluster", nargs="*", metavar="FAULT",
-                       default=None,
-                       help="run the cluster chaos drill (watchdog, "
-                            "retry, slot accounting) instead of the "
-                            "timing suite (default: all cluster kinds)")
-    bench.add_argument("--seed", type=int, default=0,
-                       help="fault-injection seed (with --inject / "
-                            "--inject-cluster)")
     bench.set_defaults(fn=cmd_bench)
 
     serve_bench = sub.add_parser(

@@ -1,45 +1,17 @@
 """Noise-aware performance-regression gate (``repro bench --check``).
 
 Compares a freshly measured :mod:`repro.bench` report against a committed
-baseline JSON and decides pass/fail:
-
-- **Wall-clock** (``cached_ms``, ``uncached_ms``): a case regresses when
-  ``current / baseline > 1 + tolerance``.  Cases whose baseline sits below
-  ``min_ms`` are skipped — at that scale the timer measures the OS, not
-  the engine.  The bench harness re-measures flagged cases once with more
-  repeats before the verdict (see ``repro.bench.main``), so a single noisy
-  block cannot fail the gate.
-- **Counter totals** (``fft_calls``, ``fft_rows``): deterministic, so the
-  allowed growth is the much tighter ``counter_tolerance``.  A change that
-  adds FFT invocations to the steady-state path fails the gate even when
-  the machine is fast enough to hide it — exactly the regression the
-  2-3x warm-call speedups of PR 1 are made of.
-- **Guard counters** (``guard_fallbacks``): zero tolerance.  A healthy
-  install never falls back, so the baseline records 0 and *any* fallback
-  on a clean run means the primary engine silently broke — a correctness
-  regression, not a performance one.
-- **Serving throughput** (the report's ``serve`` section): a preset with
-  a ``min_speedup`` floor fails when its measured coalescing speedup
-  drops below the floor — an absolute contract, not a relative one, so
-  the gate holds even if a slow baseline run recorded a low speedup.
-  ``served_rps`` additionally must not *decrease* by more than the wall
-  tolerance against the baseline.  Like wall-clock cases, flagged serve
-  presets are re-measured once before the verdict.
-- **Overload goodput** (the report's ``overload`` section): the gate
-  point's ``min_goodput_pct`` floor travels with the *current* entry so
-  it binds even against pre-overload baselines; ``goodput_rps`` is
-  relatively guarded when the baseline has the point, and any
-  ``late_completions`` (a request completing after being reported shed)
-  fails outright.
-- **Selection convergence** (the report's ``selection`` section): a
-  seeded, model-driven replay of the online algorithm-selection bandit
-  (see :mod:`repro.selection.bandit`), so it is deterministic and needs
-  no baseline — each entry carries its own ``max_regret_pct`` ceiling
-  against the roofline oracle and must converge onto the oracle's
-  modeled-cost tie set.
-
-Baselines are ordinary ``repro bench`` JSON reports; cases are matched by
-name, and cases present on only one side are ignored (suites may grow).
+baseline JSON.  Every report section declares its gated metrics once
+(:data:`repro.bench.SECTIONS`), each of one kind: ``wall`` (relative,
+``1 + tolerance``, skipped below ``min_ms``), ``counter`` (relative,
+``1 + counter_tolerance``; an ``exact`` counter may not grow at all),
+``rate`` (may not fall below ``baseline * (1 - tolerance)``), ``floor``
+(an absolute lower bound the entry carries, optionally only while a
+``gate`` field is true), ``ceiling`` (an absolute upper bound) or
+``flag`` (must be true).  Entries are matched by name and ignored when
+present on one side only, except in sections that need no baseline, whose
+floors, ceilings and flags bind on day one.  DESIGN.md ("Regression
+gate") tabulates every gated metric and its bound.
 """
 
 from __future__ import annotations
@@ -47,22 +19,54 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-WALL_METRICS = ("cached_ms", "uncached_ms")
-COUNTER_METRICS = ("fft_calls", "fft_rows")
-GUARD_METRICS = ("guard_fallbacks",)
-
 DEFAULT_TOLERANCE = 0.5
 DEFAULT_COUNTER_TOLERANCE = 0.1
 DEFAULT_MIN_MS = 0.05
 
+#: The :class:`Regression` kind each metric kind reports as.
+_REPORTED = {"wall": "wall", "counter": "counter", "rate": "throughput",
+             "floor": "throughput", "ceiling": "ceiling", "flag": "flag"}
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One gated metric of a report section (kinds: see the module doc).
+
+    *key* names the entry field; ``"counters.fft_rows"`` reads the nested
+    counters dict.  *bound* is the entry field holding a floor/ceiling, or
+    the bound itself.
+    """
+
+    key: str
+    kind: str
+    bound: str | float | None = None
+    gate: str | None = None
+    exact: bool = False
+
+    @property
+    def name(self) -> str:
+        return self.key.rsplit(".", 1)[-1]
+
+    def bound_in(self, entry: dict):
+        if isinstance(self.bound, str):
+            return entry.get(self.bound)
+        return self.bound
+
+
+def entry_value(entry: dict, key: str):
+    """The (possibly nested, dot-separated) field *key* of *entry*."""
+    for part in key.split("."):
+        entry = (entry or {}).get(part)
+    return entry
+
 
 @dataclass(frozen=True)
 class Regression:
-    """One metric of one case exceeding its allowed ratio."""
+    """One metric of one case exceeding its allowed ratio or bound."""
 
     case: str
     metric: str
-    kind: str  # 'wall' | 'counter' | 'throughput' | 'selection'
+    kind: str  # 'wall' | 'counter' | 'throughput' | 'ceiling' | 'flag'
     baseline: float
     current: float
     limit: float
@@ -72,10 +76,9 @@ class Regression:
         return self.current / self.baseline if self.baseline else float("inf")
 
     def describe(self) -> str:
-        if self.kind == "selection":
-            if self.metric == "oracle_hit":
-                return (f"{self.case}: bandit converged off the roofline "
-                        f"oracle's modeled-cost tie set")
+        if self.kind == "flag":
+            return f"{self.case}: {self.metric} is false"
+        if self.kind == "ceiling":
             return (f"{self.case}: {self.metric} {self.current:g} exceeded "
                     f"its ceiling {self.limit:g}")
         if self.kind == "throughput":
@@ -92,173 +95,60 @@ class Regression:
                 f"limit {self.limit:.2f}x)")
 
 
+def _check(metric: Metric, cur: dict, base: dict, tolerance: float,
+           counter_tolerance: float, min_ms: float) -> Regression | None:
+    """The regression of one metric of one entry, or None if it holds."""
+    if metric.kind == "flag":
+        if cur.get(metric.key, True):
+            return None
+        return Regression(cur["name"], metric.name, "flag", 1.0, 0.0, 1.0)
+    c, b = entry_value(cur, metric.key), entry_value(base, metric.key)
+    if c is None:
+        return None
+    if metric.kind == "wall":
+        limit = 1.0 + tolerance
+        failed = bool(b) and b >= min_ms and c / b > limit
+    elif metric.kind == "counter" and metric.exact:
+        limit, failed = 1.0, b is not None and c > b
+    elif metric.kind == "counter":
+        limit = 1.0 + counter_tolerance
+        failed = bool(b) and c / b > limit
+    elif metric.kind == "rate":
+        limit = (b or 0.0) * max(1.0 - tolerance, 0.0)
+        failed = bool(b) and c < limit
+    elif metric.kind == "floor":
+        limit = metric.bound_in(cur) or metric.bound_in(base)
+        failed = bool(limit) and c < limit \
+            and (metric.gate is None or bool(cur.get(metric.gate)))
+        b = b or 0.0
+    else:  # ceiling
+        limit, b = metric.bound_in(cur), 0.0
+        failed = limit is not None and c > limit
+    if not failed:
+        return None
+    return Regression(cur["name"], metric.name, _REPORTED[metric.kind], b, c,
+                      limit)
+
+
 def compare_reports(current: dict, baseline: dict,
                     tolerance: float = DEFAULT_TOLERANCE,
                     counter_tolerance: float = DEFAULT_COUNTER_TOLERANCE,
                     min_ms: float = DEFAULT_MIN_MS) -> list[Regression]:
     """All regressions of *current* against *baseline* (empty == pass)."""
+    from repro.bench import SECTIONS
+
     regressions = []
-    base_by_name = {r["name"]: r for r in baseline.get("results", [])}
-    for cur in current.get("results", []):
-        base = base_by_name.get(cur["name"])
-        if base is None:
-            continue
-        for metric in WALL_METRICS:
-            b, c = base.get(metric), cur.get(metric)
-            if not b or not c or b < min_ms:
+    for section in SECTIONS.values():
+        base_by_name = {e["name"]: e for e in baseline.get(section.name, [])}
+        for cur in current.get(section.name, []):
+            base = base_by_name.get(cur["name"])
+            if base is None and section.needs_baseline:
                 continue
-            limit = 1.0 + tolerance
-            if c / b > limit:
-                regressions.append(Regression(
-                    cur["name"], metric, "wall", b, c, limit))
-        base_counters = base.get("counters") or {}
-        cur_counters = cur.get("counters") or {}
-        for metric in COUNTER_METRICS:
-            b, c = base_counters.get(metric), cur_counters.get(metric)
-            if not b or c is None:
-                continue
-            limit = 1.0 + counter_tolerance
-            if c / b > limit:
-                regressions.append(Regression(
-                    cur["name"], metric, "counter", b, c, limit))
-        for metric in GUARD_METRICS:
-            # Zero tolerance, and a baseline of 0 is the expected healthy
-            # value — unlike the loop above, b == 0 must not be skipped.
-            b, c = base_counters.get(metric), cur_counters.get(metric)
-            if b is None or c is None:
-                continue
-            if c > b:
-                regressions.append(Regression(
-                    cur["name"], metric, "counter", b, c, 1.0))
-    regressions += _compare_serve(current, baseline, tolerance)
-    regressions += _compare_cluster(current, baseline, tolerance)
-    regressions += _compare_overload(current, baseline, tolerance)
-    regressions += _compare_selection(current)
-    return regressions
-
-
-def _compare_serve(current: dict, baseline: dict,
-                   tolerance: float) -> list[Regression]:
-    """Throughput regressions of the reports' ``serve`` sections."""
-    regressions = []
-    base_by_name = {r["name"]: r for r in baseline.get("serve", [])}
-    for cur in current.get("serve", []):
-        base = base_by_name.get(cur["name"])
-        if base is None:
-            continue
-        # Absolute floor: the speedup contract travels with the baseline
-        # (the preset's min_speedup at baseline-recording time).
-        floor = base.get("min_speedup")
-        speedup = cur.get("speedup")
-        if floor and speedup is not None and speedup < floor:
-            regressions.append(Regression(
-                cur["name"], "speedup", "throughput",
-                base.get("speedup") or 0.0, speedup, floor))
-        # Relative guard: served requests/sec must not collapse even on
-        # presets without a speedup floor.
-        b, c = base.get("served_rps"), cur.get("served_rps")
-        if b and c is not None:
-            floor_rps = b * max(1.0 - tolerance, 0.0)
-            if c < floor_rps:
-                regressions.append(Regression(
-                    cur["name"], "served_rps", "throughput", b, c,
-                    floor_rps))
-    return regressions
-
-
-def _compare_cluster(current: dict, baseline: dict,
-                     tolerance: float) -> list[Regression]:
-    """Scale-out and throughput regressions of the ``cluster`` sections.
-
-    The 2-worker scale-out floor is an absolute contract like a serve
-    preset's ``min_speedup``, but it is only *physical* on a multi-core
-    host — the entry's ``gated`` flag (recorded from the measuring host's
-    cpu_count) decides whether the floor is enforced, so a single-core
-    dev box records the curve without failing on physics.  ``served_rps``
-    is additionally guarded relatively per (preset, workers) point.
-    """
-    regressions = []
-    base_by_name = {r["name"]: r for r in baseline.get("cluster", [])}
-    for cur in current.get("cluster", []):
-        base = base_by_name.get(cur["name"])
-        if base is None:
-            continue
-        floor = base.get("min_scaleout") or cur.get("min_scaleout")
-        scaleout = cur.get("scaleout_vs_1")
-        if floor and cur.get("gated") and scaleout is not None \
-                and scaleout < floor:
-            regressions.append(Regression(
-                cur["name"], "scaleout_vs_1", "throughput",
-                base.get("scaleout_vs_1") or 0.0, scaleout, floor))
-        b, c = base.get("served_rps"), cur.get("served_rps")
-        if b and c is not None:
-            floor_rps = b * max(1.0 - tolerance, 0.0)
-            if c < floor_rps:
-                regressions.append(Regression(
-                    cur["name"], "served_rps", "throughput", b, c,
-                    floor_rps))
-    return regressions
-
-
-def _compare_overload(current: dict, baseline: dict,
-                      tolerance: float) -> list[Regression]:
-    """Goodput regressions of the reports' ``overload`` sections.
-
-    The goodput floor at the gate multiplier is an absolute contract the
-    *current* entry carries (``min_goodput_pct``), so it is enforced even
-    against baselines recorded before the overload sweep existed — a
-    server that collapses under 2x offered load must fail the gate on
-    day one, not only after a baseline refresh.  ``goodput_rps`` is
-    additionally guarded relatively when the baseline has the point.
-    """
-    regressions = []
-    base_by_name = {r["name"]: r for r in baseline.get("overload", [])}
-    for cur in current.get("overload", []):
-        base = base_by_name.get(cur["name"]) or {}
-        floor = cur.get("min_goodput_pct")
-        goodput_pct = cur.get("goodput_pct")
-        if floor and goodput_pct is not None and goodput_pct < floor:
-            regressions.append(Regression(
-                cur["name"], "goodput_pct", "throughput",
-                base.get("goodput_pct") or 0.0, goodput_pct, floor))
-        b, c = base.get("goodput_rps"), cur.get("goodput_rps")
-        if b and c is not None:
-            floor_rps = b * max(1.0 - tolerance, 0.0)
-            if c < floor_rps:
-                regressions.append(Regression(
-                    cur["name"], "goodput_rps", "throughput", b, c,
-                    floor_rps))
-        # Correctness, not performance: a request reported shed must
-        # never complete afterwards (exactly-once outcome accounting).
-        late = cur.get("late_completions")
-        if late:
-            regressions.append(Regression(
-                cur["name"], "late_completions", "counter",
-                0.0, float(late), 0.0))
-    return regressions
-
-
-def _compare_selection(current: dict) -> list[Regression]:
-    """Convergence regressions of the report's ``selection`` section.
-
-    The section is a deterministic seeded replay against the roofline
-    model, so no baseline comparison is needed — the contract is absolute
-    and travels with the *current* entry (like the overload goodput
-    floor): regret against the modeled oracle must stay under the
-    entry's ``max_regret_pct``, and the bandit must converge onto the
-    oracle's modeled-cost tie set.
-    """
-    regressions = []
-    for cur in current.get("selection", []):
-        ceiling = cur.get("max_regret_pct")
-        regret = cur.get("regret_pct")
-        if ceiling is not None and regret is not None and regret > ceiling:
-            regressions.append(Regression(
-                cur["name"], "regret_pct", "selection",
-                0.0, regret, ceiling))
-        if not cur.get("oracle_hit", True):
-            regressions.append(Regression(
-                cur["name"], "oracle_hit", "selection", 1.0, 0.0, 1.0))
+            for metric in section.metrics:
+                found = _check(metric, cur, base or {}, tolerance,
+                               counter_tolerance, min_ms)
+                if found is not None:
+                    regressions.append(found)
     return regressions
 
 

@@ -35,8 +35,9 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class ClusterPreset:
-    """One saturation scenario of the cluster tier."""
+class RequestPreset:
+    """A serving scenario's request stream: *requests* independent
+    ``[request_batch, channels, size, size]`` inputs against one weight."""
 
     name: str
     size: int
@@ -46,6 +47,24 @@ class ClusterPreset:
     padding: int
     requests: int = 48
     request_batch: int = 1
+    seed: int = 0
+    heavy: bool = False  # skipped in --smoke runs
+
+    def make_requests(self, groups: int = 1) -> tuple:
+        """Seeded ``(weight, bias, xs)`` of the stream."""
+        rng = np.random.default_rng(self.seed)
+        c, k = self.channels, self.kernel
+        weight = rng.standard_normal((self.filters, c // groups, k, k))
+        bias = rng.standard_normal(self.filters)
+        xs = [rng.standard_normal((self.request_batch, c, self.size,
+                                   self.size)) for _ in range(self.requests)]
+        return weight, bias, xs
+
+
+@dataclass(frozen=True)
+class ClusterPreset(RequestPreset):
+    """One saturation scenario of the cluster tier."""
+
     worker_counts: tuple = (1, 2, 4)
     slots: int = 16
     slot_bytes: int = 1 << 18
@@ -55,8 +74,6 @@ class ClusterPreset:
     #: Served-rps floor for 2 workers vs. 1, enforced when the host can
     #: physically scale (``gated``); None records without gating.
     min_scaleout: float | None = 1.5
-    seed: int = 0
-    heavy: bool = False  # skipped in --smoke runs
 
 
 CLUSTER_PRESETS: tuple[ClusterPreset, ...] = (
@@ -77,45 +94,45 @@ def poisson_arrivals(n: int, rate_rps: float,
     return np.cumsum(rng.exponential(1.0 / rate_rps, size=n))
 
 
-def scaleout_gated() -> bool:
-    """Whether the scale-out floor is physically meaningful here.
+def _offer(server, xs, weight, bias, padding: int, arrivals: np.ndarray,
+           **submit_kw) -> tuple[float, list, list[float]]:
+    """Submit *xs* on the arrival schedule, stamping each completion.
 
-    Two worker processes cannot beat one by 1.5x on a single core — the
-    engine's work is conserved — so single-core hosts record the curve
-    without enforcing the floor.
+    Returns ``(start, futures, done_at)``; a request the server turns
+    away at the door (``Overloaded``) leaves None in *futures*.
     """
-    return (os.cpu_count() or 1) >= 2
+    from repro.serve.overload import Overloaded
 
-
-def _run_one_round(server, xs, weight, bias, padding: int,
-                   arrivals: np.ndarray) -> tuple[float, np.ndarray, list]:
-    """Offer *xs* on the arrival schedule; returns (span_s, lat_s, outs)."""
     n = len(xs)
     done_at = [0.0] * n
-    futures: list[Future] = [None] * n
-
+    futures: list[Future | None] = [None] * n
     start = time.monotonic()
     for i, x in enumerate(xs):
         delay = start + arrivals[i] - time.monotonic()
         if delay > 0:
             time.sleep(delay)
-        future = server.submit(x, weight, bias, padding=padding)
+        try:
+            future = server.submit(x, weight, bias, padding=padding,
+                                   **submit_kw)
+        except Overloaded:
+            continue
 
         def _stamp(f, i=i):
             done_at[i] = time.monotonic()
 
         future.add_done_callback(_stamp)
         futures[i] = future
-    outs = [f.result(60) for f in futures]
-    # result() can return a hair before the done-callback runs (waiters
-    # are notified first); settle any unstamped entries.
+    return start, futures, done_at
+
+
+def _settle(done_at: list[float], indices) -> None:
+    """Wait (up to 1 s) for the completion stamps of *indices*: result()
+    can return a hair before the done-callback runs (waiters are notified
+    first)."""
     deadline = time.monotonic() + 1.0
-    while any(d == 0.0 for d in done_at) and time.monotonic() < deadline:
+    while any(done_at[i] == 0.0 for i in indices) \
+            and time.monotonic() < deadline:
         time.sleep(0.001)
-    span_s = max(done_at) - start
-    latency_s = np.array([done_at[i] - (start + arrivals[i])
-                          for i in range(n)])
-    return span_s, latency_s, outs
 
 
 def run_cluster_case(preset: ClusterPreset, repeats: int = 2,
@@ -131,13 +148,7 @@ def run_cluster_case(preset: ClusterPreset, repeats: int = 2,
     from repro.serve.router import ClusterServer
 
     counts = tuple(worker_counts or preset.worker_counts)
-    rng = np.random.default_rng(preset.seed)
-    c, f, k = preset.channels, preset.filters, preset.kernel
-    weight = rng.standard_normal((f, c, k, k))
-    bias = rng.standard_normal(f)
-    xs = [rng.standard_normal((preset.request_batch, c, preset.size,
-                               preset.size))
-          for _ in range(preset.requests)]
+    weight, bias, xs = preset.make_requests()
     refs = [F.conv2d(x, weight, bias, padding=preset.padding) for x in xs]
 
     # Calibrate the offered rate once from warm single-stream capacity,
@@ -154,11 +165,14 @@ def run_cluster_case(preset: ClusterPreset, repeats: int = 2,
         service_s = (time.perf_counter() - t0) / probes
     offered_rps = max(counts) * preset.oversubscribe / max(service_s, 1e-6)
 
-    gated = scaleout_gated()
+    # Two worker processes cannot beat one by 1.5x on a single core (the
+    # engine's work is conserved): single-core hosts record the curve
+    # without enforcing the floor.
+    gated = (os.cpu_count() or 1) >= 2
     entries = []
     base_rps = None
     for workers in counts:
-        best = None
+        rounds = []
         for rep in range(max(repeats, 1)):
             arrivals = poisson_arrivals(
                 preset.requests, offered_rps,
@@ -169,25 +183,23 @@ def run_cluster_case(preset: ClusterPreset, repeats: int = 2,
                 for _ in range(2 * workers):
                     server.conv2d(xs[0], weight, bias,
                                   padding=preset.padding, timeout=60)
-                span_s, latency_s, outs = _run_one_round(
+                start, futures, done_at = _offer(
                     server, xs, weight, bias, preset.padding, arrivals)
+                outs = [f.result(60) for f in futures]
+                _settle(done_at, range(len(xs)))
             for out, ref in zip(outs, refs):
                 if not np.array_equal(out, ref):
                     raise AssertionError(
                         f"cluster result diverged from in-process conv2d "
                         f"on {preset.name} (workers={workers})")
-            round_ = {
-                "served_rps": preset.requests / span_s,
-                "p50_ms": float(np.percentile(latency_s, 50)) * 1e3,
-                "p99_ms": float(np.percentile(latency_s, 99)) * 1e3,
-            }
-            if best is None or round_["served_rps"] > best["served_rps"]:
-                best = round_
-        if workers == counts[0] and counts[0] == 1:
-            base_rps = best["served_rps"]
-        scaleout = None
-        if base_rps and workers > 1:
-            scaleout = round(best["served_rps"] / base_rps, 3)
+            latency_ms = (np.array(done_at) - (start + arrivals)) * 1e3
+            rounds.append((preset.requests / (max(done_at) - start),
+                           *np.percentile(latency_ms, [50, 99])))
+        served_rps, p50_ms, p99_ms = max(rounds)
+        if workers == 1:
+            base_rps = served_rps
+        scaleout = round(served_rps / base_rps, 3) \
+            if base_rps and workers > 1 else None
         entries.append({
             "name": f"{preset.name}_w{workers}",
             "preset": preset.name,
@@ -200,9 +212,9 @@ def run_cluster_case(preset: ClusterPreset, repeats: int = 2,
                       "filters": preset.filters,
                       "padding": preset.padding},
             "offered_rps": round(offered_rps, 1),
-            "served_rps": round(best["served_rps"], 1),
-            "p50_ms": round(best["p50_ms"], 3),
-            "p99_ms": round(best["p99_ms"], 3),
+            "served_rps": round(served_rps, 1),
+            "p50_ms": round(float(p50_ms), 3),
+            "p99_ms": round(float(p99_ms), 3),
             "scaleout_vs_1": scaleout,
             "min_scaleout": preset.min_scaleout if workers == 2 else None,
             "gated": gated,
@@ -217,7 +229,7 @@ def run_cluster_case(preset: ClusterPreset, repeats: int = 2,
 
 
 @dataclass(frozen=True)
-class OverloadPreset:
+class OverloadPreset(RequestPreset):
     """One overload scenario of the batching serving tier.
 
     The sweep offers Poisson load at ``multipliers`` times the server's
@@ -230,14 +242,7 @@ class OverloadPreset:
     must cost the *excess*, not the throughput.
     """
 
-    name: str
-    size: int
-    kernel: int
-    channels: int
-    filters: int
-    padding: int
     requests: int = 96
-    request_batch: int = 1
     max_batch: int = 8
     multipliers: tuple = (0.5, 1.0, 2.0, 3.0)
     #: Per-request deadline handed to ``submit(deadline_s=...)``.
@@ -250,8 +255,6 @@ class OverloadPreset:
     #: the ``gate_multiplier`` point; None records without gating.
     min_goodput_pct: float | None = 0.85
     gate_multiplier: float = 2.0
-    seed: int = 0
-    heavy: bool = False  # skipped in --smoke runs
 
 
 OVERLOAD_PRESETS: tuple[OverloadPreset, ...] = (
@@ -295,20 +298,10 @@ def run_overload_case(preset: OverloadPreset,
     """
     from repro.nn import functional as F
     from repro.serve.api import ConvServer
-    from repro.serve.overload import (
-        DeadlineExceeded,
-        Overloaded,
-        ServeConfig,
-    )
+    from repro.serve.overload import DeadlineExceeded, ServeConfig
 
     multipliers = tuple(multipliers or preset.multipliers)
-    rng = np.random.default_rng(preset.seed)
-    c, f, k = preset.channels, preset.filters, preset.kernel
-    weight = rng.standard_normal((f, c, k, k))
-    bias = rng.standard_normal(f)
-    xs = [rng.standard_normal((preset.request_batch, c, preset.size,
-                               preset.size))
-          for _ in range(preset.requests)]
+    weight, bias, xs = preset.make_requests()
     refs = [F.conv2d(x, weight, bias, padding=preset.padding) for x in xs]
     capacity_rps = _calibrate_capacity(preset, xs, weight, bias)
 
@@ -321,44 +314,21 @@ def run_overload_case(preset: OverloadPreset,
             preset.requests, offered_rps,
             np.random.default_rng(preset.seed + int(1000 * mult)))
         n = preset.requests
-        futures: list[Future | None] = [None] * n
-        done_at = [0.0] * n
         with ConvServer(max_batch=preset.max_batch,
                         config=config) as server:
             server.conv2d(xs[0], weight, bias, padding=preset.padding,
                           timeout=60)  # warm caches off the clock
-            start = time.monotonic()
-            for i, x in enumerate(xs):
-                delay = start + arrivals[i] - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                try:
-                    future = server.submit(
-                        x, weight, bias, padding=preset.padding,
-                        deadline_s=preset.deadline_s)
-                except Overloaded:
-                    continue  # rejected at the front door
-
-                def _stamp(f, i=i):
-                    done_at[i] = time.monotonic()
-
-                future.add_done_callback(_stamp)
-                futures[i] = future
-            completed, shed, failed = [], 0, 0
-            latencies = []
-            for i, future in enumerate(futures):
-                if future is None:
-                    continue
-                try:
-                    out = future.result(60)
-                except DeadlineExceeded:
-                    shed += 1
-                    continue
-                except Exception:
-                    failed += 1
-                    continue
-                completed.append(i)
-                latencies.append(done_at[i] - (start + arrivals[i]))
+            start, futures, done_at = _offer(
+                server, xs, weight, bias, preset.padding, arrivals,
+                deadline_s=preset.deadline_s)
+            # None: rejected at the front door.
+            errors = {i: f.exception(60) for i, f in enumerate(futures)
+                      if f is not None}
+            completed = [i for i, e in errors.items() if e is None]
+            _settle(done_at, completed)
+        latencies = [done_at[i] - (start + arrivals[i]) for i in completed]
+        shed = sum(isinstance(e, DeadlineExceeded) for e in errors.values())
+        failed = len(errors) - len(completed) - shed
         for i in completed:
             if not np.array_equal(futures[i].result(0), refs[i]):
                 raise AssertionError(
@@ -404,36 +374,3 @@ def run_overload_case(preset: OverloadPreset,
             "exact": True,
         })
     return entries
-
-
-def format_overload_report(entries: list[dict]) -> str:
-    """Human-readable overload sweep table."""
-    lines = [f"{'point':<22} {'offered':>9} {'goodput':>9} {'pct':>6} "
-             f"{'done':>5} {'shed':>5} {'rej':>5} {'p50 ms':>8} "
-             f"{'p99 ms':>8} {'floor':>6}"]
-    for r in entries:
-        floor = f"{r['min_goodput_pct']:.0%}" \
-            if r.get("min_goodput_pct") else "-"
-        pct = f"{r['goodput_pct']:.0%}" \
-            if r.get("goodput_pct") is not None else "-"
-        lines.append(
-            f"{r['name']:<22} {r['offered_rps']:>9.0f} "
-            f"{r['goodput_rps']:>9.0f} {pct:>6} {r['completed']:>5} "
-            f"{r['shed']:>5} {r['rejected']:>5} {r['p50_ms']:>8.2f} "
-            f"{r['p99_ms']:>8.2f} {floor:>6}")
-    return "\n".join(lines)
-
-
-def format_cluster_report(entries: list[dict]) -> str:
-    """Human-readable scale-out table for cluster bench entries."""
-    lines = [f"{'point':<24} {'workers':>7} {'offered':>9} {'served':>9} "
-             f"{'p50 ms':>8} {'p99 ms':>8} {'scaleout':>9} {'gated':>6}"]
-    for r in entries:
-        scaleout = f"{r['scaleout_vs_1']:8.2f}x" \
-            if r.get("scaleout_vs_1") is not None else f"{'-':>9}"
-        lines.append(
-            f"{r['name']:<24} {r['workers']:>7} {r['offered_rps']:>9.0f} "
-            f"{r['served_rps']:>9.0f} {r['p50_ms']:>8.2f} "
-            f"{r['p99_ms']:>8.2f} {scaleout} "
-            f"{'yes' if r['gated'] else 'no':>6}")
-    return "\n".join(lines)
