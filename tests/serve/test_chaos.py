@@ -68,7 +68,14 @@ class TestHeartbeats:
             server.conv2d(x, w, padding=1, timeout=30)
             pids = server.worker_pids()
             for replica_id, pid in enumerate(pids):
+                # A replica that served nothing may still be starting:
+                # its startup stamp can land after the conv returns.
+                deadline = time.monotonic() + 10.0
                 record = server._arena.read_heartbeat(replica_id)
+                while record["generation"] == 0 \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                    record = server._arena.read_heartbeat(replica_id)
                 assert record["generation"] == 1
                 assert record["pid"] == pid
                 assert record["stamp"] > 0.0
