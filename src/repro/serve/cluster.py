@@ -37,6 +37,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+import weakref
 
 from repro.serve.shm import TensorArena, recv_control, send_control
 
@@ -58,6 +59,12 @@ def get_cluster_context(start_method: str | None = None):
     """The multiprocessing context cluster workers are spawned from."""
     return multiprocessing.get_context(start_method
                                        or default_start_method())
+
+
+#: Router-side ends of every worker pipe this process opened.  A forked
+#: worker inherits them all, its own included; it closes its copies first
+#: thing, or its pipe would never report EOF once the router dies.
+_ROUTER_ENDS: weakref.WeakSet = weakref.WeakSet()
 
 
 def _reinit_locks_in_child() -> None:
@@ -129,6 +136,8 @@ def _worker_main(worker_id: int, arena_name: str, slots: int,
     from repro.observe.registry import counters
     from repro.serve.pool import execute_conv
 
+    for end in list(_ROUTER_ENDS):
+        end.close()
     _fresh_worker_state()
     if supervised:
         from repro.guard.state import enable_guard
@@ -267,6 +276,7 @@ def spawn_worker(worker_id: int, arena: TensorArena, supervised: bool,
     """
     ctx = ctx or get_cluster_context()
     parent_conn, child_conn = ctx.Pipe(duplex=True)
+    _ROUTER_ENDS.add(parent_conn)
     process = ctx.Process(
         target=_worker_main,
         args=(worker_id, arena.name, arena.slots, arena.slot_bytes,
