@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.ndim import conv1d_polyhankel, conv3d_polyhankel
 from repro.nn import autograd as ag
-from repro.nn.grad import conv2d_backward_input, conv2d_backward_weight
+from repro.nn.grad import convnd_backward_input, convnd_backward_weight
 from repro.utils.random import random_problem
 from repro.utils.shapes import ConvShape
 
@@ -35,9 +35,9 @@ def test_backward_wallclock(benchmark, which):
     x, w = random_problem(shape)
     g = rng.standard_normal(shape.output_shape())
     if which == "input":
-        fn = lambda: conv2d_backward_input(g, w, x.shape, 1, 1)
+        fn = lambda: convnd_backward_input(g, w, x.shape, 1, 1)
     else:
-        fn = lambda: conv2d_backward_weight(g, x, (3, 3), 1, 1)
+        fn = lambda: convnd_backward_weight(g, x, (3, 3), 1, 1)
     benchmark.pedantic(fn, rounds=3, iterations=1, warmup_rounds=1)
 
 

@@ -1,48 +1,28 @@
-"""Op-level dispatch: conv1d / conv2d / conv3d / conv_transpose2d.
+"""Op-specific shape algebra for conv1d and conv_transpose2d.
 
-:mod:`repro.baselines.registry` enumerates *algorithms* for the rank-2
-problem the paper studies.  This module enumerates *operations* and maps
-each onto that registry:
+:func:`repro.baselines.registry.convolve` is the one dispatch for every
+op; what is particular to an op lives here:
 
 - ``conv1d`` is lowered onto the 2D engine as a ``1 x L`` image (the
   degree map degenerates to ``t^j``), so **every** registered 2D
   algorithm — and the packed real-pair FFT pipeline, plan/spectrum
-  caches, counters — serves 1D for free.
-- ``conv3d`` runs the genuinely N-dimensional paths (single big FFT over
-  the plane-stacked degree map, im2col GEMM, direct naive).
+  caches, counters — serves 1D for free; :func:`lift_1d_shape` is that
+  lift.
 - ``conv_transpose2d`` is the adjoint the backward pass already
-  computes: for any 2D algorithm it executes as the zero-stuffed
-  stride-1 convolution inside :func:`repro.nn.grad.conv2d_backward_input`
-  (PyTorch's ``(c_in, c_out/g, kh, kw)`` weight layout *is* the forward
-  layout of the adjoint problem, so it passes through untouched).  The
-  ``naive`` entry is instead a direct output-scatter — an independent
-  oracle that shares no code with the adjoint route.
-
-Every op exposes the same capability surface as the 2D registry:
-``op_supports`` / ``fallback_chain_nd`` answer per-shape, and
-``convolve_nd`` raises the same explicit ``ValueError`` on unsupported
-combinations.
+  computes: its output extent is :func:`conv_transpose2d_output_shape`,
+  and for any 2D algorithm it executes as the zero-stuffed stride-1
+  convolution :func:`transpose_internal_shape` describes.  The ``naive``
+  entry is instead a direct output-scatter
+  (:func:`conv_transpose2d_naive`) — an independent oracle that shares
+  no code with the adjoint route.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 
 import numpy as np
 
-from repro.baselines.registry import (
-    FALLBACK_ORDER,
-    ConvAlgorithm,
-    convolve,
-    get_entry,
-)
-from repro.baselines.registry import supports as algorithm_supports
-from repro.core.ndim import (
-    convnd_im2col_gemm,
-    convnd_naive,
-    convnd_polyhankel,
-)
 from repro.utils.shapes import (
     ConvShape,
     ConvShapeNd,
@@ -51,46 +31,6 @@ from repro.utils.shapes import (
 )
 from repro.utils.validation import ensure_array, require
 
-
-class ConvOp(enum.Enum):
-    """Every convolution operation known to the library."""
-
-    CONV1D = "conv1d"
-    CONV2D = "conv2d"
-    CONV3D = "conv3d"
-    CONV_TRANSPOSE2D = "conv_transpose2d"
-
-
-#: Spatial rank of each op's input (``x.ndim`` is this plus two).
-OP_SPATIAL_RANK = {
-    ConvOp.CONV1D: 1,
-    ConvOp.CONV2D: 2,
-    ConvOp.CONV3D: 3,
-    ConvOp.CONV_TRANSPOSE2D: 2,
-}
-
-#: Algorithms with a genuinely N-dimensional implementation (conv3d).
-_ND_ALGORITHMS = {
-    ConvAlgorithm.POLYHANKEL: convnd_polyhankel,
-    ConvAlgorithm.GEMM: convnd_im2col_gemm,
-    ConvAlgorithm.NAIVE: convnd_naive,
-}
-
-
-def resolve_op(op: ConvOp | str) -> ConvOp:
-    """Resolve an op (enum or its string value) to the enum member."""
-    if isinstance(op, ConvOp):
-        return op
-    try:
-        return ConvOp(op)
-    except ValueError:
-        names = [o.value for o in ConvOp]
-        raise ValueError(f"unknown op {op!r}; one of {names}") from None
-
-
-# ---------------------------------------------------------------------------
-# Shape algebra
-# ---------------------------------------------------------------------------
 
 def lift_1d_shape(shape: ConvShapeNd) -> ConvShape:
     """The 2D problem a rank-1 *shape* lowers onto (singleton height)."""
@@ -187,103 +127,6 @@ def transpose_internal_shape(x_shape, w_shape, padding=0, stride=1,
                      stride=1, dilation=dilation_nd, groups=groups)
 
 
-def transpose_weight_view(weight: np.ndarray, groups: int = 1) -> np.ndarray:
-    """Per-output-channel view of a tconv weight for magnitude bounds.
-
-    Reorders ``(c_in, c_out/g, kh, kw)`` to ``(c_out, c_in/g, kh, kw)``
-    so axis 0 enumerates *output* channels, matching what the guard
-    sentinel's per-filter L1 bound expects (the adjoint's spatial flip
-    does not change absolute sums, so it is omitted).
-    """
-    c_in, f_per, kh, kw = weight.shape
-    grouped = weight.reshape(groups, c_in // groups, f_per, kh, kw)
-    return grouped.transpose(0, 2, 1, 3, 4).reshape(
-        groups * f_per, c_in // groups, kh, kw)
-
-
-def op_shape(op: ConvOp | str, x_shape, w_shape, padding=0, stride=1,
-             dilation=1, groups: int = 1, output_padding=0):
-    """The shape object guarding/dispatch decisions are made against.
-
-    conv2d → :class:`ConvShape`; conv1d/conv3d → :class:`ConvShapeNd`;
-    conv_transpose2d → the internal adjoint :class:`ConvShape` (see
-    :func:`transpose_internal_shape`).
-    """
-    op = resolve_op(op)
-    if op is ConvOp.CONV2D:
-        return ConvShape.from_tensors(x_shape, w_shape, padding, stride,
-                                      dilation, groups)
-    if op is ConvOp.CONV_TRANSPOSE2D:
-        return transpose_internal_shape(x_shape, w_shape, padding, stride,
-                                        dilation, groups, output_padding)
-    shape = ConvShapeNd.from_tensors(x_shape, w_shape, padding, stride,
-                                     dilation, groups)
-    rank = OP_SPATIAL_RANK[op]
-    if shape.ndim != rank:
-        raise ValueError(
-            f"{op.value} expects spatial rank {rank}, got rank "
-            f"{shape.ndim} (input shape {tuple(x_shape)})"
-        )
-    return shape
-
-
-# ---------------------------------------------------------------------------
-# Capability surface
-# ---------------------------------------------------------------------------
-
-def op_algorithms(op: ConvOp | str) -> list[ConvAlgorithm]:
-    """Algorithms registered for *op* (ignoring per-shape limits)."""
-    op = resolve_op(op)
-    if op in (ConvOp.CONV1D, ConvOp.CONV2D, ConvOp.CONV_TRANSPOSE2D):
-        from repro.baselines.registry import list_algorithms
-
-        return list_algorithms()
-    return list(_ND_ALGORITHMS)
-
-
-def op_supports(op: ConvOp | str, algorithm: ConvAlgorithm | str,
-                x_shape, w_shape, padding=0, stride=1, dilation=1,
-                groups: int = 1, output_padding=0) -> bool:
-    """Whether *algorithm* can run *op* on this problem."""
-    op = resolve_op(op)
-    algorithm = get_entry(algorithm).algorithm
-    if op is ConvOp.CONV3D:
-        return algorithm in _ND_ALGORITHMS
-    shape = op_shape(op, x_shape, w_shape, padding, stride, dilation,
-                     groups, output_padding)
-    if op is ConvOp.CONV1D:
-        shape = lift_1d_shape(shape)
-    return algorithm_supports(algorithm, shape)
-
-
-def fallback_chain_nd(op: ConvOp | str, x_shape, w_shape, padding=0,
-                      stride=1, dilation=1, groups: int = 1,
-                      output_padding=0,
-                      primary: ConvAlgorithm | str | None = None
-                      ) -> list[ConvAlgorithm]:
-    """Ordered algorithms guarded execution may try for this op/problem.
-
-    Same contract as :func:`repro.baselines.registry.fallback_chain`:
-    *primary* first, then :data:`FALLBACK_ORDER`, deduplicated, keeping
-    only algorithms the op supports on this shape.  Never empty — naive
-    exists for every op.
-    """
-    op = resolve_op(op)
-    ordered: list[ConvAlgorithm] = []
-    if primary is not None:
-        ordered.append(get_entry(primary).algorithm)
-    for algo in FALLBACK_ORDER:
-        if algo not in ordered:
-            ordered.append(algo)
-    return [algo for algo in ordered
-            if op_supports(op, algo, x_shape, w_shape, padding, stride,
-                           dilation, groups, output_padding)]
-
-
-# ---------------------------------------------------------------------------
-# Execution
-# ---------------------------------------------------------------------------
-
 def conv_transpose2d_naive(x: np.ndarray, weight: np.ndarray, padding=0,
                            stride=1, dilation=1, groups: int = 1,
                            output_padding=0) -> np.ndarray:
@@ -316,92 +159,3 @@ def conv_transpose2d_naive(x: np.ndarray, weight: np.ndarray, padding=0,
                i * sh:i * sh + (kh - 1) * dh + 1:dh,
                j * sw:j * sw + (kw - 1) * dw + 1:dw] += patch
     return canvas[:, :, pt:pt + out_shape[2], pl:pl + out_shape[3]]
-
-
-def conv_transpose2d_adjoint(x: np.ndarray, weight: np.ndarray, padding=0,
-                             stride=1, dilation=1, groups: int = 1,
-                             output_padding=0,
-                             algorithm: ConvAlgorithm | str =
-                             ConvAlgorithm.POLYHANKEL) -> np.ndarray:
-    """Transposed conv via the backward-input adjoint (any 2D algorithm).
-
-    The tconv weight ``(c_in, c_out/g, kh, kw)`` is exactly the forward
-    layout of the adjoint conv (which maps ``c_out -> c_in``), so it
-    passes straight through; the zero-stuffing/full-pad lowering lives
-    in :func:`repro.nn.grad.conv2d_backward_input`.
-    """
-    from repro.nn.grad import conv2d_backward_input
-
-    out_shape = conv_transpose2d_output_shape(
-        np.shape(x), np.shape(weight), padding, stride, dilation, groups,
-        output_padding)
-    pad_pairs = normalize_padding_nd(padding, tuple(np.shape(x))[2:],
-                                     tuple(np.shape(weight))[2:],
-                                     stride, dilation)
-    flat_pad = tuple(p for pair in pad_pairs for p in pair)
-    return conv2d_backward_input(
-        np.asarray(x, dtype=float), np.asarray(weight, dtype=float),
-        input_shape=out_shape, padding=flat_pad,
-        stride=normalize_tuple(stride, 2, "stride"),
-        dilation=normalize_tuple(dilation, 2, "dilation"),
-        groups=groups, algorithm=algorithm)
-
-
-def convolve_nd(x: np.ndarray, weight: np.ndarray,
-                op: ConvOp | str = ConvOp.CONV2D,
-                algorithm: ConvAlgorithm | str = ConvAlgorithm.POLYHANKEL,
-                padding=0, stride=1, dilation=1, groups: int = 1,
-                output_padding=0, **kwargs) -> np.ndarray:
-    """Run any convolution op with an explicitly chosen algorithm.
-
-    The op-level analogue of :func:`repro.baselines.registry.convolve`:
-    raises ``ValueError`` when *algorithm* cannot run *op* on this shape
-    (mirroring cuDNN's NOT_SUPPORTED), otherwise dispatches to the
-    op-specific route.  Engine *kwargs* (``strategy``, ``backend``,
-    ``layout``, ...) flow through where the route accepts them.
-    """
-    op = resolve_op(op)
-    entry = get_entry(algorithm)
-    x_shape, w_shape = np.shape(x), np.shape(weight)
-    if op is not ConvOp.CONV_TRANSPOSE2D:
-        require(output_padding == 0 or output_padding == (0, 0),
-                f"output_padding only applies to conv_transpose2d, "
-                f"not {op.value}")
-    if not op_supports(op, entry.algorithm, x_shape, w_shape, padding,
-                       stride, dilation, groups, output_padding):
-        raise ValueError(
-            f"algorithm {entry.algorithm.value} does not support "
-            f"{op.value} with this shape (input {tuple(x_shape)}, "
-            f"weight {tuple(w_shape)}, stride={stride}, "
-            f"dilation={dilation}, groups={groups})"
-        )
-    if op is ConvOp.CONV2D:
-        return convolve(x, weight, entry.algorithm, padding, stride,
-                        dilation, groups, **kwargs)
-    if op is ConvOp.CONV1D:
-        shape = op_shape(op, x_shape, w_shape, padding, stride, dilation,
-                         groups)
-        (lo, hi), = shape.pad_pairs
-        from repro.core.ndim import lift_weight_1d
-
-        x4 = np.asarray(x, dtype=float)[:, :, None, :]
-        w4 = lift_weight_1d(np.asarray(weight, dtype=float))
-        out = convolve(x4, w4, entry.algorithm, padding=(0, 0, lo, hi),
-                       stride=(1, shape.stride_nd[0]),
-                       dilation=(1, shape.dilation_nd[0]), groups=groups,
-                       **kwargs)
-        return out[:, :, 0, :]
-    if op is ConvOp.CONV3D:
-        fn = _ND_ALGORITHMS[entry.algorithm]
-        if entry.algorithm is ConvAlgorithm.POLYHANKEL:
-            engine_kwargs = {k: v for k, v in kwargs.items()
-                             if k in ("fft_policy", "backend")}
-            return fn(x, weight, padding, stride, dilation, groups,
-                      **engine_kwargs)
-        return fn(x, weight, padding, stride, dilation, groups)
-    if entry.algorithm is ConvAlgorithm.NAIVE:
-        return conv_transpose2d_naive(x, weight, padding, stride,
-                                      dilation, groups, output_padding)
-    return conv_transpose2d_adjoint(x, weight, padding, stride, dilation,
-                                    groups, output_padding,
-                                    algorithm=entry.algorithm)

@@ -1,9 +1,16 @@
-"""Algorithm registry: cuDNN-style enumeration and dispatch.
+"""Algorithm registry: cuDNN-style enumeration and the one conv dispatch.
 
 The paper compares PolyHankel against the full cuDNN menu (Sec. 4, Fig. 5).
 This registry mirrors cuDNN's ``cudnnConvolutionFwdAlgo_t`` naming so the
 benchmarks read like the paper's figures, and adds the two research methods
 (fine-grain FFT, PolyHankel).
+
+The degree map does not depend on rank, so one dispatch serves every op:
+:func:`convolve` takes conv1d, conv2d and conv3d from the input rank and
+conv_transpose2d by name.  :func:`op_shape` describes each op's problem
+once — a :class:`ConvShape` for conv2d, the 1D lift's and the transposed
+adjoint's 2D problems, a :class:`ConvShapeNd` for conv3d — and
+:func:`supports` / :func:`fallback_chain` answer against that shape.
 """
 
 from __future__ import annotations
@@ -23,15 +30,33 @@ from repro.baselines.implicit_gemm import (
     conv2d_implicit_precomp_gemm,
 )
 from repro.baselines.naive import conv2d_naive
+from repro.baselines.ndops import (
+    conv_transpose2d_naive,
+    conv_transpose2d_output_shape,
+    lift_1d_shape,
+    transpose_internal_shape,
+)
 from repro.baselines.winograd import (
     MAX_ALPHA,
     conv2d_winograd,
     conv2d_winograd_nonfused,
 )
 from repro.core.multichannel import conv2d_polyhankel
+from repro.core.ndim import (
+    convnd_im2col_gemm,
+    convnd_naive,
+    convnd_polyhankel,
+    lift_weight_1d,
+)
 from repro.core.overlap_save import conv2d_polyhankel_os
 from repro.hankel.im2col_view import pad2d
-from repro.utils.shapes import ConvShape
+from repro.utils.shapes import (
+    ConvShape,
+    ConvShapeNd,
+    normalize_padding_nd,
+    normalize_tuple,
+)
+from repro.utils.validation import ensure_array
 
 
 class ConvAlgorithm(enum.Enum):
@@ -50,6 +75,65 @@ class ConvAlgorithm(enum.Enum):
     POLYHANKEL_OS = "polyhankel_os"
 
 
+class ConvOp(enum.Enum):
+    """Every convolution operation known to the library."""
+
+    CONV1D = "conv1d"
+    CONV2D = "conv2d"
+    CONV3D = "conv3d"
+    CONV_TRANSPOSE2D = "conv_transpose2d"
+
+
+#: The forward op an input of each rank (``x.ndim``) runs.
+_OP_BY_NDIM = {3: ConvOp.CONV1D, 4: ConvOp.CONV2D, 5: ConvOp.CONV3D}
+
+
+def resolve_op(op: ConvOp | str | None, x_ndim: int | None = None
+               ) -> ConvOp:
+    """Resolve an op (enum or its string value); ``None`` takes the
+    forward op of the input rank *x_ndim*."""
+    if isinstance(op, ConvOp):
+        return op
+    if op is None:
+        if x_ndim not in _OP_BY_NDIM:
+            raise ValueError(
+                f"no convolution takes a {x_ndim}-D input; expected "
+                "(n, c, length), NCHW or NCDHW")
+        return _OP_BY_NDIM[x_ndim]
+    try:
+        return ConvOp(op)
+    except ValueError:
+        names = [o.value for o in ConvOp]
+        raise ValueError(f"unknown op {op!r}; one of {names}") from None
+
+
+def op_shape(op: ConvOp | str | None, x_shape, w_shape, padding=0,
+             stride=1, dilation=1, groups: int = 1, output_padding=0):
+    """The problem shape dispatch and guarding decide on.
+
+    conv2d → :class:`ConvShape`; conv1d/conv3d → :class:`ConvShapeNd`;
+    conv_transpose2d → the internal adjoint :class:`ConvShape` (see
+    :func:`repro.baselines.ndops.transpose_internal_shape`).
+    """
+    op = resolve_op(op, len(x_shape))
+    if op is ConvOp.CONV_TRANSPOSE2D:
+        return transpose_internal_shape(x_shape, w_shape, padding, stride,
+                                        dilation, groups, output_padding)
+    if output_padding not in (0, (0, 0)):
+        raise ValueError(f"output_padding only applies to "
+                         f"conv_transpose2d, not {op.value}")
+    if op is ConvOp.CONV2D:
+        return ConvShape.from_tensors(x_shape, w_shape, padding, stride,
+                                      dilation, groups)
+    shape = ConvShapeNd.from_tensors(x_shape, w_shape, padding, stride,
+                                     dilation, groups)
+    if _OP_BY_NDIM.get(shape.ndim + 2) is not op:
+        raise ValueError(
+            f"{op.value} does not take a rank-{shape.ndim} problem "
+            f"(input shape {tuple(x_shape)})")
+    return shape
+
+
 @dataclass(frozen=True)
 class AlgorithmEntry:
     """Dispatch record: callable plus capability predicates.
@@ -62,6 +146,9 @@ class AlgorithmEntry:
     explicit pre-pad, and non-uniform strides run at stride 1 and
     subsample — so every registered algorithm either runs the extended
     space or rejects it explicitly through ``supports``.
+
+    ``fn_nd`` is the rank-generic implementation conv3d runs; an
+    algorithm without one cannot run conv3d.
     """
 
     algorithm: ConvAlgorithm
@@ -69,6 +156,7 @@ class AlgorithmEntry:
     description: str
     supports: Callable[[ConvShape], bool]
     native: bool = False
+    fn_nd: Callable[..., np.ndarray] | None = None
 
 
 def _winograd_supported(shape: ConvShape) -> bool:
@@ -84,16 +172,18 @@ _ENTRIES: dict[ConvAlgorithm, AlgorithmEntry] = {}
 
 
 def _register(algorithm: ConvAlgorithm, fn, description: str,
-              supports=lambda shape: True, native: bool = False) -> None:
+              supports=lambda shape: True, native: bool = False,
+              fn_nd=None) -> None:
     _ENTRIES[algorithm] = AlgorithmEntry(algorithm, fn, description,
-                                         supports, native)
+                                         supports, native, fn_nd)
 
 
 _register(ConvAlgorithm.NAIVE, conv2d_naive,
           "direct definition-following convolution (reference)",
-          native=True)
+          native=True, fn_nd=convnd_naive)
 _register(ConvAlgorithm.GEMM, conv2d_im2col_gemm,
-          "explicit im2col expansion + GEMM", native=True)
+          "explicit im2col expansion + GEMM", native=True,
+          fn_nd=convnd_im2col_gemm)
 _register(ConvAlgorithm.IMPLICIT_GEMM, conv2d_implicit_gemm,
           "GEMM with the patch gather fused into the contraction",
           native=True)
@@ -113,7 +203,7 @@ _register(ConvAlgorithm.FINEGRAIN_FFT, conv2d_finegrain_fft,
           "Zhang & Li's per-row block-FFT method (PACT'20)")
 _register(ConvAlgorithm.POLYHANKEL, conv2d_polyhankel,
           "this paper: polynomial-multiplication convolution, one 1D FFT",
-          native=True)
+          native=True, fn_nd=convnd_polyhankel)
 _register(ConvAlgorithm.POLYHANKEL_OS, conv2d_polyhankel_os,
           "PolyHankel executed with overlap-save batch streaming")
 
@@ -136,9 +226,24 @@ def get_entry(algorithm: ConvAlgorithm | str) -> AlgorithmEntry:
     return _ENTRIES[algorithm]
 
 
-def supports(algorithm: ConvAlgorithm | str, shape: ConvShape) -> bool:
-    """Whether *algorithm* can run the problem *shape*."""
-    return get_entry(algorithm).supports(shape)
+def _planar(shape: ConvShape | ConvShapeNd) -> ConvShape | None:
+    """The 2D problem *shape* runs as (conv1d lifts to ``1 x L``), or
+    ``None`` for a problem only the rank-generic engines run."""
+    if isinstance(shape, ConvShape):
+        return shape
+    return lift_1d_shape(shape) if shape.ndim == 1 else None
+
+
+def _supported(entry: AlgorithmEntry, planar: ConvShape | None) -> bool:
+    return entry.fn_nd is not None if planar is None \
+        else entry.supports(planar)
+
+
+def supports(algorithm: ConvAlgorithm | str,
+             shape: ConvShape | ConvShapeNd) -> bool:
+    """Whether *algorithm* can run the problem *shape* (any op's shape,
+    as :func:`op_shape` builds it)."""
+    return _supported(get_entry(algorithm), _planar(shape))
 
 
 #: Default descent for guarded execution: the research method first, its
@@ -154,10 +259,11 @@ FALLBACK_ORDER = (
 )
 
 
-def fallback_chain(shape: ConvShape,
+def fallback_chain(shape: ConvShape | ConvShapeNd,
                    primary: ConvAlgorithm | str | None = None,
                    order=None) -> list[ConvAlgorithm]:
-    """Ordered algorithms guarded execution may try for *shape*.
+    """Ordered algorithms guarded execution may try for *shape* (any
+    op's shape, as :func:`op_shape` builds it).
 
     The requested *primary* comes first, followed by *order*
     (:data:`FALLBACK_ORDER` by default, enums or string values) minus
@@ -170,7 +276,10 @@ def fallback_chain(shape: ConvShape,
     ranked_fallback_order`): on degradation the chain tries the modeled-
     fastest alternative for this geometry first instead of the static
     favorite.  The guard wires this through ``GuardConfig(chain="ranked")``.
+    The ranking models 2D problems; a rank-3 problem keeps the static
+    order.
     """
+    planar = _planar(shape)
     if order is None:
         order = FALLBACK_ORDER
     elif isinstance(order, str):
@@ -180,7 +289,8 @@ def fallback_chain(shape: ConvShape,
                 "algorithms or the string 'ranked'")
         from repro.selection.heuristic import ranked_fallback_order
 
-        order = ranked_fallback_order(shape)
+        order = FALLBACK_ORDER if planar is None \
+            else ranked_fallback_order(planar)
     ordered: list[ConvAlgorithm] = []
     if primary is not None:
         ordered.append(get_entry(primary).algorithm)
@@ -188,7 +298,7 @@ def fallback_chain(shape: ConvShape,
         algo = get_entry(algo).algorithm
         if algo not in ordered:
             ordered.append(algo)
-    return [algo for algo in ordered if _ENTRIES[algo].supports(shape)]
+    return [algo for algo in ordered if _supported(_ENTRIES[algo], planar)]
 
 
 def _basic_space(shape: ConvShape) -> bool:
@@ -249,35 +359,86 @@ def _convolve_lowered(entry: AlgorithmEntry, x: np.ndarray,
     return out[:, :, ::sh, ::sw]
 
 
-def convolve(x: np.ndarray, weight: np.ndarray,
-             algorithm: ConvAlgorithm | str = ConvAlgorithm.POLYHANKEL,
-             padding=0, stride: int | tuple = 1,
-             dilation: int | tuple = 1, groups: int = 1,
-             **kwargs) -> np.ndarray:
-    """Run a convolution with an explicitly chosen algorithm.
-
-    Accepts the full conv2d parameter space.  Native algorithms receive the
-    parameters directly; legacy kernels are lowered (group split, explicit
-    pre-pad, kernel dilation, stride-1 + subsample) so every algorithm
-    either computes the extended problem or raises ``ValueError`` —
-    mirroring cuDNN's NOT_SUPPORTED status — when its ``supports``
-    predicate rejects the shape (e.g. Winograd with stride 2).
-    """
-    entry = get_entry(algorithm)
-    shape = ConvShape.from_tensors(
-        np.shape(x), np.shape(weight), padding, stride, dilation, groups
-    )
-    if not entry.supports(shape):
-        raise ValueError(
-            f"algorithm {entry.algorithm.value} does not support this shape "
-            f"(stride={shape.stride}, dilation={shape.dilation}, "
-            f"groups={shape.groups}, kernel={shape.kh}x{shape.kw}, "
-            f"effective kernel={shape.eff_kh}x{shape.eff_kw})"
-        )
+def _convolve_planar(entry: AlgorithmEntry, x: np.ndarray,
+                     weight: np.ndarray, shape: ConvShape,
+                     **kwargs) -> np.ndarray:
+    """Run one 2D problem: natively, in the basic space, or lowered."""
     if entry.native:
-        return entry.fn(x, weight, padding=padding, stride=stride,
-                        dilation=dilation, groups=groups, **kwargs)
+        return entry.fn(x, weight, padding=shape.padding,
+                        stride=shape.stride, dilation=shape.dilation,
+                        groups=shape.groups, **kwargs)
     if _basic_space(shape):
         return entry.fn(x, weight, padding=shape.padding,
                         stride=shape.stride, **kwargs)
     return _convolve_lowered(entry, x, weight, shape, **kwargs)
+
+
+def convolve(x: np.ndarray, weight: np.ndarray,
+             algorithm: ConvAlgorithm | str = ConvAlgorithm.POLYHANKEL,
+             padding=0, stride: int | tuple = 1,
+             dilation: int | tuple = 1, groups: int = 1,
+             op: ConvOp | str | None = None, output_padding=0,
+             **kwargs) -> np.ndarray:
+    """Run any convolution op with an explicitly chosen algorithm.
+
+    The op comes from the input rank — ``(n, c, length)`` is conv1d,
+    NCHW conv2d, NCDHW conv3d — or from an explicit
+    ``op="conv_transpose2d"`` (PyTorch's ``(c_in, c_out/g, kh, kw)``
+    weight layout, which *is* the forward layout of the adjoint problem,
+    so it passes through to :func:`repro.nn.grad.convnd_backward_input`
+    untouched; ``naive`` runs the scatter oracle instead).  Each op takes
+    the full parameter space.  Native algorithms receive the parameters
+    directly; legacy kernels are lowered (group split, explicit pre-pad,
+    kernel dilation, stride-1 + subsample), conv1d runs as a ``1 x L``
+    image and conv3d through the algorithm's rank-generic engine.  An
+    algorithm whose ``supports`` predicate rejects the problem raises
+    ``ValueError`` — mirroring cuDNN's NOT_SUPPORTED — e.g. Winograd with
+    stride 2 or FFT on conv3d.  Engine *kwargs* (``workers``,
+    ``strategy``, ``backend``, ...) reach the chosen route unfiltered, so
+    a knob that route does not take raises.
+    """
+    entry = get_entry(algorithm)
+    x_shape, w_shape = np.shape(x), np.shape(weight)
+    op = resolve_op(op, len(x_shape))
+    shape = op_shape(op, x_shape, w_shape, padding, stride, dilation,
+                     groups, output_padding)
+    planar = _planar(shape)
+    if not _supported(entry, planar):
+        raise ValueError(
+            f"algorithm {entry.algorithm.value} does not support "
+            f"{op.value} with this shape (input {tuple(x_shape)}, weight "
+            f"{tuple(w_shape)}, stride={stride}, dilation={dilation}, "
+            f"groups={groups})"
+        )
+    if op is ConvOp.CONV2D:
+        return _convolve_planar(entry, x, weight, planar, **kwargs)
+    if op is ConvOp.CONV1D:
+        x4 = np.asarray(x, dtype=float)[:, :, None, :]
+        w4 = lift_weight_1d(np.asarray(weight, dtype=float))
+        return _convolve_planar(entry, x4, w4, planar, **kwargs)[:, :, 0]
+    if op is ConvOp.CONV3D:
+        return entry.fn_nd(x, weight, padding, stride, dilation, groups,
+                           **kwargs)
+    if entry.algorithm is ConvAlgorithm.NAIVE:
+        return conv_transpose2d_naive(x, weight, padding, stride, dilation,
+                                      groups, output_padding, **kwargs)
+    from repro.nn.grad import convnd_backward_input
+
+    pad_pairs = normalize_padding_nd(padding, x_shape[2:], w_shape[2:],
+                                     stride, dilation)
+    return convnd_backward_input(
+        np.asarray(x, dtype=float), np.asarray(weight, dtype=float),
+        conv_transpose2d_output_shape(x_shape, w_shape, padding, stride,
+                                      dilation, groups, output_padding),
+        padding=tuple(p for pair in pad_pairs for p in pair),
+        stride=normalize_tuple(stride, 2, "stride"),
+        dilation=normalize_tuple(dilation, 2, "dilation"),
+        groups=groups, algorithm=entry.algorithm, **kwargs)
+
+
+def add_bias(out: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    """*out* plus a per-output-channel *bias* (axis 1), if any."""
+    if bias is None:
+        return out
+    bias = ensure_array(bias, "bias", ndim=1)
+    return out + bias.reshape((1, -1) + (1,) * (out.ndim - 2))

@@ -170,12 +170,11 @@ def run_nd_case(case: NdBenchCase, repeats: int = 25) -> dict:
     exist for the native 2D engine.
     """
     from repro.baselines.ndops import (
-        ConvOp,
         conv_transpose2d_naive,
-        convolve_nd,
         lift_1d_shape,
         transpose_internal_shape,
     )
+    from repro.baselines.registry import ConvOp, convolve
     from repro.core import multichannel as mc
     from repro.core.ndim import convnd_naive
     from repro.nn import functional as F
@@ -195,8 +194,8 @@ def run_nd_case(case: NdBenchCase, repeats: int = 25) -> dict:
                   dilation=case.dilation, groups=case.groups)
 
     def call():
-        return convolve_nd(x, w, op=op, output_padding=case.output_padding,
-                           **params)
+        return convolve(x, w, op=op, output_padding=case.output_padding,
+                        **params)
 
     def guarded_call():
         if op is ConvOp.CONV_TRANSPOSE2D:

@@ -418,8 +418,12 @@ _OP_PROBES = {
 
 
 def cmd_algorithms(args) -> int:
-    from repro.baselines.ndops import op_supports, resolve_op
-    from repro.baselines.registry import get_entry, list_algorithms
+    from repro.baselines.registry import (
+        get_entry,
+        list_algorithms,
+        op_shape,
+        supports,
+    )
 
     cols = list(_OP_PROBES)
     print(f"{'algorithm':<24} {' '.join(f'{c:>4}' for c in cols)}  "
@@ -428,8 +432,7 @@ def cmd_algorithms(args) -> int:
         marks = []
         for col in cols:
             op, x_shape, w_shape, extra = _OP_PROBES[col]
-            ok = op_supports(resolve_op(op), algo, x_shape, w_shape,
-                             **extra)
+            ok = supports(algo, op_shape(op, x_shape, w_shape, **extra))
             marks.append(f"{'y' if ok else '-':>4}")
         print(f"{algo.value:<24} {' '.join(marks)}  "
               f"{get_entry(algo).description}")

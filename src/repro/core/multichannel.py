@@ -584,32 +584,49 @@ class PolyHankelPlan:
 _plan_lock = threading.Lock()
 _PLAN_CACHE: OrderedDict[tuple, PolyHankelPlan] = OrderedDict()
 _PLAN_LIMIT = [256]
+#: Each request spelling of the options -> its resolved plan-cache key.
+_PLAN_KEYS: dict[tuple, tuple] = {}
 
 
 def get_plan(shape: ConvShape, fft_policy: FftPolicy = "auto",
              strategy: ChannelStrategy = "sum",
              backend: str | None = None,
              layout: SpectrumLayout = "auto") -> PolyHankelPlan:
-    """Fetch (or build and LRU-cache) the plan for *shape* and options."""
+    """Fetch (or build and LRU-cache) the plan for *shape* and options.
+
+    A hit is one lookup under the options as the caller spelled them; the
+    FFT policy and spectrum layout are resolved only on a miss.  Every
+    spelling of one numerical configuration shares one plan object, since
+    the spectrum caches key on the plan's identity.
+    """
     backend_name = _fft.get_backend(backend).name
+    request = (shape, fft_policy, strategy, backend_name, layout)
+    with _plan_lock:
+        key = _PLAN_KEYS.get(request)
+        plan = _PLAN_CACHE.get(key) if key is not None else None
+        if plan is not None:
+            record_cache_event("conv_plan", hit=True)
+            _PLAN_CACHE.move_to_end(key)
+            return plan
     policy = resolve_fft_policy(fft_policy, backend_name)
     layout = select_spectrum_layout(shape, strategy, policy, layout)
     key = (shape, policy, strategy, backend_name, layout)
     with _plan_lock:
         plan = _PLAN_CACHE.get(key)
-        if plan is not None:
-            record_cache_event("conv_plan", hit=True)
-            _PLAN_CACHE.move_to_end(key)
-            return plan
-    record_cache_event("conv_plan", hit=False)
-    with span("plan.build", strategy=strategy, backend=backend_name,
-              layout=layout):
-        plan = PolyHankelPlan(shape, policy, strategy, backend_name, layout)
+    record_cache_event("conv_plan", hit=plan is not None)
+    if plan is None:
+        with span("plan.build", strategy=strategy, backend=backend_name,
+                  layout=layout):
+            plan = PolyHankelPlan(shape, policy, strategy, backend_name,
+                                  layout)
     with _plan_lock:
         _PLAN_CACHE[key] = plan
         _PLAN_CACHE.move_to_end(key)
         while len(_PLAN_CACHE) > _PLAN_LIMIT[0]:
             _PLAN_CACHE.popitem(last=False)
+        if len(_PLAN_KEYS) >= 4 * _PLAN_LIMIT[0]:
+            _PLAN_KEYS.clear()
+        _PLAN_KEYS[request] = key
     return plan
 
 
@@ -643,6 +660,7 @@ def clear_plan_cache() -> None:
     """Drop all cached plans (mainly for tests and memory control)."""
     with _plan_lock:
         _PLAN_CACHE.clear()
+        _PLAN_KEYS.clear()
         _ARG_MEMO.clear()
     reset_cache_stats("conv_plan")
 

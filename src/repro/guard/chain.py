@@ -2,7 +2,8 @@
 
 ``guarded_conv2d`` walks an ordered chain of algorithm lowerings —
 PolyHankel, its overlap-save variant, im2col/GEMM, naive — derived from
-the baselines registry's ``supports()`` metadata.  Each attempt is
+the baselines registry's ``supports()`` metadata, for every convolution
+op (conv1d, conv2d, conv3d, conv_transpose2d).  Each attempt is
 sentinel-classified (:mod:`repro.guard.sentinel`); a suspect/failed result
 or a raised exception falls through to the next entry instead of reaching
 the caller.  A per-(algorithm, shape, dtype) circuit breaker
@@ -26,14 +27,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.registry import ConvAlgorithm, convolve, fallback_chain
+from repro.baselines.registry import (
+    ConvAlgorithm,
+    ConvOp,
+    add_bias,
+    convolve,
+    fallback_chain,
+    op_shape,
+    resolve_op,
+)
 from repro.guard import sentinel
 from repro.guard.breaker import CircuitBreaker
 from repro.guard.state import GuardConfig, current_config
 from repro.observe import span
 from repro.observe.registry import counters
-from repro.utils.shapes import ConvShape
-from repro.utils.validation import check_conv_inputs, ensure_array
+from repro.utils.validation import ensure_array
 
 
 class GuardExhaustedError(RuntimeError):
@@ -65,6 +73,23 @@ def reset_guard() -> None:
     counters.clear("guard.")
 
 
+def _sentinel_weight(weight: np.ndarray, op: ConvOp,
+                     groups: int) -> np.ndarray:
+    """*weight* with axis 0 enumerating output channels, as the
+    sentinel's per-filter L1 bound expects.
+
+    A transposed weight ``(c_in, c_out/g, kh, kw)`` is reordered to
+    ``(c_out, c_in/g, kh, kw)`` (the adjoint's spatial flip does not
+    change absolute sums, so it is omitted).
+    """
+    if op is not ConvOp.CONV_TRANSPOSE2D:
+        return weight
+    c_in, f_per, kh, kw = weight.shape
+    grouped = weight.reshape(groups, c_in // groups, f_per, kh, kw)
+    return grouped.transpose(0, 2, 1, 3, 4).reshape(
+        groups * f_per, c_in // groups, kh, kw)
+
+
 def guarded_conv2d(x: np.ndarray, weight: np.ndarray,
                    bias: np.ndarray | None = None,
                    padding: int | tuple | str = 0,
@@ -72,16 +97,24 @@ def guarded_conv2d(x: np.ndarray, weight: np.ndarray,
                    dilation: int | tuple = 1, groups: int = 1,
                    algorithm: ConvAlgorithm | str = ConvAlgorithm.POLYHANKEL,
                    config: GuardConfig | None = None,
-                   breaker_key=None,
+                   breaker_key=None, op: ConvOp | str | None = None,
+                   output_padding: int | tuple = 0,
                    **kwargs) -> np.ndarray:
-    """2D convolution through the supervised fallback chain.
+    """Any convolution op through the supervised fallback chain.
 
-    Semantics match :func:`repro.nn.functional.conv2d`, with supervision:
-    the requested *algorithm* runs first (receiving any extra *kwargs*);
-    on a sentinel trip or exception the chain falls through registry-
-    lowered alternatives — called bare, since engine-specific knobs like
+    Semantics match :func:`repro.nn.functional.conv2d` and its conv1d,
+    conv3d and conv_transpose2d siblings (*op* and *output_padding* as in
+    :func:`repro.baselines.registry.convolve`), with supervision: the
+    requested *algorithm* runs first (receiving any extra *kwargs*); on a
+    sentinel trip or exception the chain falls through registry-lowered
+    alternatives — called bare, since engine-specific knobs like
     ``strategy`` or ``workers`` do not transfer — until one produces a
     healthy result.  Raises :class:`GuardExhaustedError` if none does.
+
+    The sentinel's B/E model carries over per op: B is the per-output-
+    channel L1 bound (rank-agnostic), E uses the product length of the
+    problem the op actually runs (``poly_product_len`` of
+    :func:`repro.baselines.registry.op_shape`).
 
     *breaker_key* overrides the breaker's shape scope: the serving layer
     passes a request family's coalescing key so shards of one family —
@@ -95,111 +128,13 @@ def guarded_conv2d(x: np.ndarray, weight: np.ndarray,
     config = config or current_config()
     x = ensure_array(x, "x", dtype=float)
     weight = ensure_array(weight, "weight", dtype=float)
-    check_conv_inputs(x, weight, padding, stride, dilation, groups)
-    shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride,
-                                   dilation, groups)
+    op = resolve_op(op, x.ndim)
+    shape = op_shape(op, x.shape, weight.shape, padding, stride, dilation,
+                     groups, output_padding)
     chain = fallback_chain(shape, primary=algorithm, order=config.chain)
     if not chain:  # pragma: no cover - naive supports every shape
         raise GuardExhaustedError([("-", "empty", "no supported algorithm")])
-    dtype_tag = str(x.dtype)
-    scope = breaker_key if breaker_key is not None else shape
-    attempts: list[tuple[str, str, str | None]] = []
-    last_exc: Exception | None = None
-    for index, algo in enumerate(chain):
-        key = (algo.value, scope, dtype_tag)
-        if _BREAKER.is_open(key):
-            counters.add("guard.fallback", algorithm=algo.value,
-                         cause="breaker_open")
-            attempts.append((algo.value, "skipped", "breaker open"))
-            continue
-        call_kwargs = kwargs if index == 0 else {}
-        try:
-            with span("guard.attempt", algorithm=algo.value, attempt=index):
-                out = convolve(x, weight, algorithm=algo, padding=padding,
-                               stride=stride, dilation=dilation,
-                               groups=groups, **call_kwargs)
-        except Exception as exc:
-            last_exc = exc
-            counters.add("guard.fallback", algorithm=algo.value,
-                         cause="exception")
-            if _BREAKER.record_failure(key, config.breaker_threshold,
-                                       config.breaker_ttl_s):
-                counters.add("guard.breaker_open", algorithm=algo.value)
-            attempts.append((algo.value, "error",
-                             f"{type(exc).__name__}: {exc}"))
-            continue
-        verdict = sentinel.classify(out, x, weight,
-                                    shape.poly_product_len, config)
-        if verdict.ok:
-            _BREAKER.record_success(key)
-            if bias is not None:
-                bias = ensure_array(bias, "bias", ndim=1)
-                out = out + bias[None, :, None, None]
-            return out
-        counters.add("guard.sentinel_trip", algorithm=algo.value,
-                     status=verdict.status)
-        counters.add("guard.fallback", algorithm=algo.value,
-                     cause=verdict.status)
-        if _BREAKER.record_failure(key, config.breaker_threshold,
-                                   config.breaker_ttl_s):
-            counters.add("guard.breaker_open", algorithm=algo.value)
-        attempts.append((algo.value, verdict.status, verdict.reason))
-    raise GuardExhaustedError(attempts) from last_exc
-
-
-def guarded_convnd(x: np.ndarray, weight: np.ndarray,
-                   op="conv2d",
-                   bias: np.ndarray | None = None,
-                   padding: int | tuple | str = 0,
-                   stride: int | tuple = 1,
-                   dilation: int | tuple = 1, groups: int = 1,
-                   output_padding: int | tuple = 0,
-                   algorithm: ConvAlgorithm | str = ConvAlgorithm.POLYHANKEL,
-                   config: GuardConfig | None = None,
-                   breaker_key=None,
-                   **kwargs) -> np.ndarray:
-    """Any convolution op through the supervised fallback chain.
-
-    The op-level generalization of :func:`guarded_conv2d` — same
-    supervision contract (sentinel classification, breaker memory,
-    counters), dispatched through :func:`repro.baselines.ndops.convolve_nd`
-    so conv1d/conv3d/conv_transpose2d inherit the chain.  The sentinel's
-    B/E model carries over per rank: B is the per-output-channel L1 bound
-    (rank-agnostic), E uses the op's actual FFT product length
-    (``ConvShapeNd.poly_product_len``, or the internal adjoint problem's
-    for transposed conv).
-    """
-    from repro.baselines.ndops import (
-        ConvOp,
-        convolve_nd,
-        fallback_chain_nd,
-        op_shape,
-        resolve_op,
-        transpose_weight_view,
-    )
-
-    op = resolve_op(op)
-    if op is ConvOp.CONV2D:
-        return guarded_conv2d(x, weight, bias=bias, padding=padding,
-                              stride=stride, dilation=dilation,
-                              groups=groups, algorithm=algorithm,
-                              config=config, breaker_key=breaker_key,
-                              **kwargs)
-    config = config or current_config()
-    x = ensure_array(x, "x", dtype=float)
-    weight = ensure_array(weight, "weight", dtype=float)
-    shape = op_shape(op, x.shape, weight.shape, padding, stride, dilation,
-                     groups, output_padding)
-    chain = fallback_chain_nd(op, x.shape, weight.shape, padding, stride,
-                              dilation, groups, output_padding,
-                              primary=algorithm)
-    if not chain:  # pragma: no cover - naive supports every op/shape
-        raise GuardExhaustedError([("-", "empty", "no supported algorithm")])
-    # The sentinel bound wants weight axis 0 to enumerate output channels;
-    # the tconv layout needs the per-group channel transpose first.
-    sentinel_weight = weight
-    if op is ConvOp.CONV_TRANSPOSE2D:
-        sentinel_weight = transpose_weight_view(weight, groups)
+    sentinel_weight = _sentinel_weight(weight, op, groups)
     dtype_tag = str(x.dtype)
     scope = breaker_key if breaker_key is not None else (op.value, shape)
     attempts: list[tuple[str, str, str | None]] = []
@@ -215,11 +150,9 @@ def guarded_convnd(x: np.ndarray, weight: np.ndarray,
         try:
             with span("guard.attempt", algorithm=algo.value, attempt=index,
                       op=op.value):
-                out = convolve_nd(x, weight, op, algo, padding=padding,
-                                  stride=stride, dilation=dilation,
-                                  groups=groups,
-                                  output_padding=output_padding,
-                                  **call_kwargs)
+                out = convolve(x, weight, algo, padding, stride, dilation,
+                               groups, op=op, output_padding=output_padding,
+                               **call_kwargs)
         except Exception as exc:
             last_exc = exc
             counters.add("guard.fallback", algorithm=algo.value,
@@ -234,10 +167,7 @@ def guarded_convnd(x: np.ndarray, weight: np.ndarray,
                                     shape.poly_product_len, config)
         if verdict.ok:
             _BREAKER.record_success(key)
-            if bias is not None:
-                bias = ensure_array(bias, "bias", ndim=1)
-                out = out + bias.reshape((1, -1) + (1,) * (out.ndim - 2))
-            return out
+            return add_bias(out, bias)
         counters.add("guard.sentinel_trip", algorithm=algo.value,
                      status=verdict.status)
         counters.add("guard.fallback", algorithm=algo.value,

@@ -20,9 +20,6 @@ import numpy as np
 from repro.baselines.registry import ConvAlgorithm
 from repro.nn import functional as F
 from repro.nn.grad import (
-    conv2d_backward_bias,
-    conv2d_backward_input,
-    conv2d_backward_weight,
     conv_transpose2d_backward_input,
     conv_transpose2d_backward_weight,
     convnd_backward_bias,
@@ -95,39 +92,10 @@ def parameter(data) -> Tensor:
 # Operators
 # ---------------------------------------------------------------------------
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           padding: int | tuple | str = 0, stride: int | tuple = 1,
-           dilation: int | tuple = 1, groups: int = 1,
-           algorithm: ConvAlgorithm | str = ConvAlgorithm.POLYHANKEL
-           ) -> Tensor:
-    """Differentiable convolution; forward and both backwards run through
-    the chosen algorithm.  Supports the full parameter space (per-axis
-    stride/dilation, asymmetric or ``"same"`` padding, groups)."""
-    out_data = F.conv2d(x.data, weight.data,
-                        None if bias is None else bias.data,
-                        padding, stride, dilation=dilation, groups=groups,
-                        algorithm=algorithm)
-    parents = (x, weight) + (() if bias is None else (bias,))
-
-    def backward_fn(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(conv2d_backward_input(
-                grad, weight.data, x.data.shape, padding=padding,
-                stride=stride, dilation=dilation, groups=groups,
-                algorithm=algorithm))
-        if weight.requires_grad:
-            weight._accumulate(conv2d_backward_weight(
-                grad, x.data, weight.data.shape[2:], padding=padding,
-                stride=stride, dilation=dilation, groups=groups,
-                algorithm=algorithm))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(conv2d_backward_bias(grad))
-
-    return Tensor(out_data, parents, backward_fn)
-
-
-def _convnd(op_fn, x: Tensor, weight: Tensor, bias: Tensor | None,
-            padding, stride, dilation, groups, algorithm) -> Tensor:
+def _conv(op_fn, x: Tensor, weight: Tensor, bias: Tensor | None,
+          padding, stride, dilation, groups, algorithm) -> Tensor:
+    """Differentiable conv1d/conv2d/conv3d: *op_fn* runs the forward,
+    the rank-generic backwards run through the same algorithm."""
     out_data = op_fn(x.data, weight.data,
                      None if bias is None else bias.data,
                      padding, stride, dilation, groups,
@@ -151,14 +119,26 @@ def _convnd(op_fn, x: Tensor, weight: Tensor, bias: Tensor | None,
     return Tensor(out_data, parents, backward_fn)
 
 
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
+           padding: int | tuple | str = 0, stride: int | tuple = 1,
+           dilation: int | tuple = 1, groups: int = 1,
+           algorithm: ConvAlgorithm | str = ConvAlgorithm.POLYHANKEL
+           ) -> Tensor:
+    """Differentiable convolution; forward and both backwards run through
+    the chosen algorithm.  Supports the full parameter space (per-axis
+    stride/dilation, asymmetric or ``"same"`` padding, groups)."""
+    return _conv(F.conv2d, x, weight, bias, padding, stride, dilation,
+                 groups, algorithm)
+
+
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            padding: int | tuple | str = 0, stride: int | tuple = 1,
            dilation: int | tuple = 1, groups: int = 1,
            algorithm: ConvAlgorithm | str = ConvAlgorithm.POLYHANKEL
            ) -> Tensor:
     """Differentiable 1D convolution (full parameter space)."""
-    return _convnd(F.conv1d, x, weight, bias, padding, stride, dilation,
-                   groups, algorithm)
+    return _conv(F.conv1d, x, weight, bias, padding, stride, dilation,
+                 groups, algorithm)
 
 
 def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -167,8 +147,8 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            algorithm: ConvAlgorithm | str = ConvAlgorithm.POLYHANKEL
            ) -> Tensor:
     """Differentiable 3D convolution (full parameter space)."""
-    return _convnd(F.conv3d, x, weight, bias, padding, stride, dilation,
-                   groups, algorithm)
+    return _conv(F.conv3d, x, weight, bias, padding, stride, dilation,
+                 groups, algorithm)
 
 
 def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,

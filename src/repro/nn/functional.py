@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.registry import ConvAlgorithm, convolve
+from repro.baselines.registry import ConvAlgorithm, add_bias, convolve
 from repro.guard.state import guard_enabled
 from repro.utils.validation import ensure_array
 
@@ -45,27 +45,55 @@ def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
     """
     if workers is not None:
         kwargs["workers"] = workers
-    weight = np.asarray(weight)
-    x = np.asarray(x)
-    if algorithm == "auto":
-        from repro.selection.heuristic import select_algorithm_rules
-        from repro.utils.shapes import ConvShape
+    return run_conv(x, weight, bias, padding, stride, dilation, groups,
+                    algorithm, op="conv2d", **kwargs)
 
-        algorithm = select_algorithm_rules(ConvShape.from_tensors(
-            x.shape, weight.shape, padding, stride, dilation, groups
-        ))
+
+def resolve_algorithm(algorithm: ConvAlgorithm | str, op: str, x_shape,
+                      w_shape, padding=0, stride=1, dilation=1,
+                      groups: int = 1) -> ConvAlgorithm | str:
+    """The concrete algorithm a call runs: conv2d's ``"auto"`` picks one
+    with the distilled selection rules; anything else passes through."""
+    if algorithm != "auto" or op != "conv2d":
+        return algorithm
+    from repro.selection.heuristic import select_algorithm_rules
+    from repro.utils.shapes import ConvShape
+
+    return select_algorithm_rules(ConvShape.from_tensors(
+        x_shape, w_shape, padding, stride, dilation, groups))
+
+
+def run_conv(x: np.ndarray, weight: np.ndarray,
+             bias: np.ndarray | None = None,
+             padding: int | tuple | str = 0, stride: int | tuple = 1,
+             dilation: int | tuple = 1, groups: int = 1,
+             algorithm: ConvAlgorithm | str = ConvAlgorithm.POLYHANKEL, *,
+             op: str, output_padding: int | tuple = 0, breaker_key=None,
+             **kwargs) -> np.ndarray:
+    """The tail every convolution front door shares.
+
+    Resolves ``"auto"`` (:func:`resolve_algorithm`), then runs *op*
+    through the supervised fallback chain while the guard is enabled
+    (*breaker_key* scopes its circuit breaker, see
+    :func:`repro.guard.chain.guarded_conv2d`) or straight through
+    :func:`repro.baselines.registry.convolve`, and adds *bias*.
+    """
+    x = np.asarray(x)
+    weight = np.asarray(weight)
+    algorithm = resolve_algorithm(algorithm, op, x.shape, weight.shape,
+                                  padding, stride, dilation, groups)
     if guard_enabled():
         from repro.guard.chain import guarded_conv2d
 
         return guarded_conv2d(x, weight, bias=bias, padding=padding,
                               stride=stride, dilation=dilation,
-                              groups=groups, algorithm=algorithm, **kwargs)
-    out = convolve(x, weight, algorithm=algorithm, padding=padding,
-                   stride=stride, dilation=dilation, groups=groups, **kwargs)
-    if bias is not None:
-        bias = ensure_array(bias, "bias", ndim=1)
-        out = out + bias[None, :, None, None]
-    return out
+                              groups=groups, algorithm=algorithm,
+                              breaker_key=breaker_key, op=op,
+                              output_padding=output_padding, **kwargs)
+    return add_bias(convolve(x, weight, algorithm, padding, stride,
+                             dilation, groups, op=op,
+                             output_padding=output_padding, **kwargs),
+                    bias)
 
 
 def conv2d_async(x: np.ndarray, weight: np.ndarray,
@@ -111,8 +139,8 @@ def conv1d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
     the sequence runs as a ``1 x L`` image through the cached 2D engine,
     so 1D inherits the packed real-pair FFT pipeline.
     """
-    return _convnd("conv1d", x, weight, bias, padding, stride, dilation,
-                   groups, algorithm, **kwargs)
+    return run_conv(x, weight, bias, padding, stride, dilation, groups,
+                    algorithm, op="conv1d", **kwargs)
 
 
 def conv3d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
@@ -127,29 +155,8 @@ def conv3d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
     1D FFT.  Algorithms: ``polyhankel``, ``gemm``, ``naive`` (the 2D-only
     baselines reject 3D shapes explicitly).
     """
-    return _convnd("conv3d", x, weight, bias, padding, stride, dilation,
-                   groups, algorithm, **kwargs)
-
-
-def _convnd(op: str, x, weight, bias, padding, stride, dilation, groups,
-            algorithm, **kwargs) -> np.ndarray:
-    from repro.baselines.ndops import convolve_nd
-
-    x = np.asarray(x)
-    weight = np.asarray(weight)
-    if guard_enabled():
-        from repro.guard.chain import guarded_convnd
-
-        return guarded_convnd(x, weight, op=op, bias=bias, padding=padding,
-                              stride=stride, dilation=dilation,
-                              groups=groups, algorithm=algorithm, **kwargs)
-    out = convolve_nd(x, weight, op, algorithm, padding=padding,
-                      stride=stride, dilation=dilation, groups=groups,
-                      **kwargs)
-    if bias is not None:
-        bias = ensure_array(bias, "bias", ndim=1)
-        out = out + bias.reshape((1, -1) + (1,) * (out.ndim - 2))
-    return out
+    return run_conv(x, weight, bias, padding, stride, dilation, groups,
+                    algorithm, op="conv3d", **kwargs)
 
 
 def conv_transpose2d(x: np.ndarray, weight: np.ndarray,
@@ -173,26 +180,9 @@ def conv_transpose2d(x: np.ndarray, weight: np.ndarray,
     machinery — through any registered algorithm — and routes through the
     guard fallback chain while the guard is enabled.
     """
-    from repro.baselines.ndops import convolve_nd
-
-    x = ensure_array(x, "x", ndim=4, dtype=float)
-    weight = ensure_array(weight, "weight", ndim=4, dtype=float)
-    if guard_enabled():
-        from repro.guard.chain import guarded_convnd
-
-        return guarded_convnd(x, weight, op="conv_transpose2d", bias=bias,
-                              padding=padding, stride=stride,
-                              dilation=dilation, groups=groups,
-                              output_padding=output_padding,
-                              algorithm=algorithm, **kwargs)
-    out = convolve_nd(x, weight, "conv_transpose2d", algorithm,
-                      padding=padding, stride=stride, dilation=dilation,
-                      groups=groups, output_padding=output_padding,
-                      **kwargs)
-    if bias is not None:
-        bias = ensure_array(bias, "bias", ndim=1)
-        out = out + bias[None, :, None, None]
-    return out
+    return run_conv(x, weight, bias, padding, stride, dilation, groups,
+                    algorithm, op="conv_transpose2d",
+                    output_padding=output_padding, **kwargs)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -9,8 +9,9 @@ convolutions, so PolyHankel (or any registered algorithm) computes them:
 - **weight gradient**: correlate the padded input with the (stride-dilated)
   output gradient, treating batch as the contraction axis.
 
+One rank-generic body per gradient serves conv1d, conv2d and conv3d.
 Gradient correctness is established against finite differences in
-``tests/nn/test_grad.py``.
+``tests/nn/test_grad.py`` and ``tests/nn/test_grad_ndim.py``.
 """
 
 from __future__ import annotations
@@ -18,156 +19,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.registry import ConvAlgorithm, convolve
-from repro.hankel.im2col_view import pad2d
-from repro.utils.shapes import ConvShape, ConvShapeNd, normalize_tuple
+from repro.utils.shapes import ConvShapeNd, normalize_tuple
 from repro.utils.validation import ensure_array
 
 
-def dilate_spatial(x: np.ndarray,
-                   stride: int | tuple[int, int]) -> np.ndarray:
-    """Insert zeros between spatial samples (trailing two axes).
+def dilate_spatial(x: np.ndarray, stride) -> np.ndarray:
+    """Insert zeros between samples of the spatial axes of an
+    ``(n, c, *spatial)`` array.
 
-    *stride* may be one factor for both axes or an ``(sh, sw)`` pair;
+    *stride* may be one factor for every axis or a per-axis tuple;
     ``stride - 1`` zeros go between consecutive samples.
     """
-    sh, sw = (stride, stride) if isinstance(stride, int) else stride
-    if sh == 1 and sw == 1:
-        return x
-    *lead, h, w = x.shape
-    out = np.zeros((*lead, (h - 1) * sh + 1, (w - 1) * sw + 1),
-                   dtype=x.dtype)
-    out[..., ::sh, ::sw] = x
-    return out
-
-
-def conv2d_backward_input(grad_out: np.ndarray, weight: np.ndarray,
-                          input_shape: tuple, padding=0,
-                          stride: int | tuple = 1,
-                          dilation: int | tuple = 1, groups: int = 1,
-                          algorithm: ConvAlgorithm | str =
-                          ConvAlgorithm.POLYHANKEL) -> np.ndarray:
-    """Gradient of the convolution output w.r.t. its input.
-
-    *grad_out* is ``(n, f, oh, ow)``; returns ``(n, c, ih, iw)`` matching
-    *input_shape*.  The computation is itself a convolution: the
-    stride-dilated, fully padded gradient correlated with the spatially
-    flipped, per-group channel-transposed weights at the *forward*
-    dilation — run through any registered algorithm.
-    """
-    grad_out = ensure_array(grad_out, "grad_out", ndim=4, dtype=float)
-    weight = ensure_array(weight, "weight", ndim=4, dtype=float)
-    n, c, ih, iw = input_shape
-    f, wc, kh, kw = weight.shape
-    shape = ConvShape(ih=ih, iw=iw, kh=kh, kw=kw, n=n, c=c, f=f,
-                      padding=padding, stride=stride, dilation=dilation,
-                      groups=groups)
-    if grad_out.shape != shape.output_shape():
-        raise ValueError(
-            f"grad_out shape {grad_out.shape} does not match "
-            f"{shape.output_shape()}"
-        )
-    f_per, c_per = shape.group_filters, shape.group_channels
-    eff_kh, eff_kw = shape.eff_kh, shape.eff_kw
-    pt, pb, pl, pr = shape.pad_tblr
-
-    # Stride-dilate the gradient, then full-pad by (eff_k - 1) for the
-    # transposed correlation.
-    g = dilate_spatial(grad_out, shape.stride_hw)
-    g = np.pad(g, [(0, 0), (0, 0), (eff_kh - 1, eff_kh - 1),
-                   (eff_kw - 1, eff_kw - 1)])
-    # Flip the kernel spatially and swap its filter/channel roles within
-    # each group: backward group gi maps f_per gradient channels onto
-    # c_per input channels.
-    w_flip = weight[:, :, ::-1, ::-1]
-    w_t = np.ascontiguousarray(
-        w_flip.reshape(shape.groups, f_per, c_per, kh, kw)
-        .transpose(0, 2, 1, 3, 4)
-    ).reshape(c, f_per, kh, kw)
-    dx_core = convolve(g, w_t, algorithm=algorithm,
-                       dilation=shape.dilation_hw, groups=shape.groups)
-    # The transposed convolution only covers the input region the forward
-    # stride actually visited; rows/columns beyond the last kernel
-    # placement receive zero gradient.
-    ph, pw = shape.padded_ih, shape.padded_iw
-    dx_padded = np.zeros((n, c, ph, pw), dtype=dx_core.dtype)
-    dx_padded[:, :, : dx_core.shape[2], : dx_core.shape[3]] = \
-        dx_core[:, :, :ph, :pw]
-    if pt or pb or pl or pr:
-        return dx_padded[:, :, pt: pt + ih, pl: pl + iw]
-    return dx_padded
-
-
-def conv2d_backward_weight(grad_out: np.ndarray, x: np.ndarray,
-                           kernel_size: tuple[int, int], padding=0,
-                           stride: int | tuple = 1,
-                           dilation: int | tuple = 1, groups: int = 1,
-                           algorithm: ConvAlgorithm | str =
-                           ConvAlgorithm.POLYHANKEL) -> np.ndarray:
-    """Gradient of the convolution output w.r.t. the weights.
-
-    *x* is the forward input ``(n, c, ih, iw)``; returns
-    ``(f, c // groups, kh, kw)``.  Per group this is a correlation of the
-    padded input with the stride-dilated gradient, sampled at the forward
-    dilation (the dilation becomes the *stride* of the backward
-    convolution).
-    """
-    grad_out = ensure_array(grad_out, "grad_out", ndim=4, dtype=float)
-    x = ensure_array(x, "x", ndim=4, dtype=float)
-    kh, kw = kernel_size
-    n, c, ih, iw = x.shape
-    f = grad_out.shape[1]
-    shape = ConvShape(ih=ih, iw=iw, kh=kh, kw=kw, n=n, c=c, f=f,
-                      padding=padding, stride=stride, dilation=dilation,
-                      groups=groups)
-    dil_h, dil_w = shape.dilation_hw
-    f_per, c_per = shape.group_filters, shape.group_channels
-
-    xp = pad2d(x, shape.pad_tblr)
-    g = dilate_spatial(grad_out, shape.stride_hw)
-    # The dilated gradient may be shorter than the padded input allows;
-    # crop the input so the "valid" correlation yields exactly (kh, kw)
-    # samples at stride (dil_h, dil_w).
-    need_h = g.shape[2] + (kh - 1) * dil_h
-    need_w = g.shape[3] + (kw - 1) * dil_w
-    xp = xp[:, :, :need_h, :need_w]
-
-    # Contract over batch: treat channels as batch and (f, n) as kernels,
-    # one backward convolution per group.
-    grads = []
-    for gi in range(shape.groups):
-        x_t = xp[:, gi * c_per:(gi + 1) * c_per].transpose(1, 0, 2, 3)
-        g_t = g[:, gi * f_per:(gi + 1) * f_per].transpose(1, 0, 2, 3)
-        dw = convolve(x_t, g_t, algorithm=algorithm,
-                      stride=(dil_h, dil_w))        # (c_per, f_per, kh, kw)
-        grads.append(dw.transpose(1, 0, 2, 3))
-    return np.concatenate(grads, axis=0)            # (f, c_per, kh, kw)
-
-
-def conv2d_backward_bias(grad_out: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the per-filter bias."""
-    grad_out = ensure_array(grad_out, "grad_out", ndim=4)
-    return grad_out.sum(axis=(0, 2, 3))
-
-
-# ---------------------------------------------------------------------------
-# N-dimensional generalizations
-# ---------------------------------------------------------------------------
-
-def _op_for_ndim(ndim: int) -> str:
-    ops = {1: "conv1d", 2: "conv2d", 3: "conv3d"}
-    if ndim not in ops:
-        raise ValueError(
-            f"backward passes support spatial ranks 1-3, got {ndim}"
-        )
-    return ops[ndim]
-
-
-def dilate_spatial_nd(x: np.ndarray, stride, ndim: int) -> np.ndarray:
-    """Insert zeros between samples of the trailing *ndim* axes."""
-    stride_nd = normalize_tuple(stride, ndim, "stride")
+    stride_nd = normalize_tuple(stride, x.ndim - 2, "stride")
     if all(s == 1 for s in stride_nd):
         return x
-    lead, spatial = x.shape[:-ndim], x.shape[-ndim:]
+    lead, spatial = x.shape[:2], x.shape[2:]
     out = np.zeros(
         (*lead, *((e - 1) * s + 1 for e, s in zip(spatial, stride_nd))),
         dtype=x.dtype)
@@ -181,38 +47,44 @@ def convnd_backward_input(grad_out: np.ndarray, weight: np.ndarray,
                           dilation: int | tuple = 1, groups: int = 1,
                           algorithm: ConvAlgorithm | str =
                           ConvAlgorithm.POLYHANKEL) -> np.ndarray:
-    """Input gradient of a 1D/2D/3D convolution (rank from *input_shape*).
+    """Gradient of a 1D/2D/3D convolution output w.r.t. its input.
 
-    Same construction as :func:`conv2d_backward_input` with every spatial
-    operation generalized to *ndim* axes; the actual convolution runs
-    through the op-level registry so each rank uses its own fast path.
+    *grad_out* is ``(n, f, *out)``; returns ``(n, c, *spatial)`` matching
+    *input_shape* (whose rank picks the op).  The computation is itself a
+    convolution: the stride-dilated, fully padded gradient correlated
+    with the spatially flipped, per-group channel-transposed weights at
+    the *forward* dilation — run through any registered algorithm.
     """
-    from repro.baselines.ndops import convolve_nd
-
     grad_out = ensure_array(grad_out, "grad_out", dtype=float)
     weight = ensure_array(weight, "weight", dtype=float)
     shape = ConvShapeNd.from_tensors(input_shape, weight.shape, padding,
                                      stride, dilation, groups)
     ndim = shape.ndim
-    op = _op_for_ndim(ndim)
     if grad_out.shape != shape.output_shape():
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match "
             f"{shape.output_shape()}"
         )
     f_per, c_per = shape.group_filters, shape.group_channels
-    g = dilate_spatial_nd(grad_out, shape.stride_nd, ndim)
+    # Stride-dilate the gradient, then full-pad by (eff_k - 1) for the
+    # transposed correlation.
+    g = dilate_spatial(grad_out, shape.stride_nd)
     g = np.pad(g, [(0, 0), (0, 0)]
                + [(ek - 1, ek - 1) for ek in shape.eff_kernel])
+    # Flip the kernel spatially and swap its filter/channel roles within
+    # each group: backward group gi maps f_per gradient channels onto
+    # c_per input channels.
     flip = (slice(None), slice(None)) + (slice(None, None, -1),) * ndim
-    w_flip = weight[flip]
     perm = (0, 2, 1) + tuple(range(3, 3 + ndim))
     w_t = np.ascontiguousarray(
-        w_flip.reshape(shape.groups, f_per, c_per, *shape.kernel)
+        weight[flip].reshape(shape.groups, f_per, c_per, *shape.kernel)
         .transpose(perm)
     ).reshape(shape.c, f_per, *shape.kernel)
-    dx_core = convolve_nd(g, w_t, op, algorithm,
-                          dilation=shape.dilation_nd, groups=shape.groups)
+    dx_core = convolve(g, w_t, algorithm, dilation=shape.dilation_nd,
+                       groups=shape.groups)
+    # The transposed convolution only covers the input region the forward
+    # stride actually visited; positions beyond the last kernel placement
+    # receive zero gradient.
     padded = shape.padded_extents
     dx_padded = np.zeros((shape.n, shape.c, *padded), dtype=dx_core.dtype)
     core = (slice(None), slice(None)) + tuple(
@@ -231,32 +103,39 @@ def convnd_backward_weight(grad_out: np.ndarray, x: np.ndarray,
                            dilation: int | tuple = 1, groups: int = 1,
                            algorithm: ConvAlgorithm | str =
                            ConvAlgorithm.POLYHANKEL) -> np.ndarray:
-    """Weight gradient of a 1D/2D/3D convolution (rank from *x*)."""
-    from repro.baselines.ndops import convolve_nd
+    """Gradient of a 1D/2D/3D convolution output w.r.t. the weights.
 
+    *x* is the forward input ``(n, c, *spatial)`` (whose rank picks the
+    op); returns ``(f, c // groups, *kernel_size)``.  Per group this is a
+    correlation of the padded input with the stride-dilated gradient,
+    sampled at the forward dilation (the dilation becomes the *stride* of
+    the backward convolution).
+    """
     grad_out = ensure_array(grad_out, "grad_out", dtype=float)
     x = ensure_array(x, "x", dtype=float)
-    ndim = x.ndim - 2
-    op = _op_for_ndim(ndim)
     kernel_size = tuple(kernel_size)
-    f = grad_out.shape[1]
     shape = ConvShapeNd(extents=x.shape[2:], kernel=kernel_size,
-                        n=x.shape[0], c=x.shape[1], f=f, padding=padding,
-                        stride=stride, dilation=dilation, groups=groups)
+                        n=x.shape[0], c=x.shape[1], f=grad_out.shape[1],
+                        padding=padding, stride=stride, dilation=dilation,
+                        groups=groups)
     f_per, c_per = shape.group_filters, shape.group_channels
     xp = np.pad(x, [(0, 0), (0, 0)] + list(shape.pad_pairs))
-    g = dilate_spatial_nd(grad_out, shape.stride_nd, ndim)
+    g = dilate_spatial(grad_out, shape.stride_nd)
+    # The dilated gradient may be shorter than the padded input allows;
+    # crop the input so the "valid" correlation yields exactly
+    # kernel_size samples at stride dilation.
     need = tuple(ge + (k - 1) * d for ge, k, d in
                  zip(g.shape[2:], kernel_size, shape.dilation_nd))
     xp = xp[(slice(None), slice(None)) + tuple(slice(None, e)
                                                for e in need)]
-    perm = (1, 0) + tuple(range(2, 2 + ndim))
+    # Contract over batch: treat channels as batch and (f, n) as kernels,
+    # one backward convolution per group.
+    perm = (1, 0) + tuple(range(2, 2 + shape.ndim))
     grads = []
     for gi in range(shape.groups):
         x_t = xp[:, gi * c_per:(gi + 1) * c_per].transpose(perm)
         g_t = g[:, gi * f_per:(gi + 1) * f_per].transpose(perm)
-        dw = convolve_nd(x_t, g_t, op, algorithm,
-                         stride=shape.dilation_nd)
+        dw = convolve(x_t, g_t, algorithm, stride=shape.dilation_nd)
         grads.append(dw.transpose(perm))      # (f_per, c_per, *kernel)
     return np.concatenate(grads, axis=0)      # (f, c_per, *kernel)
 
@@ -304,10 +183,10 @@ def conv_transpose2d_backward_weight(grad_out: np.ndarray, x: np.ndarray,
 
     In the adjoint's forward-conv view *grad_out* plays the conv input
     and the tconv input *x* plays the conv output's gradient, so this is
-    :func:`conv2d_backward_weight` with the two roles swapped; the result
+    :func:`convnd_backward_weight` with the two roles swapped; the result
     lands directly in the tconv ``(c_in, c_out/g, kh, kw)`` layout.
     """
-    return conv2d_backward_weight(x, grad_out, kernel_size,
+    return convnd_backward_weight(x, grad_out, kernel_size,
                                   padding=padding, stride=stride,
                                   dilation=dilation, groups=groups,
                                   algorithm=algorithm)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.registry import ConvAlgorithm
+from repro.baselines.ndops import conv_transpose2d_output_shape
+from repro.baselines.registry import ConvAlgorithm, add_bias, op_shape
 from repro.guard import faults as _faults
 from repro.guard.checksum import array_checksum, verify_checksum
 from repro.guard.state import guard_enabled
@@ -19,7 +20,7 @@ from repro.observe.registry import counters
 from repro.perfmodel.counters import count
 from repro.perfmodel.device import GpuDevice
 from repro.perfmodel.timing import simulate
-from repro.utils.shapes import ConvShape
+from repro.utils.shapes import normalize_tuple
 from repro.utils.validation import require
 
 
@@ -45,11 +46,95 @@ class Layer:
         return 0
 
 
-class Conv2d(Layer):
-    """2D convolution layer with a pluggable algorithm.
+class _ConvBase(Layer):
+    """What every convolution layer shares: parameter validation, He
+    initialization from a caller-provided generator (so networks are
+    reproducible), the forward through the layer's functional op,
+    ``output_shape`` and ``param_count``.
 
-    Parameters are initialized with He-style scaling from a caller-provided
-    generator, so networks are reproducible.
+    A subclass names its op and spatial rank; a transposed op keeps its
+    weight in the PyTorch ``(in_channels, out_channels/groups, *kernel)``
+    layout.
+    """
+
+    _OP = "conv2d"
+    _NDIM = 2
+    output_padding: int | tuple = 0
+
+    def __init__(self, in_channels: int, out_channels: int,
+                 kernel_size: int | tuple,
+                 padding: int | tuple | str = 0, stride: int | tuple = 1,
+                 dilation: int | tuple = 1, groups: int = 1,
+                 bias: bool = True,
+                 algorithm: ConvAlgorithm | str = ConvAlgorithm.POLYHANKEL,
+                 rng: np.random.Generator | None = None):
+        require(in_channels > 0 and out_channels > 0,
+                "channel counts must be positive")
+        require(groups >= 1, "groups must be positive")
+        require(in_channels % groups == 0 and out_channels % groups == 0,
+                f"channels ({in_channels}) and filters ({out_channels}) "
+                f"must be divisible by groups ({groups})")
+        kernel = normalize_tuple(kernel_size, self._NDIM, "kernel_size")
+        require(all(k > 0 for k in kernel), "kernel size must be positive")
+        rng = rng or np.random.default_rng(0)
+        self.in_channels = in_channels
+        self.out_channels = out_channels
+        self.kernel_size = kernel_size
+        self.padding = padding
+        self.stride = stride
+        self.dilation = dilation
+        self.groups = groups
+        self.algorithm = (ConvAlgorithm(algorithm)
+                          if isinstance(algorithm, str) else algorithm)
+        fan_in = (in_channels // groups) * int(np.prod(kernel))
+        lead = ((in_channels, out_channels // groups)
+                if self._OP == "conv_transpose2d"
+                else (out_channels, in_channels // groups))
+        self.weight = rng.standard_normal((*lead, *kernel)) * np.sqrt(
+            2.0 / fan_in)
+        self.bias = np.zeros(out_channels) if bias else None
+
+    def conv_shape(self, input_shape: tuple):
+        """The problem one forward at *input_shape* runs (see
+        :func:`repro.baselines.registry.op_shape`)."""
+        return op_shape(self._OP, input_shape, self.weight.shape,
+                        self.padding, self.stride, self.dilation,
+                        self.groups, self.output_padding)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        with span(f"{self._OP}.forward", algorithm=self.algorithm.value,
+                  out_channels=self.out_channels, k=self.kernel_size):
+            return self._run(x)
+
+    def _run(self, x: np.ndarray) -> np.ndarray:
+        return F.run_conv(x, self.weight, self.bias, self.padding,
+                          self.stride, self.dilation, self.groups,
+                          self.algorithm, op=self._OP,
+                          output_padding=self.output_padding)
+
+    def output_shape(self, input_shape: tuple) -> tuple:
+        return self.conv_shape(input_shape).output_shape()
+
+    def param_count(self) -> int:
+        n = self.weight.size
+        if self.bias is not None:
+            n += self.bias.size
+        return n
+
+    def __repr__(self) -> str:
+        extras = ""
+        if self.dilation != 1:
+            extras += f", d={self.dilation}"
+        if self.groups != 1:
+            extras += f", g={self.groups}"
+        return (f"{type(self).__name__}({self.in_channels}, "
+                f"{self.out_channels}, k={self.kernel_size}, "
+                f"p={self.padding}, s={self.stride}{extras}, "
+                f"algo={self.algorithm.value})")
+
+
+class Conv2d(_ConvBase):
+    """2D convolution layer with a pluggable algorithm.
 
     When the algorithm is PolyHankel, the layer caches the kernel spectrum
     per plan (``cache_spectra=True``): the first forward of each input
@@ -61,42 +146,22 @@ class Conv2d(Layer):
     ``workers=N`` chunks each forward's batch across a thread pool.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
+    def __init__(self, in_channels: int, out_channels: int,
+                 kernel_size: int | tuple,
                  padding: int | tuple | str = 0, stride: int | tuple = 1,
                  dilation: int | tuple = 1, groups: int = 1,
                  bias: bool = True,
                  algorithm: ConvAlgorithm | str = ConvAlgorithm.POLYHANKEL,
                  rng: np.random.Generator | None = None,
                  cache_spectra: bool = True, workers: int | None = None):
-        require(in_channels > 0 and out_channels > 0,
-                "channel counts must be positive")
-        require(kernel_size > 0, "kernel size must be positive")
-        require(groups >= 1, "groups must be positive")
-        require(in_channels % groups == 0 and out_channels % groups == 0,
-                f"channels ({in_channels}) and filters ({out_channels}) "
-                f"must be divisible by groups ({groups})")
-        rng = rng or np.random.default_rng(0)
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.padding = padding
-        self.stride = stride
-        self.dilation = dilation
-        self.groups = groups
-        self.algorithm = (ConvAlgorithm(algorithm)
-                          if isinstance(algorithm, str) else algorithm)
         self.cache_spectra = cache_spectra
         self.workers = workers
         self._spectrum_cache: dict = {}
         self._weight_version = 0
         self._cache_hits = 0
         self._cache_misses = 0
-        fan_in = (in_channels // groups) * kernel_size * kernel_size
-        scale = np.sqrt(2.0 / fan_in)
-        self.weight = rng.standard_normal(
-            (out_channels, in_channels // groups, kernel_size, kernel_size)
-        ) * scale
-        self.bias = np.zeros(out_channels) if bias else None
+        super().__init__(in_channels, out_channels, kernel_size, padding,
+                         stride, dilation, groups, bias, algorithm, rng)
 
     # -- weight-spectrum cache ------------------------------------------------
 
@@ -126,20 +191,10 @@ class Conv2d(Layer):
         return CacheInfo(self._cache_hits, self._cache_misses,
                          len(self._spectrum_cache), None)
 
-    def conv_shape(self, input_shape: tuple) -> ConvShape:
-        return ConvShape.from_tensors(input_shape, self.weight.shape,
-                                      self.padding, self.stride,
-                                      self.dilation, self.groups)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        with span("conv2d.forward", algorithm=self.algorithm.value,
-                  out_channels=self.out_channels, k=self.kernel_size):
-            if (self.algorithm is ConvAlgorithm.POLYHANKEL
-                    and self.cache_spectra):
-                return self._forward_polyhankel(x)
-            return F.conv2d(x, self.weight, self.bias, self.padding,
-                            self.stride, dilation=self.dilation,
-                            groups=self.groups, algorithm=self.algorithm)
+    def _run(self, x: np.ndarray) -> np.ndarray:
+        if self.algorithm is ConvAlgorithm.POLYHANKEL and self.cache_spectra:
+            return self._forward_polyhankel(x)
+        return super()._run(x)
 
     def _forward_polyhankel(self, x: np.ndarray) -> np.ndarray:
         """Plan-cached PolyHankel forward: the weight is transformed once
@@ -194,9 +249,7 @@ class Conv2d(Layer):
                 counters.add("guard.sentinel_trip", algorithm="polyhankel",
                              status=verdict.status, site="layer")
                 return self._forward_guarded(x)
-        if self.bias is not None:
-            out = out + self.bias[None, :, None, None]
-        return out
+        return add_bias(out, self.bias)
 
     def submit(self, x: np.ndarray, server=None,
                deadline_s: float | None = None):
@@ -225,9 +278,6 @@ class Conv2d(Layer):
                               dilation=self.dilation, groups=self.groups,
                               algorithm=self.algorithm)
 
-    def output_shape(self, input_shape: tuple) -> tuple:
-        return self.conv_shape(input_shape).output_shape()
-
     def simulated_time_s(self, input_shape: tuple,
                          device: GpuDevice) -> float:
         return simulate(self.algorithm, self.conv_shape(input_shape),
@@ -236,22 +286,6 @@ class Conv2d(Layer):
     def counters(self, input_shape: tuple):
         """Counter report for this layer at *input_shape*."""
         return count(self.algorithm, self.conv_shape(input_shape))
-
-    def param_count(self) -> int:
-        n = self.weight.size
-        if self.bias is not None:
-            n += self.bias.size
-        return n
-
-    def __repr__(self) -> str:
-        extras = ""
-        if self.dilation != 1:
-            extras += f", d={self.dilation}"
-        if self.groups != 1:
-            extras += f", g={self.groups}"
-        return (f"Conv2d({self.in_channels}, {self.out_channels}, "
-                f"k={self.kernel_size}, p={self.padding}, s={self.stride}"
-                f"{extras}, algo={self.algorithm.value})")
 
 
 class ReLU(Layer):
@@ -357,95 +391,27 @@ class Linear(Layer):
         return f"Linear({self.in_features}, {self.out_features})"
 
 
-class _ConvNdBase(Layer):
-    """Shared parameter handling for the 1D/3D convolution layers."""
-
-    _NDIM = 1
-    _OP = "conv1d"
-
-    def __init__(self, in_channels: int, out_channels: int,
-                 kernel_size: int | tuple,
-                 padding: int | tuple | str = 0, stride: int | tuple = 1,
-                 dilation: int | tuple = 1, groups: int = 1,
-                 bias: bool = True,
-                 algorithm: ConvAlgorithm | str = ConvAlgorithm.POLYHANKEL,
-                 rng: np.random.Generator | None = None):
-        from repro.utils.shapes import normalize_tuple
-
-        require(in_channels > 0 and out_channels > 0,
-                "channel counts must be positive")
-        require(groups >= 1, "groups must be positive")
-        require(in_channels % groups == 0 and out_channels % groups == 0,
-                f"channels ({in_channels}) and filters ({out_channels}) "
-                f"must be divisible by groups ({groups})")
-        kernel = normalize_tuple(kernel_size, self._NDIM, "kernel_size")
-        require(all(k > 0 for k in kernel), "kernel size must be positive")
-        rng = rng or np.random.default_rng(0)
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel
-        self.padding = padding
-        self.stride = stride
-        self.dilation = dilation
-        self.groups = groups
-        self.algorithm = (ConvAlgorithm(algorithm)
-                          if isinstance(algorithm, str) else algorithm)
-        fan_in = (in_channels // groups) * int(np.prod(kernel))
-        self.weight = rng.standard_normal(
-            (out_channels, in_channels // groups, *kernel)
-        ) * np.sqrt(2.0 / fan_in)
-        self.bias = np.zeros(out_channels) if bias else None
-
-    def conv_shape(self, input_shape: tuple):
-        from repro.utils.shapes import ConvShapeNd
-
-        return ConvShapeNd.from_tensors(input_shape, self.weight.shape,
-                                        self.padding, self.stride,
-                                        self.dilation, self.groups)
-
-    def forward(self, x):
-        fn = getattr(F, self._OP)
-        with span(f"{self._OP}.forward", algorithm=self.algorithm.value,
-                  out_channels=self.out_channels):
-            return fn(x, self.weight, self.bias, self.padding, self.stride,
-                      self.dilation, self.groups, algorithm=self.algorithm)
-
-    def output_shape(self, input_shape):
-        return self.conv_shape(input_shape).output_shape()
-
-    def param_count(self):
-        n = self.weight.size
-        if self.bias is not None:
-            n += self.bias.size
-        return n
-
-    def __repr__(self):
-        return (f"{type(self).__name__}({self.in_channels}, "
-                f"{self.out_channels}, k={self.kernel_size}, "
-                f"algorithm={self.algorithm.value})")
-
-
-class Conv1d(_ConvNdBase):
+class Conv1d(_ConvBase):
     """1D convolution layer; runs through the 2D engine's packed FFTs."""
 
-    _NDIM = 1
     _OP = "conv1d"
+    _NDIM = 1
 
 
-class Conv3d(_ConvNdBase):
+class Conv3d(_ConvBase):
     """3D convolution layer (plane-stacked degree map, one 1D FFT)."""
 
-    _NDIM = 3
     _OP = "conv3d"
+    _NDIM = 3
 
 
-class ConvTranspose2d(Layer):
+class ConvTranspose2d(_ConvBase):
     """Transposed 2D convolution layer (generative decoder upsampling).
 
-    Weight follows the PyTorch ``(in_channels, out_channels/groups, kh,
-    kw)`` layout; the forward is the adjoint route through the chosen
-    algorithm.
+    The forward is the adjoint route through the chosen algorithm.
     """
+
+    _OP = "conv_transpose2d"
 
     def __init__(self, in_channels: int, out_channels: int,
                  kernel_size: int | tuple,
@@ -455,58 +421,11 @@ class ConvTranspose2d(Layer):
                  bias: bool = True,
                  algorithm: ConvAlgorithm | str = ConvAlgorithm.POLYHANKEL,
                  rng: np.random.Generator | None = None):
-        from repro.utils.shapes import normalize_tuple
-
-        require(in_channels > 0 and out_channels > 0,
-                "channel counts must be positive")
-        require(groups >= 1, "groups must be positive")
-        require(in_channels % groups == 0 and out_channels % groups == 0,
-                f"channels ({in_channels}) and filters ({out_channels}) "
-                f"must be divisible by groups ({groups})")
-        kernel = normalize_tuple(kernel_size, 2, "kernel_size")
-        require(all(k > 0 for k in kernel), "kernel size must be positive")
-        rng = rng or np.random.default_rng(0)
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel
-        self.padding = padding
-        self.stride = stride
+        super().__init__(in_channels, out_channels, kernel_size, padding,
+                         stride, dilation, groups, bias, algorithm, rng)
         self.output_padding = output_padding
-        self.dilation = dilation
-        self.groups = groups
-        self.algorithm = (ConvAlgorithm(algorithm)
-                          if isinstance(algorithm, str) else algorithm)
-        fan_in = (in_channels // groups) * int(np.prod(kernel))
-        self.weight = rng.standard_normal(
-            (in_channels, out_channels // groups, *kernel)
-        ) * np.sqrt(2.0 / fan_in)
-        self.bias = np.zeros(out_channels) if bias else None
 
-    def forward(self, x):
-        with span("conv_transpose2d.forward",
-                  algorithm=self.algorithm.value,
-                  out_channels=self.out_channels):
-            return F.conv_transpose2d(x, self.weight, self.bias,
-                                      self.padding, self.stride,
-                                      self.output_padding, self.dilation,
-                                      self.groups,
-                                      algorithm=self.algorithm)
-
-    def output_shape(self, input_shape):
-        from repro.baselines.ndops import conv_transpose2d_output_shape
-
+    def output_shape(self, input_shape: tuple) -> tuple:
         return conv_transpose2d_output_shape(
             input_shape, self.weight.shape, self.padding, self.stride,
             self.dilation, self.groups, self.output_padding)
-
-    def param_count(self):
-        n = self.weight.size
-        if self.bias is not None:
-            n += self.bias.size
-        return n
-
-    def __repr__(self):
-        return (f"ConvTranspose2d({self.in_channels}, "
-                f"{self.out_channels}, k={self.kernel_size}, "
-                f"stride={self.stride}, "
-                f"algorithm={self.algorithm.value})")

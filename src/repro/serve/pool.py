@@ -67,11 +67,13 @@ def execute_conv(x: np.ndarray, weight: np.ndarray,
     """One engine execution, supervised when the guard is enabled.
 
     *op* selects the operator family (``conv1d``/``conv2d``/``conv3d``/
-    ``conv_transpose2d``).  Engine-specific knobs (*strategy*, *backend*)
-    are forwarded only to the PolyHankel paths that accept them; other
-    algorithms receive the portable parameter set.  *breaker_key* scopes
-    the guard's circuit breaker (see :func:`repro.guard.chain.
-    guarded_conv2d`).
+    ``conv_transpose2d``); the execution is the tail every front door
+    shares (:func:`repro.nn.functional.run_conv`).  *strategy* and
+    *backend* are PolyHankel's knobs, which every request key carries:
+    they reach the engine when the algorithm is PolyHankel and the
+    request set them, and a route that cannot take a set knob raises.
+    *breaker_key* scopes the guard's circuit breaker (see
+    :func:`repro.guard.chain.guarded_conv2d`).
 
     When the online selection bandit is active (``REPRO_SELECTION_BANDIT``
     or :func:`repro.selection.bandit.enable_bandit`) every conv2d — the
@@ -84,86 +86,36 @@ def execute_conv(x: np.ndarray, weight: np.ndarray,
     """
     from repro.nn import functional as F
 
-    algorithm = getattr(algorithm, "value", algorithm)
     op = str(getattr(op, "value", op))
-    if op == "conv2d" and algorithm == "auto":
-        # Resolved here, as F.conv2d does, so the bandit and the guard
-        # chain both see a concrete algorithm.
-        from repro.selection.heuristic import select_algorithm_rules
-        from repro.utils.shapes import ConvShape
+    # Resolved before the bandit, which decides among concrete arms.
+    algorithm = F.resolve_algorithm(algorithm, op, np.shape(x),
+                                    np.shape(weight), padding, stride,
+                                    dilation, groups)
+    algorithm = str(getattr(algorithm, "value", algorithm))
 
-        algorithm = select_algorithm_rules(ConvShape.from_tensors(
-            np.shape(x), np.shape(weight), padding, stride, dilation,
-            groups)).value
-    engine_kwargs = {}
-    if str(algorithm) == "polyhankel":
-        # Other algorithms (and "auto", which may lower to one of them)
-        # do not accept the PolyHankel-specific knobs.  conv1d rides the
-        # 2D engine so it takes both; conv3d's N-D plan has no channel
-        # strategy; the transposed adjoint exposes neither.
-        if op in ("conv1d", "conv2d"):
-            engine_kwargs = {"strategy": strategy, "backend": backend}
-        elif op == "conv3d":
-            engine_kwargs = {"backend": backend}
+    def run(algo: str) -> np.ndarray:
+        knobs = {}
+        if algo == "polyhankel":
+            if strategy != "sum":
+                knobs["strategy"] = strategy
+            if backend is not None:
+                knobs["backend"] = backend
+        return F.run_conv(x, weight, bias, padding, stride, dilation,
+                          groups, algo, op=op,
+                          output_padding=output_padding,
+                          breaker_key=breaker_key, **knobs)
+
     if op == "conv2d":
-        from repro.selection.bandit import active_bandit
+        from repro.selection.bandit import active_bandit, bandit_conv2d
 
         bandit = active_bandit()
         if bandit is not None:
-            from repro.selection.bandit import bandit_conv2d
-
-            def run(algo: str) -> np.ndarray:
-                kw = {"strategy": strategy, "backend": backend} \
-                    if algo == "polyhankel" else {}
-                return _run_conv2d(x, weight, bias, padding, stride,
-                                   dilation, groups, algo, kw,
-                                   breaker_key)
-            return bandit_conv2d(bandit, x, weight, bias,
-                                 padding=padding, stride=stride,
-                                 dilation=dilation, groups=groups,
-                                 requested=str(algorithm),
+            return bandit_conv2d(bandit, x, weight, bias, padding=padding,
+                                 stride=stride, dilation=dilation,
+                                 groups=groups, requested=algorithm,
                                  strategy=strategy, backend=backend,
                                  run=run)
-        return _run_conv2d(x, weight, bias, padding, stride, dilation,
-                           groups, str(algorithm), engine_kwargs,
-                           breaker_key)
-    if guard_enabled():
-        from repro.guard.chain import guarded_convnd
-
-        return guarded_convnd(x, weight, op=op, bias=bias, padding=padding,
-                              stride=stride, dilation=dilation,
-                              groups=groups, output_padding=output_padding,
-                              algorithm=algorithm, breaker_key=breaker_key,
-                              **engine_kwargs)
-    if op == "conv_transpose2d":
-        return F.conv_transpose2d(x, weight, bias, padding, stride,
-                                  output_padding, dilation, groups,
-                                  algorithm=algorithm)
-    op_fn = {"conv1d": F.conv1d, "conv3d": F.conv3d}[op]
-    return op_fn(x, weight, bias, padding, stride, dilation, groups,
-                 algorithm=algorithm, **engine_kwargs)
-
-
-def _run_conv2d(x, weight, bias, padding, stride, dilation, groups: int,
-                algorithm: str, engine_kwargs: dict,
-                breaker_key) -> np.ndarray:
-    """One conv2d through the normal dispatch (guarded when enabled).
-
-    Factored out of :func:`execute_conv` so the selection bandit can run
-    whichever arm it decided through exactly the serving dispatch —
-    including the guard chain — rather than a private side path.
-    """
-    if guard_enabled():
-        from repro.guard.chain import guarded_conv2d
-
-        return guarded_conv2d(x, weight, bias=bias, padding=padding,
-                              stride=stride, dilation=dilation,
-                              groups=groups, algorithm=algorithm,
-                              breaker_key=breaker_key, **engine_kwargs)
-    from repro.nn import functional as F
-
-    return F.conv2d(x, weight, bias, padding, stride, dilation=dilation,
-                    groups=groups, algorithm=algorithm, **engine_kwargs)
+    return run(algorithm)
 
 
 def shard_splits(n: int, groups: int,

@@ -6,8 +6,8 @@ This is the acceptance gate for the N-dimensional degree-map extension:
 
 - **Forward grids** — per-op parameter grids (per-axis stride/dilation,
   groups up to depthwise, symmetric/asymmetric/``"same"`` padding) run
-  through :func:`repro.baselines.ndops.convolve_nd` for every algorithm
-  whose ``op_supports`` predicate accepts the case; the predicate itself
+  through :func:`repro.baselines.registry.convolve` for every algorithm
+  whose ``supports`` predicate accepts the case; the predicate itself
   is also checked to be *honest* (a claimed-supported case must run, a
   rejected case must raise).
 - **Adjoint identity** — ``<conv(x, w), y> == <x, conv_T(y, w~)>``: the
@@ -22,14 +22,16 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.baselines.ndops import (
+from repro.baselines.registry import (
+    ConvAlgorithm,
     ConvOp,
-    convolve_nd,
-    fallback_chain_nd,
-    op_algorithms,
-    op_supports,
+    convolve,
+    fallback_chain,
+    get_entry,
+    list_algorithms,
+    op_shape,
+    supports,
 )
-from repro.baselines.registry import ConvAlgorithm
 from tests.conftest import (
     assert_conv_close,
     naive_conv_transpose2d_reference,
@@ -79,9 +81,12 @@ GRID_T2D = [
 #: Hard ceiling on the total grid size; see the guard test at the bottom.
 GRID_BUDGET = 120
 
+#: The algorithms registered with a rank-generic engine (conv3d's table).
+CONV3D_ALGORITHMS = [a for a in list_algorithms() if get_entry(a).fn_nd]
+
 
 def _skip_unsupported(op, algorithm, x_shape, w_shape, **params):
-    if not op_supports(op, algorithm, x_shape, w_shape, **params):
+    if not supports(algorithm, op_shape(op, x_shape, w_shape, **params)):
         pytest.skip(f"{algorithm.value} does not support this case")
 
 
@@ -90,7 +95,7 @@ class TestConv1dGrid:
 
     @pytest.mark.parametrize("stride,dilation,groups,padding", GRID_1D)
     @pytest.mark.parametrize(
-        "algorithm", op_algorithms(ConvOp.CONV1D),
+        "algorithm", list_algorithms(),
         ids=lambda a: a.value)
     def test_matches_reference(self, algorithm, stride, dilation, groups,
                                padding):
@@ -101,8 +106,8 @@ class TestConv1dGrid:
                       groups=groups)
         _skip_unsupported(ConvOp.CONV1D, algorithm, x.shape, w.shape,
                           **params)
-        got = convolve_nd(x, w, op=ConvOp.CONV1D, algorithm=algorithm,
-                          **params)
+        got = convolve(x, w, op=ConvOp.CONV1D, algorithm=algorithm,
+                       **params)
         assert_conv_close(got, naive_convnd_reference(x, w, **params))
 
 
@@ -111,7 +116,7 @@ class TestConv3dGrid:
 
     @pytest.mark.parametrize("stride,dilation,groups,padding", GRID_3D)
     @pytest.mark.parametrize(
-        "algorithm", op_algorithms(ConvOp.CONV3D),
+        "algorithm", CONV3D_ALGORITHMS,
         ids=lambda a: a.value)
     def test_matches_reference(self, algorithm, stride, dilation, groups,
                                padding):
@@ -122,8 +127,8 @@ class TestConv3dGrid:
                       groups=groups)
         _skip_unsupported(ConvOp.CONV3D, algorithm, x.shape, w.shape,
                           **params)
-        got = convolve_nd(x, w, op=ConvOp.CONV3D, algorithm=algorithm,
-                          **params)
+        got = convolve(x, w, op=ConvOp.CONV3D, algorithm=algorithm,
+                       **params)
         assert_conv_close(got, naive_convnd_reference(x, w, **params))
 
 
@@ -147,14 +152,14 @@ class TestConvTranspose2dGrid:
                       groups=groups, output_padding=output_padding)
         _skip_unsupported(ConvOp.CONV_TRANSPOSE2D, algorithm, x.shape,
                           w.shape, **params)
-        got = convolve_nd(x, w, op=ConvOp.CONV_TRANSPOSE2D,
-                          algorithm=algorithm, **params)
+        got = convolve(x, w, op=ConvOp.CONV_TRANSPOSE2D,
+                       algorithm=algorithm, **params)
         assert_conv_close(
             got, naive_conv_transpose2d_reference(x, w, **params))
 
 
 class TestSupportsHonesty:
-    """``op_supports`` must track what ``convolve_nd`` actually does:
+    """``supports`` must track what ``convolve`` actually does:
     a rejected case raises a clear ValueError, an accepted case runs."""
 
     def test_rejected_case_raises(self):
@@ -162,27 +167,28 @@ class TestSupportsHonesty:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 2, 16))
         w = rng.standard_normal((2, 2, 3))
-        assert not op_supports(ConvOp.CONV1D, ConvAlgorithm.WINOGRAD,
-                               x.shape, w.shape, stride=2)
+        assert not supports(ConvAlgorithm.WINOGRAD,
+                            op_shape(ConvOp.CONV1D, x.shape, w.shape,
+                                     stride=2))
         with pytest.raises(ValueError, match="does not support"):
-            convolve_nd(x, w, op=ConvOp.CONV1D,
-                        algorithm=ConvAlgorithm.WINOGRAD, stride=2)
+            convolve(x, w, op=ConvOp.CONV1D,
+                     algorithm=ConvAlgorithm.WINOGRAD, stride=2)
 
     def test_conv3d_table_is_exact(self):
         x_shape, w_shape = (1, 2, 4, 4, 4), (2, 2, 2, 2, 2)
-        for algorithm in op_algorithms(ConvOp.CONV2D):
-            claimed = op_supports(ConvOp.CONV3D, algorithm, x_shape,
-                                  w_shape)
-            assert claimed == (algorithm in set(op_algorithms(
-                ConvOp.CONV3D))), algorithm
+        for algorithm in list_algorithms():
+            claimed = supports(algorithm, op_shape(ConvOp.CONV3D, x_shape,
+                                                   w_shape))
+            assert claimed == (algorithm in set(CONV3D_ALGORITHMS)), \
+                algorithm
 
     def test_fallback_chain_only_lists_supported(self):
-        chain = fallback_chain_nd(ConvOp.CONV3D, (1, 2, 4, 4, 4),
-                                  (2, 2, 2, 2, 2))
+        chain = fallback_chain(op_shape(ConvOp.CONV3D, (1, 2, 4, 4, 4),
+                                        (2, 2, 2, 2, 2)))
         assert chain, "conv3d must have at least one route"
         for algorithm in chain:
-            assert op_supports(ConvOp.CONV3D, algorithm, (1, 2, 4, 4, 4),
-                               (2, 2, 2, 2, 2))
+            assert supports(algorithm, op_shape(
+                ConvOp.CONV3D, (1, 2, 4, 4, 4), (2, 2, 2, 2, 2)))
 
 
 class TestAdjointIdentity:
@@ -203,7 +209,6 @@ class TestAdjointIdentity:
                              [ConvAlgorithm.POLYHANKEL, ConvAlgorithm.GEMM],
                              ids=lambda a: a.value)
     def test_inner_product_identity(self, algorithm, params):
-        from repro.baselines.registry import convolve
         from repro.utils.shapes import ConvShapeNd
 
         rng = np.random.default_rng(23)
@@ -221,9 +226,9 @@ class TestAdjointIdentity:
         out_pad = tuple(
             (p - e) % s for p, e, s in zip(
                 shape.padded_extents, shape.eff_kernel, shape.stride_nd))
-        xt = convolve_nd(y_coeff, w_t, op=ConvOp.CONV_TRANSPOSE2D,
-                         algorithm=algorithm, output_padding=out_pad,
-                         **params)
+        xt = convolve(y_coeff, w_t, op=ConvOp.CONV_TRANSPOSE2D,
+                      algorithm=algorithm, output_padding=out_pad,
+                      **params)
         assert xt.shape == x.shape
         lhs = float(np.vdot(y, y_coeff))
         rhs = float(np.vdot(x, xt))

@@ -6,9 +6,9 @@ import pytest
 from repro.baselines.naive import conv2d_naive
 from repro.baselines.registry import ConvAlgorithm
 from repro.nn.grad import (
-    conv2d_backward_bias,
-    conv2d_backward_input,
-    conv2d_backward_weight,
+    convnd_backward_bias,
+    convnd_backward_input,
+    convnd_backward_weight,
     dilate_spatial,
 )
 
@@ -44,7 +44,7 @@ class TestAgainstFiniteDifferences:
         x = rng.standard_normal((n, c, ih, iw))
         w = rng.standard_normal((f, c, kh, kw))
         go = rng.standard_normal(conv2d_naive(x, w, p, s).shape)
-        dx = conv2d_backward_input(go, w, x.shape, p, s)
+        dx = convnd_backward_input(go, w, x.shape, p, s)
         expected = numerical_gradient(
             lambda: np.sum(conv2d_naive(x, w, p, s) * go), x)
         np.testing.assert_allclose(dx, expected, atol=1e-4)
@@ -55,14 +55,14 @@ class TestAgainstFiniteDifferences:
         x = rng.standard_normal((n, c, ih, iw))
         w = rng.standard_normal((f, c, kh, kw))
         go = rng.standard_normal(conv2d_naive(x, w, p, s).shape)
-        dw = conv2d_backward_weight(go, x, (kh, kw), p, s)
+        dw = convnd_backward_weight(go, x, (kh, kw), p, s)
         expected = numerical_gradient(
             lambda: np.sum(conv2d_naive(x, w, p, s) * go), w)
         np.testing.assert_allclose(dw, expected, atol=1e-4)
 
     def test_bias_gradient(self, rng):
         go = rng.standard_normal((2, 3, 4, 4))
-        np.testing.assert_allclose(conv2d_backward_bias(go),
+        np.testing.assert_allclose(convnd_backward_bias(go),
                                    go.sum(axis=(0, 2, 3)))
 
 
@@ -87,7 +87,7 @@ class TestExtendedParamsAgainstFiniteDifferences:
         w = rng.standard_normal((f, c // g, 3, 3))
         kwargs = dict(padding=p, stride=s, dilation=d, groups=g)
         go = rng.standard_normal(conv2d_naive(x, w, **kwargs).shape)
-        dx = conv2d_backward_input(go, w, x.shape, **kwargs)
+        dx = convnd_backward_input(go, w, x.shape, **kwargs)
         expected = numerical_gradient(
             lambda: np.sum(conv2d_naive(x, w, **kwargs) * go), x)
         np.testing.assert_allclose(dx, expected, atol=1e-4)
@@ -98,7 +98,7 @@ class TestExtendedParamsAgainstFiniteDifferences:
         w = rng.standard_normal((f, c // g, 3, 3))
         kwargs = dict(padding=p, stride=s, dilation=d, groups=g)
         go = rng.standard_normal(conv2d_naive(x, w, **kwargs).shape)
-        dw = conv2d_backward_weight(go, x, (3, 3), **kwargs)
+        dw = convnd_backward_weight(go, x, (3, 3), **kwargs)
         expected = numerical_gradient(
             lambda: np.sum(conv2d_naive(x, w, **kwargs) * go), w)
         np.testing.assert_allclose(dw, expected, atol=1e-4)
@@ -112,15 +112,15 @@ class TestAlgorithmChoice:
         x = rng.standard_normal((2, 2, 6, 6))
         w = rng.standard_normal((3, 2, 3, 3))
         go = rng.standard_normal((2, 3, 4, 4))
-        dx_ref = conv2d_backward_input(go, w, x.shape,
+        dx_ref = convnd_backward_input(go, w, x.shape,
                                        algorithm=ConvAlgorithm.NAIVE)
-        dw_ref = conv2d_backward_weight(go, x, (3, 3),
+        dw_ref = convnd_backward_weight(go, x, (3, 3),
                                         algorithm=ConvAlgorithm.NAIVE)
         np.testing.assert_allclose(
-            conv2d_backward_input(go, w, x.shape, algorithm=algorithm),
+            convnd_backward_input(go, w, x.shape, algorithm=algorithm),
             dx_ref, atol=1e-8)
         np.testing.assert_allclose(
-            conv2d_backward_weight(go, x, (3, 3), algorithm=algorithm),
+            convnd_backward_weight(go, x, (3, 3), algorithm=algorithm),
             dw_ref, atol=1e-8)
 
 
@@ -139,5 +139,5 @@ class TestDilate:
     def test_shape_mismatch_rejected(self, rng):
         w = rng.standard_normal((1, 1, 3, 3))
         with pytest.raises(ValueError, match="grad_out shape"):
-            conv2d_backward_input(rng.standard_normal((1, 1, 9, 9)), w,
+            convnd_backward_input(rng.standard_normal((1, 1, 9, 9)), w,
                                   (1, 1, 5, 5))

@@ -10,7 +10,7 @@ element of the differentiated tensor.
 import numpy as np
 import pytest
 
-from repro.baselines.ndops import ConvOp, convolve_nd
+from repro.baselines.registry import ConvOp, convolve
 from repro.nn.grad import (
     conv_transpose2d_backward_input,
     conv_transpose2d_backward_weight,
@@ -22,7 +22,7 @@ from tests.nn.test_grad import numerical_gradient
 
 
 def _forward(op, x, w, **kwargs):
-    return convolve_nd(x, w, op=op, **kwargs)
+    return convolve(x, w, op=op, **kwargs)
 
 
 #: (op, x_shape, w_shape, params) — every case exercises a distinct corner.
@@ -134,7 +134,7 @@ class TestAutogradNd:
         out.backward()
         for p in (x, w, b):
             expected = numerical_gradient(
-                lambda: float(np.sum(convolve_nd(
+                lambda: float(np.sum(convolve(
                     x.data, w.data, op=ConvOp.CONV1D, padding=1, stride=2)
                     + b.data[None, :, None])), p.data)
             np.testing.assert_allclose(p.grad, expected, atol=1e-4)
@@ -149,7 +149,7 @@ class TestAutogradNd:
         out.backward()
         for p in (x, w):
             expected = numerical_gradient(
-                lambda: float(np.sum(convolve_nd(
+                lambda: float(np.sum(convolve(
                     x.data, w.data, op=ConvOp.CONV_TRANSPOSE2D, padding=1,
                     stride=2, output_padding=1))), p.data)
             np.testing.assert_allclose(p.grad, expected, atol=1e-4)

@@ -12,8 +12,8 @@ from hypothesis import given, strategies as st
 
 from repro.baselines.naive import conv2d_naive
 from repro.nn.grad import (
-    conv2d_backward_input,
-    conv2d_backward_weight,
+    convnd_backward_input,
+    convnd_backward_weight,
     dilate_spatial,
 )
 from repro.utils.shapes import ConvShape
@@ -44,7 +44,7 @@ def grad_problems(draw):
 def test_backward_input_is_adjoint(problem):
     shape, x, w, g = problem
     forward = conv2d_naive(x, w, shape.padding, shape.stride)
-    dx = conv2d_backward_input(g, w, x.shape, shape.padding, shape.stride)
+    dx = convnd_backward_input(g, w, x.shape, shape.padding, shape.stride)
     np.testing.assert_allclose(np.sum(forward * g), np.sum(x * dx),
                                rtol=1e-7, atol=1e-7)
 
@@ -53,7 +53,7 @@ def test_backward_input_is_adjoint(problem):
 def test_backward_weight_is_adjoint(problem):
     shape, x, w, g = problem
     forward = conv2d_naive(x, w, shape.padding, shape.stride)
-    dw = conv2d_backward_weight(g, x, (shape.kh, shape.kw), shape.padding,
+    dw = convnd_backward_weight(g, x, (shape.kh, shape.kw), shape.padding,
                                 shape.stride)
     np.testing.assert_allclose(np.sum(forward * g), np.sum(w * dw),
                                rtol=1e-7, atol=1e-7)
@@ -62,8 +62,8 @@ def test_backward_weight_is_adjoint(problem):
 @given(grad_problems())
 def test_gradients_linear_in_upstream(problem):
     shape, x, w, g = problem
-    dx1 = conv2d_backward_input(g, w, x.shape, shape.padding, shape.stride)
-    dx2 = conv2d_backward_input(2.0 * g, w, x.shape, shape.padding,
+    dx1 = convnd_backward_input(g, w, x.shape, shape.padding, shape.stride)
+    dx2 = convnd_backward_input(2.0 * g, w, x.shape, shape.padding,
                                 shape.stride)
     np.testing.assert_allclose(dx2, 2.0 * dx1, atol=1e-8)
 

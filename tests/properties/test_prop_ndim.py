@@ -4,7 +4,7 @@ Two layers of properties:
 
 - Core engine laws (match-the-oracle, linearity, channel decomposition)
   directly on :func:`convnd_polyhankel`.
-- Operator-level laws on :func:`repro.baselines.ndops.convolve_nd` — the
+- Operator-level laws on :func:`repro.baselines.registry.convolve` — the
   adjoint inner-product identity that *defines* transposed convolution,
   and the shape-formula round-trip showing ``output_padding`` recovers
   the exact forward input extent for any stride/dilation/padding draw.
@@ -13,11 +13,8 @@ Two layers of properties:
 import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.baselines.ndops import (
-    ConvOp,
-    conv_transpose2d_output_shape,
-    convolve_nd,
-)
+from repro.baselines.ndops import conv_transpose2d_output_shape
+from repro.baselines.registry import ConvOp, convolve
 from repro.core.ndim import convnd_naive, convnd_polyhankel
 from repro.utils.shapes import ConvShapeNd
 
@@ -92,14 +89,14 @@ def test_transpose_is_the_adjoint(problem):
     transposed op is exactly the linear-algebra adjoint of the forward
     convolution with the same parameters."""
     x, w, params, seed = problem
-    y = convolve_nd(x, w, op=ConvOp.CONV2D, **params)
+    y = convolve(x, w, op=ConvOp.CONV2D, **params)
     y_coeff = np.random.default_rng(seed ^ 0x5EED).standard_normal(y.shape)
     shape = ConvShapeNd.from_tensors(x.shape, w.shape, **params)
     out_pad = tuple(
         (p - e) % s for p, e, s in zip(
             shape.padded_extents, shape.eff_kernel, shape.stride_nd))
-    xt = convolve_nd(y_coeff, w, op=ConvOp.CONV_TRANSPOSE2D,
-                     output_padding=out_pad, **params)
+    xt = convolve(y_coeff, w, op=ConvOp.CONV_TRANSPOSE2D,
+                  output_padding=out_pad, **params)
     assert xt.shape == x.shape
     scale = max(abs(float(np.vdot(y, y_coeff))), 1.0)
     np.testing.assert_allclose(float(np.vdot(x, xt)),
