@@ -1,0 +1,48 @@
+"""conv1d returns the bits of the equivalent ``1 x L`` conv2d.
+
+A length-L sequence is a ``1 x L`` image: the degree map, FFT size,
+spectrum layout and gather are the same numbers either way, so the
+PolyHankel conv1d must be ``np.array_equal`` to the conv2d call on the
+singleton-height lift — for every channel strategy and spectrum layout.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.nn import functional as F
+from repro.utils.shapes import ConvShapeNd
+
+ENGINE = [
+    pytest.param(dict(strategy="sum", layout="planar"), id="sum-planar"),
+    pytest.param(dict(strategy="sum", layout="interleaved"),
+                 id="sum-interleaved"),
+    pytest.param(dict(strategy="sum", layout="auto"), id="sum-auto"),
+    pytest.param(dict(strategy="merge"), id="merge"),
+]
+
+PARAMS = [
+    pytest.param(dict(padding=p, stride=s, dilation=d, groups=g),
+                 id=f"p{p}-s{s}-d{d}-g{g}")
+    for p, s, d, g in itertools.product(
+        [0, 2, (1, 3), "same"], [1, 2], [1, 2], [1, 2])
+]
+
+
+@pytest.mark.parametrize("params", PARAMS)
+@pytest.mark.parametrize("engine", ENGINE)
+def test_conv1d_is_the_lifted_conv2d(engine, params):
+    rng = np.random.default_rng(29)
+    g = params["groups"]
+    x = rng.standard_normal((3, 4, 19))
+    w = rng.standard_normal((6, 4 // g, 3))
+    (lo, hi), = ConvShapeNd.from_tensors(x.shape, w.shape,
+                                         **params).pad_pairs
+    got = F.conv1d(x, w, algorithm="polyhankel", **engine, **params)
+    want = F.conv2d(x[:, :, None, :], w[:, :, None, :],
+                    algorithm="polyhankel", padding=(0, 0, lo, hi),
+                    stride=(1, params["stride"]),
+                    dilation=(1, params["dilation"]), groups=g,
+                    **engine)[:, :, 0]
+    assert np.array_equal(got, want)
