@@ -3,11 +3,10 @@
 :func:`repro.baselines.registry.convolve` is the one dispatch for every
 op; what is particular to an op lives here:
 
-- ``conv1d`` is lowered onto the 2D engine as a ``1 x L`` image (the
-  degree map degenerates to ``t^j``), so **every** registered 2D
-  algorithm — and the packed real-pair FFT pipeline, plan/spectrum
-  caches, counters — serves 1D for free; :func:`lift_1d_shape` is that
-  lift.
+- ``conv1d`` runs an algorithm's rank-generic engine where it has one
+  (PolyHankel's plan, naive, GEMM); every other registered 2D algorithm
+  serves it as a ``1 x L`` image (the degree map degenerates to
+  ``t^j``), and :func:`lift_1d_shape` is that lift.
 - ``conv_transpose2d`` is the adjoint the backward pass already
   computes: its output extent is :func:`conv_transpose2d_output_shape`,
   and for any 2D algorithm it executes as the zero-stuffed stride-1

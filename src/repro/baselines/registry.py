@@ -8,8 +8,8 @@ benchmarks read like the paper's figures, and adds the two research methods
 The degree map does not depend on rank, so one dispatch serves every op:
 :func:`convolve` takes conv1d, conv2d and conv3d from the input rank and
 conv_transpose2d by name.  :func:`op_shape` describes each op's problem
-once — a :class:`ConvShape` for conv2d, the 1D lift's and the transposed
-adjoint's 2D problems, a :class:`ConvShapeNd` for conv3d — and
+once — a :class:`ConvShape` for conv2d and the transposed adjoint's 2D
+problem, a :class:`ConvShapeNd` for conv1d and conv3d — and
 :func:`supports` / :func:`fallback_chain` answer against that shape.
 """
 
@@ -46,7 +46,6 @@ from repro.core.ndim import (
     convnd_im2col_gemm,
     convnd_naive,
     convnd_polyhankel,
-    lift_weight_1d,
 )
 from repro.core.overlap_save import conv2d_polyhankel_os
 from repro.hankel.im2col_view import pad2d
@@ -147,8 +146,9 @@ class AlgorithmEntry:
     subsample — so every registered algorithm either runs the extended
     space or rejects it explicitly through ``supports``.
 
-    ``fn_nd`` is the rank-generic implementation conv3d runs; an
-    algorithm without one cannot run conv3d.
+    ``fn_nd`` is the rank-generic implementation conv1d and conv3d run;
+    an algorithm without one runs conv1d lifted to a ``1 x L`` image and
+    cannot run conv3d.
     """
 
     algorithm: ConvAlgorithm
@@ -389,8 +389,9 @@ def convolve(x: np.ndarray, weight: np.ndarray,
     untouched; ``naive`` runs the scatter oracle instead).  Each op takes
     the full parameter space.  Native algorithms receive the parameters
     directly; legacy kernels are lowered (group split, explicit pre-pad,
-    kernel dilation, stride-1 + subsample), conv1d runs as a ``1 x L``
-    image and conv3d through the algorithm's rank-generic engine.  An
+    kernel dilation, stride-1 + subsample).  conv1d and conv3d run the
+    algorithm's rank-generic engine; conv1d runs as a ``1 x L`` image on
+    an algorithm without one.  An
     algorithm whose ``supports`` predicate rejects the problem raises
     ``ValueError`` — mirroring cuDNN's NOT_SUPPORTED — e.g. Winograd with
     stride 2 or FFT on conv3d.  Engine *kwargs* (``workers``,
@@ -412,11 +413,11 @@ def convolve(x: np.ndarray, weight: np.ndarray,
         )
     if op is ConvOp.CONV2D:
         return _convolve_planar(entry, x, weight, planar, **kwargs)
-    if op is ConvOp.CONV1D:
+    if op is ConvOp.CONV1D and entry.fn_nd is None:
         x4 = np.asarray(x, dtype=float)[:, :, None, :]
-        w4 = lift_weight_1d(np.asarray(weight, dtype=float))
+        w4 = np.asarray(weight, dtype=float)[:, :, None, :]
         return _convolve_planar(entry, x4, w4, planar, **kwargs)[:, :, 0]
-    if op is ConvOp.CONV3D:
+    if op is not ConvOp.CONV_TRANSPOSE2D:
         return entry.fn_nd(x, weight, padding, stride, dilation, groups,
                            **kwargs)
     if entry.algorithm is ConvAlgorithm.NAIVE:

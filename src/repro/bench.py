@@ -129,9 +129,8 @@ class NdBenchCase:
     counters of one cached call, one guard-enabled call's fallback count,
     and the roofline percentage against the operator's cost model.  For
     ``conv1d`` and ``conv3d`` the measured counters are additionally
-    asserted equal to the closed-form predictor — the 1D op must hit the
-    2D engine's caches (spectrum included), and the 3D plan's call
-    structure is fixed.
+    asserted equal to the closed-form predictor of the one PolyHankel
+    plan — a warm call must hit its caches, spectrum included.
     """
 
     name: str
@@ -147,11 +146,9 @@ class NdBenchCase:
 
 
 ND_SUITE: tuple[NdBenchCase, ...] = (
-    # Audio-style temporal convolution: rides the cached 2D engine via
-    # the singleton-height lowering, so its counters follow the packed
-    # 2D predictor on the lifted shape.
+    # Audio-style temporal convolution through the rank-1 plan.
     NdBenchCase("audio_1d", "conv1d", (4, 8, 256), (16, 8, 9), padding=4),
-    # Tiny video stack through the rank-generic single-block plan.
+    # Tiny video stack through the rank-3 plan.
     NdBenchCase("video_3d_tiny", "conv3d", (2, 4, 8, 12, 12),
                 (8, 4, 3, 3, 3), padding=1),
     # Decoder upsampling stage: stride-2 transposed convolution, run as
@@ -169,22 +166,12 @@ def run_nd_case(case: NdBenchCase, repeats: int = 25) -> dict:
     the uncached/layer/workers columns absent — those paths only
     exist for the native 2D engine.
     """
-    from repro.baselines.ndops import (
-        conv_transpose2d_naive,
-        lift_1d_shape,
-        transpose_internal_shape,
-    )
-    from repro.baselines.registry import ConvOp, convolve
+    from repro.baselines.ndops import conv_transpose2d_naive
+    from repro.baselines.registry import ConvOp, convolve, op_shape
     from repro.core import multichannel as mc
     from repro.core.ndim import convnd_naive
     from repro.nn import functional as F
-    from repro.perfmodel.engine import (
-        predict_fft_counters,
-        predict_fft_counters_nd,
-        roofline_pct,
-        roofline_pct_nd,
-    )
-    from repro.utils.shapes import ConvShapeNd
+    from repro.perfmodel.engine import predict_fft_counters, roofline_pct
 
     op = ConvOp(case.op)
     rng = np.random.default_rng(0)
@@ -214,29 +201,16 @@ def run_nd_case(case: NdBenchCase, repeats: int = 25) -> dict:
     cached_ms = _time_interleaved({"cached": call}, repeats)["cached"]
     case_counters = _case_counters(call, guarded_call)
 
-    # The predictor assertion: the 1D lowering must hit the 2D engine's
-    # caches and the 3D plan's call structure is closed-form.  (The
-    # transposed op's counters depend on the backward-path weight flip,
-    # which defeats the spectrum cache by design; recorded ungated.)
-    layout = None
-    predicted = None
-    if op is ConvOp.CONV1D:
-        lifted = lift_1d_shape(ConvShapeNd.from_tensors(
-            case.x_shape, case.w_shape, **params))
-        layout = mc.get_plan(lifted).layout
-        predicted = predict_fft_counters(lifted, "sum", layout)
-        pct = roofline_pct(lifted, cached_ms, layout)
-    elif op is ConvOp.CONV3D:
-        shape_nd = ConvShapeNd.from_tensors(case.x_shape, case.w_shape,
-                                            **params)
-        predicted = predict_fft_counters_nd(shape_nd)
-        pct = roofline_pct_nd(shape_nd, cached_ms)
-    else:
-        internal = transpose_internal_shape(
-            case.x_shape, case.w_shape,
-            output_padding=case.output_padding, **params)
-        layout = mc.get_plan(internal).layout
-        pct = roofline_pct(internal, cached_ms, layout)
+    # The predictor assertion: a warm conv1d/conv3d call must hit the
+    # plan's caches.  (The transposed op runs the adjoint problem, whose
+    # backward-path weight flip defeats the spectrum cache by design; its
+    # counters are recorded ungated.)
+    shape = op_shape(op, case.x_shape, case.w_shape,
+                     output_padding=case.output_padding, **params)
+    layout = mc.get_plan(shape).layout
+    pct = roofline_pct(shape, cached_ms, layout)
+    predicted = None if op is ConvOp.CONV_TRANSPOSE2D \
+        else predict_fft_counters(shape, "sum", layout)
     if predicted is not None:
         got = {k: case_counters[k] for k in predicted}
         if got != predicted:
@@ -397,11 +371,9 @@ def _first_call_ms(name: str, call, want: np.ndarray) -> float:
     """Wall ms of a cold *call* (every plan and spectrum cache emptied
     first), whose result must match the naive reference *want*."""
     from repro.core import multichannel as mc
-    from repro.core.ndim import clear_ndplan_cache
 
     mc.clear_plan_cache()
     mc.clear_spectrum_cache()
-    clear_ndplan_cache()
     start = time.perf_counter()
     out = call()
     elapsed_ms = (time.perf_counter() - start) * 1e3

@@ -15,18 +15,17 @@ Three layouts are produced here:
   non-overlapping across channels, as Sec. 3.2 requires.
 
 Everything is computed directly from the input and kernel; the im2col matrix
-is never formed.
+is never formed.  The degree of an element is its flattened index in the
+padded input at any rank, so the helpers the engine builds its plan from
+(:func:`tap_degrees`, the ``scatter_*`` stacks, the gather indices) take a
+``ConvShape`` or a ``ConvShapeNd`` alike.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.degree_map import (
-    kernel_degrees,
-    max_kernel_degree,
-    output_degrees,
-)
+from repro.core.degree_map import kernel_degrees, max_kernel_degree
 from repro.hankel.im2col_view import pad2d
 from repro.utils.shapes import ConvShape
 from repro.utils.validation import ensure_array
@@ -61,15 +60,29 @@ def kernel_polynomial(kernel: np.ndarray, iw: int,
     return coeffs
 
 
-def output_gather_indices(shape: ConvShape) -> np.ndarray:
+def output_gather_indices(shape) -> np.ndarray:
     """Indices into the product coefficient vector holding the output.
 
-    Shape ``(oh, ow)``; entry ``(i, j)`` is the degree from Eq. 12 adjusted
-    for (per-axis) stride and dilation.
+    Any rank: shape ``out_extents``; entry ``o`` is the degree
+    ``M + sum_l s_l * stride_l * o_l`` over the row-major degree strides
+    ``s_l`` of the padded input — Eq. 12 with per-axis stride (dilation
+    only enters through ``M``).
     """
-    return output_degrees(shape.oh, shape.ow, shape.padded_iw,
-                          shape.kh, shape.kw, shape.stride_hw,
-                          shape.dilation_hw)
+    steps = np.multiply(shape.poly_strides, shape.stride_nd)
+    return shape.poly_kernel_len - 1 + np.tensordot(
+        steps, np.indices(shape.out_extents), axes=1)
+
+
+def tap_degrees(shape) -> np.ndarray:
+    """Exponent of each kernel tap in U(t), for a problem of any rank.
+
+    Shape ``kernel``; tap ``j`` sits at ``M - sum_l s_l * d_l * j_l`` —
+    the stretched degree map of :func:`kernel_polynomial`, with the
+    padded input's row-major degree strides ``s_l``.
+    """
+    steps = np.multiply(shape.poly_strides, shape.dilation_nd)
+    return shape.poly_kernel_len - 1 - np.tensordot(
+        steps, np.indices(shape.kernel), axes=1)
 
 
 def channel_kernel_stack(weight: np.ndarray, iw: int,
@@ -82,11 +95,17 @@ def channel_kernel_stack(weight: np.ndarray, iw: int,
     the taps on the stretched degree map.
     """
     weight = ensure_array(weight, "weight", ndim=4)
-    f, c, kh, kw = weight.shape
-    m = max_kernel_degree(kh, kw, iw, dilation)
-    coeffs = np.zeros((f, c, m + 1), dtype=weight.dtype)
-    coeffs[:, :, kernel_degrees(kh, kw, iw, dilation)] = \
-        weight.reshape(f, c, kh, kw)
+    return scatter_channel_stack(
+        weight, kernel_degrees(*weight.shape[2:], iw, dilation))
+
+
+def scatter_channel_stack(weight: np.ndarray,
+                          degrees: np.ndarray) -> np.ndarray:
+    """Per-channel U(t) vectors ``(f, c, M + 1)`` for a weight of any
+    rank: tap ``j`` of every (filter, channel) lands at ``degrees[j]``."""
+    f, c = weight.shape[:2]
+    coeffs = np.zeros((f, c, int(degrees.max()) + 1), dtype=weight.dtype)
+    coeffs[:, :, degrees] = weight
     return coeffs
 
 
@@ -129,10 +148,10 @@ def merged_kernel_polynomial(weight_c: np.ndarray, iw: int,
 def merged_input_stack(x_padded: np.ndarray) -> np.ndarray:
     """Interleaved multi-channel A(t) for a whole batch, vectorized.
 
-    *x_padded* is ``(n, c, ph, pw)``; returns ``(n, C * ph * pw)`` — row
-    ``i`` equals ``merged_input_polynomial(x_padded[i])``.
+    *x_padded* is ``(n, c, *padded)`` of any spatial rank; returns ``(n,
+    C * prod(padded))`` — for rank 2, row ``i`` equals
+    ``merged_input_polynomial(x_padded[i])``.
     """
-    x_padded = ensure_array(x_padded, "x_padded", ndim=4)
     n, c = x_padded.shape[:2]
     # (n, c, L) -> (n, L, c) -> ravel per image interleaves channels.
     return np.ascontiguousarray(
@@ -145,16 +164,25 @@ def merged_kernel_stack(weight: np.ndarray, iw: int,
     """Interleaved multi-channel U(t) for every filter, vectorized.
 
     *weight* is ``(f, c, kh, kw)``; returns ``(f, C * (M + 1))`` — row
-    ``f`` equals ``merged_kernel_polynomial(weight[f], iw)``.  The scatter
-    indices are disjoint across channels (distinct residues mod C), so one
-    fancy-index assignment replaces the per-filter/per-channel loops.
+    ``f`` equals ``merged_kernel_polynomial(weight[f], iw)``.
     """
     weight = ensure_array(weight, "weight", ndim=4)
-    f, c, kh, kw = weight.shape
-    m = max_kernel_degree(kh, kw, iw, dilation)
-    deg = kernel_degrees(kh, kw, iw, dilation)  # (kh, kw)
-    idx = deg[None, :, :] * c + (c - 1 - np.arange(c))[:, None, None]
-    coeffs = np.zeros((f, c * (m + 1)), dtype=weight.dtype)
+    return scatter_merged_stack(
+        weight, kernel_degrees(*weight.shape[2:], iw, dilation))
+
+
+def scatter_merged_stack(weight: np.ndarray,
+                         degrees: np.ndarray) -> np.ndarray:
+    """Interleaved U(t) ``(f, C * (M + 1))`` for a weight of any rank.
+
+    Channel ``c``'s tap ``j`` lands at ``degrees[j] * C + (C - 1 - c)``.
+    The scatter indices are disjoint across channels (distinct residues
+    mod C), so one fancy-index assignment fills every filter.
+    """
+    f, c = weight.shape[:2]
+    residues = (c - 1 - np.arange(c)).reshape((c,) + (1,) * degrees.ndim)
+    idx = degrees * c + residues
+    coeffs = np.zeros((f, c * (int(degrees.max()) + 1)), dtype=weight.dtype)
     coeffs[:, idx.reshape(-1)] = weight.reshape(f, -1)
     return coeffs
 

@@ -34,12 +34,13 @@ import numpy as np
 
 from repro import fft as _fft
 from repro.core.construction import (
-    channel_kernel_stack,
     merged_input_stack,
-    merged_kernel_stack,
     merged_output_gather_indices,
     output_gather_indices,
     polynomial_lengths,
+    scatter_channel_stack,
+    scatter_merged_stack,
+    tap_degrees,
 )
 from repro.core.planning import (
     FftPolicy,
@@ -54,14 +55,13 @@ from repro.fft.plan import CacheInfo
 from repro.guard import faults as _faults
 from repro.guard.checksum import array_checksum, verify_checksum
 from repro.guard.state import guard_enabled
-from repro.hankel.im2col_view import pad2d
 from repro.observe import record_cache_event, span
 from repro.observe.registry import (
     cache_hits_misses,
     counters,
     reset_cache_stats,
 )
-from repro.utils.shapes import ConvShape
+from repro.utils.shapes import ConvShape, ConvShapeNd
 from repro.utils.validation import check_conv_inputs, ensure_array
 
 ChannelStrategy = Literal["sum", "merge"]
@@ -76,25 +76,26 @@ _SPLIT_MIN_WORK = {"builtin": 120_000}
 _SPLIT_MIN_WORK_DEFAULT = 1_000_000
 
 
-def _as_grid(gather: np.ndarray) -> tuple[int, int, int] | None:
-    """``(base, row_stride, col_stride)`` if *gather* is a regular grid.
+def _as_grid(gather: np.ndarray) -> tuple[int, tuple[int, ...]] | None:
+    """``(base, steps)`` if *gather* is the affine grid
+    ``base + sum_l steps_l * o_l``.
 
-    Output degrees are affine in (i, j) for every stride (Eq. 12), so this
-    holds for all shapes we generate; the check keeps it an invariant
-    rather than an assumption.
+    Output degrees are affine in the output index for every stride
+    (Eq. 12), so this holds for all shapes we generate; the check keeps
+    it an invariant rather than an assumption.
     """
-    if gather.ndim != 2 or gather.size == 0:
+    if gather.size == 0:
         return None
-    base = int(gather[0, 0])
-    cs = int(gather[0, 1]) - base if gather.shape[1] > 1 else 1
-    rs = int(gather[1, 0]) - base if gather.shape[0] > 1 else 1
-    if rs <= 0 or cs <= 0:
+    base = int(gather.flat[0])
+    steps = np.array([int(np.take(gather, 1, axis=axis).flat[0]) - base
+                      if extent > 1 else 1
+                      for axis, extent in enumerate(gather.shape)])
+    if steps.min() <= 0:
         return None
-    oh, ow = gather.shape
-    expect = base + rs * np.arange(oh)[:, None] + cs * np.arange(ow)[None, :]
+    expect = base + np.tensordot(steps, np.indices(gather.shape), axes=1)
     if not np.array_equal(gather, expect):
         return None
-    return base, rs, cs
+    return base, tuple(int(step) for step in steps)
 
 
 @dataclass
@@ -102,10 +103,18 @@ class PolyHankelPlan:
     """A reusable execution plan for a fixed convolution shape.
 
     Mirrors cuDNN's plan/descriptor pattern: the FFT size, gather indices
-    and the kernel spectrum layout depend only on the :class:`ConvShape`, so
-    repeated executions (every training/inference step) reuse them.  The
-    weight spectrum itself is cached via :meth:`weight_spectrum` when
-    weights are frozen.
+    and the kernel spectrum layout depend only on the shape, so repeated
+    executions (every training/inference step) reuse them.  The weight
+    spectrum itself is cached via :meth:`weight_spectrum` when weights are
+    frozen.
+
+    One plan serves every spatial rank: the shape is a :class:`ConvShape`
+    or a :class:`ConvShapeNd`, read only through their shared
+    rank-generic names (``extents``, ``pad_pairs``, ``poly_strides``, ...),
+    because the degree of an input element is its flattened index in the
+    padded input at any rank.  Everything rank-dependent — the padding
+    window, the staging view's strides, the kernel tap degrees, the
+    gather grid — is fixed here at build time.
 
     ``fft_policy="auto"`` resolves to the concrete policy best for the
     plan's backend (see :func:`repro.core.planning.resolve_fft_policy`);
@@ -116,7 +125,7 @@ class PolyHankelPlan:
     time and recorded on the plan's :class:`PlanSpec`.
     """
 
-    shape: ConvShape
+    shape: ConvShape | ConvShapeNd
     fft_policy: FftPolicy = "pow2"
     strategy: ChannelStrategy = "sum"
     backend: str | None = None
@@ -124,7 +133,7 @@ class PolyHankelPlan:
     nfft: int = field(init=False)
     bins: int = field(init=False)
     gather: np.ndarray = field(init=False)
-    gather_grid: tuple[int, int, int] | None = field(init=False)
+    gather_grid: tuple[int, tuple[int, ...]] | None = field(init=False)
 
     def __post_init__(self) -> None:
         if self.strategy not in ("sum", "merge"):
@@ -155,6 +164,15 @@ class PolyHankelPlan:
             self.gather = merged_output_gather_indices(self.shape)
         self.bins = self.nfft // 2 + 1
         self.gather_grid = _as_grid(self.gather)
+        shape = self.shape
+        self._taps = tap_degrees(shape)
+        self._padded_extents = shape.padded_extents
+        self._poly_strides = shape.poly_strides
+        self._has_padding = any(p for pair in shape.pad_pairs for p in pair)
+        # The unpadded input's window inside the padded block.
+        self._interior = (Ellipsis,) + tuple(
+            slice(lo, lo + extent)
+            for (lo, _), extent in zip(shape.pad_pairs, shape.extents))
         # Thread-worker handoff floor (see _SPLIT_MIN_WORK): splitting the
         # batch only pays once the transform work per call clears it.
         backend_name = _fft.get_backend(self.backend).name
@@ -188,15 +206,12 @@ class PolyHankelPlan:
         # spec and re-resolve against the destination process's warm plan
         # cache (serving-layer process workers depend on this: plans
         # travel as cache keys, never as payloads).
-        return (_plan_from_spec, (self.shape, self.fft_policy,
-                                  self.strategy,
-                                  _fft.get_backend(self.backend).name,
-                                  self.layout))
+        return PlanSpec.resolve, (self.spec,)
 
     # -- weight handling -----------------------------------------------------
 
     def transform_weight(self, weight: np.ndarray) -> np.ndarray:
-        """Kernel polynomial spectra for *weight* (``(f, c, kh, kw)``).
+        """Kernel polynomial spectra for *weight* (``(f, c, *kernel)``).
 
         Returns ``(f, c, nfft//2 + 1)`` for the ``sum`` strategy with the
         planar layout, ``(f, nfft//2 + 1)`` for ``merge``.  The
@@ -206,19 +221,17 @@ class PolyHankelPlan:
         pointwise matmul.  Always recomputes; the cached entry point is
         :meth:`weight_spectrum`.
         """
-        weight = ensure_array(weight, "weight", ndim=4, dtype=float)
+        weight = ensure_array(weight, "weight", dtype=float)
         if weight.shape != self.shape.weight_shape():
             raise ValueError(
                 f"weight shape {weight.shape} does not match plan "
                 f"{self.shape.weight_shape()}"
             )
         fft = _fft.get_backend(self.backend)
-        dilation = self.shape.dilation_hw
         with span("weight.transform", strategy=self.strategy,
                   nfft=self.nfft, layout=self.layout, bytes=weight.nbytes):
             if self.strategy == "sum":
-                stack = channel_kernel_stack(weight, self.shape.padded_iw,
-                                             dilation)
+                stack = scatter_channel_stack(weight, self._taps)
                 w_hat = fft.rfft(stack, self.nfft)
                 if self.layout == "interleaved":
                     shape = self.shape
@@ -226,8 +239,7 @@ class PolyHankelPlan:
                         shape.groups, shape.group_filters,
                         shape.group_channels, self.bins))
                 return w_hat
-            merged = merged_kernel_stack(weight, self.shape.padded_iw,
-                                         dilation)
+            merged = scatter_merged_stack(weight, self._taps)
             return fft.rfft(merged, self.nfft)
 
     def weight_spectrum(self, weight: np.ndarray) -> np.ndarray:
@@ -300,7 +312,7 @@ class PolyHankelPlan:
         wrapper, layers) that have already performed it.
         """
         if check:
-            x = ensure_array(x, "x", ndim=4, dtype=float)
+            x = ensure_array(x, "x", dtype=float)
             if x.shape != self.shape.input_shape():
                 raise ValueError(
                     f"input shape {x.shape} does not match plan "
@@ -350,24 +362,22 @@ class PolyHankelPlan:
         The scratch border stays zero across calls (only the interior is
         rewritten), so reuse skips re-zeroing the whole buffer.
         """
-        pt, pb, pl, pr = self.shape.pad_tblr
-        if not (pt or pb or pl or pr):
+        if not self._has_padding:
             return x
         with span("stage.pad", reuse=reuse, bytes=x.nbytes):
-            if not reuse:
-                return pad2d(x, (pt, pb, pl, pr))
-            ih, iw = self.shape.ih, self.shape.iw
-            buf = self._scratch.get("xp")
+            buf = self._scratch.get("xp") if reuse else None
             if buf is None:
-                buf = np.zeros(x.shape[:-2] + (ih + pt + pb, iw + pl + pr))
-                self._scratch["xp"] = buf
-            buf[..., pt:pt + ih, pl:pl + iw] = x
+                # Allocate-and-assign: several times faster than np.pad.
+                buf = np.zeros(x.shape[:2] + self._padded_extents)
+                if reuse:
+                    self._scratch["xp"] = buf
+            buf[self._interior] = x
             return buf
 
     def _execute_block(self, xp: np.ndarray, weight_hat: np.ndarray,
                        fft, reuse: bool = False) -> np.ndarray:
         """The frequency-domain pipeline for one (sub-)batch of padded
-        images ``(n_block, c, ph, pw)``."""
+        inputs ``(n_block, c, *padded_extents)``."""
         if self.layout == "interleaved":
             return self._execute_fused(xp, weight_hat, fft, reuse)
         shape = self.shape
@@ -401,7 +411,7 @@ class PolyHankelPlan:
                     if target is not None \
                     else np.einsum("ngcb,gfcb->ngfb", xg, wg)
         else:
-            grouped = xp.reshape(n * g, c_per, *xp.shape[-2:])
+            grouped = xp.reshape(n * g, c_per, -1)
             merged = merged_input_stack(grouped)         # (n*g, c_per*L)
             with span("stage.input_fft", n=self.nfft, rows=n * g,
                       bytes=merged.nbytes):
@@ -427,9 +437,9 @@ class PolyHankelPlan:
         """The interleaved-layout pipeline: packed one-pass transforms and
         a single bins-major matmul for the pointwise channel sum.
 
-        Stages, for one (sub-)batch of padded images ``(n_block, c, ph,
-        pw)`` against the packed weight operand ``(g, bins, f_per,
-        c_per)`` of :meth:`transform_weight`:
+        Stages, for one (sub-)batch of padded inputs ``(n_block, c,
+        *padded_extents)`` against the packed weight operand ``(g, bins,
+        f_per, c_per)`` of :meth:`transform_weight`:
 
         1. fold channel pairs of every (image, group) into complex rows
            and run **one** batched complex FFT over all of them (an odd
@@ -477,25 +487,20 @@ class PolyHankelPlan:
                 return b
             return (np.zeros if zero else np.empty)(shp, dtype=dtype)
 
-        pt, _, pl, _ = shape.pad_tblr
-        ph, pw = shape.padded_ih, shape.padded_iw
-
         def stage(dest, rows):
             # Write *rows* (a channel slice of the input) into the length-
-            # ``ph * pw`` head of *dest*'s last axis, viewed as the padded
-            # image plane.  ``raw``: scatter just the interior window (the
+            # ``poly_input_len`` head of *dest*'s last axis, viewed as the
+            # padded input.  ``raw``: scatter just the interior window (the
             # padding border is part of dest's call-invariant zero state);
-            # otherwise copy the pre-padded planes wholesale.
+            # otherwise copy the pre-padded inputs wholesale.
+            step = dest.strides[-1]
             view = np.lib.stride_tricks.as_strided(
-                dest, dest.shape[:-1] + (ph, pw),
-                dest.strides[:-1] + (pw * dest.strides[-1],
-                                     dest.strides[-1]))
-            if raw:
-                view[..., pt: pt + shape.ih, pl: pl + shape.iw] = rows
-            else:
-                view[:] = rows
+                dest, dest.shape[:-1] + self._padded_extents,
+                dest.strides[:-1] + tuple(s * step
+                                          for s in self._poly_strides))
+            view[self._interior if raw else Ellipsis] = rows
 
-        src = xp.reshape(n, g, c_per, *xp.shape[-2:])
+        src = xp.reshape(n, g, c_per, *xp.shape[2:])
         with span("stage.input_fft", n=nfft, rows=n * shape.c,
                   layout="interleaved", bytes=xp.nbytes):
             z_hat = rest_hat = None
@@ -558,21 +563,20 @@ class PolyHankelPlan:
         with span("stage.gather", bytes=product.nbytes) as gather_span:
             grid = self.gather_grid
             if grid is None:
-                result = product[..., self.gather]       # (n, f, oh, ow)
+                result = product[..., self.gather]       # (n, f, *out)
             else:
-                # The gather degrees form a regular (row-stride,
-                # col-stride) grid, so a strided view + one contiguous copy
-                # replaces the advanced indexing (no index array to walk);
-                # the values are identical.
-                base, rs, cs = grid
-                oh, ow = self.gather.shape
+                # The gather degrees form a regular grid, so a strided
+                # view + one contiguous copy replaces the advanced indexing
+                # (no index array to walk); the values are identical.
+                base, steps = grid
+                out = self.gather.shape
                 flat = np.ascontiguousarray(product).reshape(-1, self.nfft)
                 s0, s1 = flat.strides
                 view = np.lib.stride_tricks.as_strided(
-                    flat[:, base:], shape=(flat.shape[0], oh, ow),
-                    strides=(s0, rs * s1, cs * s1))
+                    flat[:, base:], shape=(flat.shape[0],) + out,
+                    strides=(s0,) + tuple(step * s1 for step in steps))
                 result = np.ascontiguousarray(view).reshape(
-                    product.shape[:-1] + (oh, ow))
+                    product.shape[:-1] + out)
             gather_span.add_attrs(out_bytes=result.nbytes)
         return result
 
@@ -588,7 +592,8 @@ _PLAN_LIMIT = [256]
 _PLAN_KEYS: dict[tuple, tuple] = {}
 
 
-def get_plan(shape: ConvShape, fft_policy: FftPolicy = "auto",
+def get_plan(shape: ConvShape | ConvShapeNd,
+             fft_policy: FftPolicy = "auto",
              strategy: ChannelStrategy = "sum",
              backend: str | None = None,
              layout: SpectrumLayout = "auto") -> PolyHankelPlan:
@@ -628,14 +633,6 @@ def get_plan(shape: ConvShape, fft_policy: FftPolicy = "auto",
             _PLAN_KEYS.clear()
         _PLAN_KEYS[request] = key
     return plan
-
-
-def _plan_from_spec(shape: ConvShape, fft_policy: FftPolicy,
-                    strategy: ChannelStrategy, backend: str | None,
-                    layout: SpectrumLayout = "auto") -> PolyHankelPlan:
-    """Unpickling target for :meth:`PolyHankelPlan.__reduce__`: resolve a
-    plan spec against *this* process's warm plan cache."""
-    return get_plan(shape, fft_policy, strategy, backend, layout=layout)
 
 
 def plan_cache_info() -> CacheInfo:
@@ -731,8 +728,8 @@ def _get_pool(workers: int) -> ThreadPoolExecutor:
         return pool
 
 
-# Front memo for the functional entry point: maps primitive argument
-# tuples straight to plan objects, skipping ConvShape construction and its
+# Front memo for the functional entry points: maps primitive argument
+# tuples straight to plan objects, skipping shape construction and its
 # (comparatively expensive) dataclass hashing on the steady-state path.
 # Entries only reference plans held by _PLAN_CACHE-style lookups; bounded
 # like the other caches and flushed by clear_plan_cache().
@@ -744,12 +741,12 @@ def _hashable(value):
     return tuple(value) if isinstance(value, list) else value
 
 
-def _plan_for_args(x_shape, w_shape, padding, stride, dilation, groups,
-                   fft_policy, strategy, backend,
+def _plan_for_args(shape_type, x_shape, w_shape, padding, stride, dilation,
+                   groups, fft_policy, strategy, backend,
                    layout="auto") -> PolyHankelPlan:
-    key = (x_shape, w_shape, _hashable(padding), _hashable(stride),
-           _hashable(dilation), groups, fft_policy, strategy, backend,
-           layout)
+    key = (shape_type, x_shape, w_shape, _hashable(padding),
+           _hashable(stride), _hashable(dilation), groups, fft_policy,
+           strategy, backend, layout)
     with _plan_lock:
         plan = _ARG_MEMO.get(key)
     if plan is not None:
@@ -757,8 +754,8 @@ def _plan_for_args(x_shape, w_shape, padding, stride, dilation, groups,
         # so the consolidated cache table reflects steady-state reuse.
         record_cache_event("conv_plan", hit=True)
         return plan
-    shape = ConvShape.from_tensors(x_shape, w_shape, padding, stride,
-                                   dilation, groups)
+    shape = shape_type.from_tensors(x_shape, w_shape, padding, stride,
+                                    dilation, groups)
     plan = get_plan(shape, fft_policy, strategy, backend, layout=layout)
     with _plan_lock:
         _ARG_MEMO[key] = plan
@@ -790,16 +787,32 @@ def conv2d_polyhankel(x: np.ndarray, weight: np.ndarray,
     x = ensure_array(x, "x", dtype=float)
     weight = ensure_array(weight, "weight", dtype=float)
     check_conv_inputs(x, weight, padding, stride, dilation, groups)
-    plan = _plan_for_args(x.shape, weight.shape, padding, stride, dilation,
-                          groups, fft_policy, strategy, backend, layout)
-    shape = plan.shape
-    out = plan.execute(x, plan.weight_spectrum(weight), workers=workers,
-                       check=False)
+    out = run_polyhankel(ConvShape, x, weight, padding, stride, dilation,
+                         groups, fft_policy, strategy, backend, layout,
+                         workers)
     if bias is not None:
         bias = ensure_array(bias, "bias", ndim=1)
-        if len(bias) != shape.f:
+        if len(bias) != out.shape[1]:
             raise ValueError(
-                f"bias must have {shape.f} entries, got {len(bias)}"
+                f"bias must have {out.shape[1]} entries, got {len(bias)}"
             )
         out = out + bias[None, :, None, None]
     return out
+
+
+def run_polyhankel(shape_type, x: np.ndarray, weight: np.ndarray,
+                   padding, stride, dilation, groups: int,
+                   fft_policy: FftPolicy = "auto",
+                   strategy: ChannelStrategy = "sum",
+                   backend: str | None = None,
+                   layout: SpectrumLayout = "auto",
+                   workers: int | None = None) -> np.ndarray:
+    """One forward pass of float arrays *x* and *weight* through the
+    cached plan of their problem, described as a *shape_type*
+    (:class:`ConvShape` or :class:`ConvShapeNd`) — the tail every
+    PolyHankel front door shares."""
+    plan = _plan_for_args(shape_type, x.shape, weight.shape, padding,
+                          stride, dilation, groups, fft_policy, strategy,
+                          backend, layout)
+    return plan.execute(x, plan.weight_spectrum(weight), workers=workers,
+                        check=False)

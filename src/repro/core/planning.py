@@ -61,21 +61,13 @@ class PlanSpec:
     strategy: str
     backend: str | None
     layout: SpectrumLayout = "auto"
-    #: Spatial rank of the problem.  Rank 2 resolves against the full 2D
-    #: engine (spectrum cache, packed layouts); other ranks resolve
-    #: against the light N-D plan cache, where *shape* is a ConvShapeNd.
-    ndim: int = 2
 
     def resolve(self):
         """The (cached) live plan for this spec in *this* process."""
-        if self.ndim == 2:
-            from repro.core.multichannel import get_plan
+        from repro.core.multichannel import get_plan
 
-            return get_plan(self.shape, self.fft_policy, self.strategy,
-                            self.backend, layout=self.layout)
-        from repro.core.ndim import get_plan_nd
-
-        return get_plan_nd(self.shape, self.fft_policy, self.backend)
+        return get_plan(self.shape, self.fft_policy, self.strategy,
+                        self.backend, layout=self.layout)
 
 
 def resolve_fft_policy(policy: FftPolicy,

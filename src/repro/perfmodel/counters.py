@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from repro.baselines.registry import ConvAlgorithm
 from repro.core.planning import plan_fft_size
-from repro.utils.shapes import ConvShape, ConvShapeNd
+from repro.utils.shapes import ConvShape
 
 FLOAT_BYTES = 4
 COMPLEX_BYTES = 8
@@ -480,50 +480,6 @@ def count_polyhankel(shape: ConvShape, packed: bool = False) -> CounterReport:
                                      + extra / 2)),
     )
     workspace = (b * c + b * f) * blocks * bins * COMPLEX_BYTES
-    return CounterReport(ConvAlgorithm.POLYHANKEL, shape, stages,
-                         workspace_bytes=workspace)
-
-
-def count_polyhankel_nd(shape: ConvShapeNd) -> CounterReport:
-    """PolyHankel through the rank-generic single-block plan.
-
-    The N-D engine (:mod:`repro.core.ndim`) runs one full-length FFT per
-    (image, channel) row — no overlap-save streaming — so the model is the
-    2D one with ``blocks = 1`` and ``nfft`` sized by the row-major product
-    polynomial length ``poly_product_len`` instead of the per-block cost
-    optimum.  Stages mirror ``NdPlan.execute``: per-channel forward FFTs,
-    the grouped frequency-domain channel contraction, one inverse FFT per
-    (image, filter), then the Eq. 12-style gather.
-    """
-    b, c, f = shape.n, shape.c, shape.f
-    nfft = plan_fft_size(shape.poly_product_len, "pow2")
-    bins = nfft // 2 + 1
-    passes = fft_passes(nfft)
-    extra = (passes - 1) * 2 * bins * COMPLEX_BYTES
-    input_elems = math.prod(shape.extents)
-    stages = (
-        Stage("input_ffts", "fft",
-              flops=b * c * _rfft_flops(nfft),
-              bytes_read=b * c * (input_elems * FLOAT_BYTES + extra / 2),
-              bytes_written=b * c * (bins * COMPLEX_BYTES + extra / 2)),
-        Stage("kernel_ffts", "fft",
-              flops=f * shape.group_channels * _rfft_flops(nfft),
-              bytes_read=f * shape.group_channels
-              * shape.kernel_elems * FLOAT_BYTES,
-              bytes_written=f * shape.group_channels
-              * bins * COMPLEX_BYTES * passes),
-        Stage("pointwise_channel_sum", "cgemm",
-              flops=8.0 * b * f * shape.group_channels * bins,
-              bytes_read=(b * c + f * shape.group_channels)
-              * bins * COMPLEX_BYTES,
-              bytes_written=b * f * bins * COMPLEX_BYTES),
-        Stage("ifft_gather", "fft",
-              flops=b * f * _rfft_flops(nfft),
-              bytes_read=b * f * (bins * COMPLEX_BYTES + extra / 2),
-              bytes_written=b * f * (shape.output_elems * FLOAT_BYTES
-                                     + extra / 2)),
-    )
-    workspace = (b * c + b * f) * bins * COMPLEX_BYTES
     return CounterReport(ConvAlgorithm.POLYHANKEL, shape, stages,
                          workspace_bytes=workspace)
 

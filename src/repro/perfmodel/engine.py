@@ -5,10 +5,12 @@
 engine in this repo exactly: for one cached steady-state
 ``PolyHankelPlan.execute`` call it predicts the FFT invocation counters
 the observe registry will measure (``fft_calls`` / ``fft_rows`` /
-``by_kind``), per spectrum layout.  ``repro bench --check`` gates the
-measured counters against a recorded baseline; the predictor is the
-closed-form statement of what those numbers *must* be, so tests can pin
-the gate's expectations instead of copying magic constants:
+``by_kind``), per spectrum layout — for a ``ConvShape`` and a
+``ConvShapeNd`` alike, since the plan is rank-generic.  ``repro bench
+--check`` gates the measured counters against a recorded baseline; the
+predictor is the closed-form statement of what those numbers *must* be,
+so tests can pin the gate's expectations instead of copying magic
+constants:
 
 =============  ======================================================
 layout         forward / inverse invocations (sum strategy)
@@ -31,16 +33,13 @@ memory/compute lower bound a measured steady-state call achieves.
 
 from __future__ import annotations
 
-from repro.perfmodel.counters import (
-    count_polyhankel,
-    count_polyhankel_nd,
-    packed_fft_rows,
-)
+from repro.perfmodel.counters import count_polyhankel, packed_fft_rows
 from repro.perfmodel.device import cpu_roofline_seconds
 from repro.utils.shapes import ConvShape, ConvShapeNd
 
 
-def predict_fft_counters(shape: ConvShape, strategy: str = "sum",
+def predict_fft_counters(shape: ConvShape | ConvShapeNd,
+                         strategy: str = "sum",
                          layout: str = "planar") -> dict:
     """Counters of one cached steady-state engine call.
 
@@ -82,7 +81,8 @@ def predict_fft_counters(shape: ConvShape, strategy: str = "sum",
     }
 
 
-def predicted_call_ms(shape: ConvShape, layout: str = "planar") -> float:
+def predicted_call_ms(shape: ConvShape | ConvShapeNd,
+                      layout: str = "planar") -> float:
     """CPU-roofline lower bound (ms) for one cached steady-state call.
 
     Sums the per-stage ``max(compute wall, memory wall)`` times of the
@@ -97,53 +97,9 @@ def predicted_call_ms(shape: ConvShape, layout: str = "planar") -> float:
     )
 
 
-def roofline_pct(shape: ConvShape, measured_ms: float,
+def roofline_pct(shape: ConvShape | ConvShapeNd, measured_ms: float,
                  layout: str = "planar") -> float | None:
     """Percent of the CPU roofline bound one measured call achieves."""
     if not measured_ms or measured_ms <= 0:
         return None
     return 100.0 * predicted_call_ms(shape, layout) / measured_ms
-
-
-# ---------------------------------------------------------------------------
-# Rank-generic engine (repro.core.ndim)
-# ---------------------------------------------------------------------------
-
-def predict_fft_counters_nd(shape: ConvShapeNd) -> dict:
-    """Counters of one cached steady-state ``NdPlan.execute`` call.
-
-    The N-D plan always runs planar full-length transforms, and — unlike
-    the rank-2 engine — re-transforms the weights on every call (no
-    spectrum cache, by design): one ``rfft`` of ``f * c/groups`` kernel
-    rows, one ``rfft`` of ``n*c`` input rows, one ``irfft`` of ``n*f``
-    output rows.  (The 1D op never reaches this path — it is lowered onto
-    the 2D engine, so its counters follow :func:`predict_fft_counters` on
-    the lifted shape.)
-    """
-    kernel_rows = shape.f * shape.group_channels
-    return {
-        "fft_calls": 3,
-        "fft_rows": kernel_rows + shape.n * (shape.c + shape.f),
-        "by_kind": {"irfft": 1, "rfft": 2},
-    }
-
-
-def predicted_call_ms_nd(shape: ConvShapeNd) -> float:
-    """CPU-roofline lower bound (ms) for one cached N-D plan call.
-
-    Same normalization as :func:`predicted_call_ms`: the weight transform
-    stage is skipped because the spectrum cache amortizes it away.
-    """
-    report = count_polyhankel_nd(shape)
-    return 1e3 * sum(
-        cpu_roofline_seconds(s.flops, s.bytes_moved)
-        for s in report.stages if s.name != "kernel_ffts"
-    )
-
-
-def roofline_pct_nd(shape: ConvShapeNd,
-                    measured_ms: float) -> float | None:
-    """Percent of the N-D roofline bound one measured call achieves."""
-    if not measured_ms or measured_ms <= 0:
-        return None
-    return 100.0 * predicted_call_ms_nd(shape) / measured_ms

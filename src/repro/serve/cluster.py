@@ -77,7 +77,6 @@ def _reinit_locks_in_child() -> None:
     to release them) is safe.
     """
     import repro.core.multichannel as mc
-    import repro.core.ndim as ndim
     import repro.fft.plan as fft_plan
     from repro.guard import faults
     from repro.observe import registry
@@ -85,8 +84,6 @@ def _reinit_locks_in_child() -> None:
     mc._plan_lock = threading.Lock()
     mc._spectrum_lock = threading.Lock()
     mc._pool_lock = threading.Lock()
-    ndim._ND_PLAN_LOCK = threading.Lock()
-    ndim._LIFT_LOCK = threading.Lock()
     fft_plan._lock = threading.Lock()
     faults._stack_lock = threading.Lock()
     registry.counters.reset_unsafe()
@@ -102,13 +99,11 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch - posix only
 def _fresh_worker_state() -> None:
     """Drop every inherited cache so the replica owns its warm state."""
     from repro.core import multichannel as mc
-    from repro.core.ndim import clear_ndplan_cache
     from repro.fft.plan import clear_fft_plan_cache
     from repro.observe import registry
 
     mc.clear_plan_cache()
     mc.clear_spectrum_cache()
-    clear_ndplan_cache()
     clear_fft_plan_cache()
     registry.counters.reset_unsafe()
     from repro.selection import bandit as selection_bandit

@@ -620,16 +620,19 @@ class ClusterServer:
 
     def _plan_spec(self, key: CoalesceKey, x: np.ndarray,
                    weight: np.ndarray):
-        """The family's PlanSpec, for worker-side plan rehydration."""
-        if key.op != "conv2d" or key.algorithm != "polyhankel":
+        """The family's PlanSpec, for worker-side plan rehydration.
+
+        Every forward PolyHankel op has one (its plan is rank-generic); a
+        transposed op runs its adjoint problem and warms on first use.
+        """
+        if key.op == "conv_transpose2d" or key.algorithm != "polyhankel":
             return None
         try:
+            from repro.baselines.registry import op_shape
             from repro.core.planning import PlanSpec
-            from repro.utils.shapes import ConvShape
 
-            shape = ConvShape.from_tensors(
-                x.shape, weight.shape, key.padding, key.stride,
-                key.dilation, key.groups)
+            shape = op_shape(key.op, x.shape, weight.shape, key.padding,
+                             key.stride, key.dilation, key.groups)
             return PlanSpec(shape, "auto", key.strategy, key.backend)
         except Exception:
             return None

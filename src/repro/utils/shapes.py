@@ -397,6 +397,42 @@ class ConvShape:
         """Linear-convolution length of A(t) * U(t)."""
         return self.poly_input_len + self.poly_kernel_len - 1
 
+    # -- the rank-generic names of ConvShapeNd -------------------------------
+
+    @property
+    def extents(self) -> tuple[int, int]:
+        return self.ih, self.iw
+
+    @property
+    def kernel(self) -> tuple[int, int]:
+        return self.kh, self.kw
+
+    @property
+    def stride_nd(self) -> tuple[int, int]:
+        return self.stride_hw
+
+    @property
+    def dilation_nd(self) -> tuple[int, int]:
+        return self.dilation_hw
+
+    @property
+    def pad_pairs(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        pt, pb, pl, pr = self.pad_tblr
+        return (pt, pb), (pl, pr)
+
+    @property
+    def padded_extents(self) -> tuple[int, int]:
+        return self.padded_ih, self.padded_iw
+
+    @property
+    def out_extents(self) -> tuple[int, int]:
+        return self.oh, self.ow
+
+    @property
+    def poly_strides(self) -> tuple[int, int]:
+        """Row-major degree strides over the padded plane (Eq. 10)."""
+        return self.padded_iw, 1
+
     # -- convenience ---------------------------------------------------------
 
     def with_(self, **kwargs) -> "ConvShape":

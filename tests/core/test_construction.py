@@ -137,3 +137,26 @@ class TestPolynomialLengths:
         assert len_a == shape.poly_input_len
         assert len_u == shape.poly_kernel_len
         assert linear == len_a + len_u - 1
+
+
+class TestRankGenericDegrees:
+    """The engine's rank-generic tap degrees and gather indices equal the
+    2D degree map (Eqs. 11-12) on every rank-2 geometry."""
+
+    def test_match_the_2d_degree_map(self):
+        import itertools
+
+        from repro.core.construction import tap_degrees
+        from repro.core.degree_map import kernel_degrees, output_degrees
+
+        for p, s, d in itertools.product([0, 1, (0, 1, 2, 1)],
+                                         [1, 2, (2, 1)], [1, (1, 2)]):
+            shape = ConvShape(ih=7, iw=9, kh=3, kw=2, padding=p, stride=s,
+                              dilation=d)
+            np.testing.assert_array_equal(
+                tap_degrees(shape),
+                kernel_degrees(3, 2, shape.padded_iw, shape.dilation_hw))
+            np.testing.assert_array_equal(
+                output_gather_indices(shape),
+                output_degrees(shape.oh, shape.ow, shape.padded_iw, 3, 2,
+                               shape.stride_hw, shape.dilation_hw))

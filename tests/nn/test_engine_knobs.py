@@ -8,7 +8,6 @@ knob that route cannot take fails loudly instead of being ignored.
 import numpy as np
 import pytest
 
-from repro.baselines.registry import convolve
 from repro.nn import functional as F
 
 RNG = np.random.default_rng(0)
@@ -34,8 +33,7 @@ CALLS = {
                                                            workers=2),
     "conv_transpose2d-naive-workers": lambda: F.conv_transpose2d(
         X2, W2, algorithm="naive", workers=2),
-    "convolve-conv3d-workers": lambda: convolve(X3, W3, "polyhankel",
-                                                workers=2),
+    "conv3d-bogus-layout": lambda: F.conv3d(X3, W3, layout="bogus"),
 }
 
 
@@ -48,5 +46,10 @@ def test_a_knob_the_route_cannot_take_raises(name):
 def test_a_knob_the_route_takes_still_runs():
     want = F.conv3d(X3, W3)
     assert np.array_equal(F.conv3d(X3, W3, backend="numpy"), want)
+    assert np.array_equal(F.conv3d(X3, W3, workers=2), want)
+    np.testing.assert_allclose(F.conv3d(X3, W3, strategy="merge"), want,
+                               atol=1e-12)
+    np.testing.assert_allclose(F.conv3d(X3, W3, layout="interleaved"),
+                               want, atol=1e-12)
     np.testing.assert_allclose(F.conv1d(X1, W1, strategy="merge"),
                                F.conv1d(X1, W1), atol=1e-12)

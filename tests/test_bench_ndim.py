@@ -2,10 +2,10 @@
 
 The slow ``--smoke`` bench already asserts measured-vs-predicted counters
 for every ND preset; this module keeps the load-bearing piece of that
-gate in tier-1 with tiny shapes: the 1D lowering's steady-state FFT rows
-must match the packed 2D counter expression under *both* spectrum
-layouts, and the 3D plan's call structure must match the closed-form
-rank-generic predictor.
+gate in tier-1 with tiny shapes: the 1D op's steady-state FFT rows
+must match the packed 2D counter expression of its ``1 x L`` lift under
+*both* spectrum layouts, and the 3D plan's call structure must match the
+same closed-form predictor.
 """
 
 import numpy as np
@@ -13,17 +13,10 @@ import pytest
 
 from repro.baselines.ndops import lift_1d_shape
 from repro.core import multichannel as mc
-from repro.core.ndim import (
-    clear_ndplan_cache,
-    conv1d_polyhankel,
-    conv3d_polyhankel,
-)
+from repro.core.ndim import conv1d_polyhankel, conv3d_polyhankel
 from repro.observe import tracing
 from repro.observe.registry import counters, fft_call_totals
-from repro.perfmodel.engine import (
-    predict_fft_counters,
-    predict_fft_counters_nd,
-)
+from repro.perfmodel.engine import predict_fft_counters
 from repro.utils.shapes import ConvShapeNd
 
 
@@ -77,16 +70,18 @@ def test_conv1d_strided_grouped_rows_match():
 
 
 def test_conv3d_call_structure_matches_nd_predictor():
-    """The rank-3 plan transforms the kernel every call (no spectrum
-    cache by design) — exactly the 3-call structure the nd predictor
-    encodes."""
+    """The rank-3 problem runs the one plan, so a warm call hits the
+    spectrum cache and re-transforms only the activations — the call
+    structure the plan's predictor encodes."""
     rng = np.random.default_rng(7)
     x = rng.standard_normal((2, 3, 6, 8, 7))
     w = rng.standard_normal((4, 3, 2, 3, 2))
     params = dict(padding=1, stride=1, dilation=1, groups=1)
 
-    clear_ndplan_cache()
+    mc.clear_plan_cache()
+    mc.clear_spectrum_cache()
     got = _trace_counters(lambda: conv3d_polyhankel(x, w, **params))
 
     shape = ConvShapeNd.from_tensors(x.shape, w.shape, **params)
-    assert got == predict_fft_counters_nd(shape)
+    assert got == predict_fft_counters(shape, "sum",
+                                       mc.get_plan(shape).layout)
