@@ -33,13 +33,13 @@ def test_padding_overhead_by_policy(benchmark, record_result):
         rows = []
         for size in (24, 48, 96, 144, 224):
             shape = SHAPE.with_(ih=size, iw=size)
-            need = shape.poly_product_len
+            need = shape.poly_input_len   # the cyclic transform bound
             rows.append((size, need,
                          {p: plan_fft_size(need, p) for p in POLICIES}))
         return rows
 
     rows = benchmark.pedantic(overheads, rounds=1, iterations=1)
-    lines = ["size  linear_len  " + "  ".join(POLICIES)]
+    lines = ["size  cyclic_len  " + "  ".join(POLICIES)]
     for size, need, sizes in rows:
         lines.append(f"{size:<5} {need:<10} "
                      + "  ".join(str(sizes[p]) for p in POLICIES))

@@ -208,7 +208,7 @@ def run_nd_case(case: NdBenchCase, repeats: int = 25) -> dict:
     shape = op_shape(op, case.x_shape, case.w_shape,
                      output_padding=case.output_padding, **params)
     layout = mc.get_plan(shape).layout
-    pct = roofline_pct(shape, cached_ms, layout)
+    pct = roofline_pct(shape, cached_ms)
     predicted = None if op is ConvOp.CONV_TRANSPOSE2D \
         else predict_fft_counters(shape, "sum", layout)
     if predicted is not None:
@@ -493,9 +493,8 @@ def run_case(case: BenchCase, repeats: int = 25,
     ms = {path: round(t, 4) for path, t in
           _time_interleaved(fns, repeats).items()}
     # Percent of the CPU roofline lower bound the warm call achieves
-    # (schema v4): predicted from the packed/unpacked cost model for the
-    # plan's resolved spectrum layout.
-    pct = roofline_pct(shape, ms["cached"], plan.layout)
+    # (schema v4), predicted from the PolyHankel cost model.
+    pct = roofline_pct(shape, ms["cached"])
 
     return {
         "name": case.name,

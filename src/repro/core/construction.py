@@ -198,11 +198,15 @@ def merged_output_gather_indices(shape: ConvShape) -> np.ndarray:
 
 
 def polynomial_lengths(shape: ConvShape) -> tuple[int, int, int]:
-    """(len A, len U, required linear-convolution length) for *shape*.
+    """(len A, len U, minimum transform length) for *shape*.
 
-    These drive FFT size planning; the linear length is what the FFT size
-    must meet or exceed for the circular product to equal the linear one.
+    These drive FFT size planning.  Eq. 12 reads only degrees ``M ...
+    len A - 1`` of the product, where ``M = len U - 1``.  A cyclic product
+    of length ``L >= len A`` wraps the overflow degrees ``L ... len A +
+    M - 1`` onto ``0 ... len A + M - 1 - L``, all below ``M``, so every
+    gathered degree equals the linear product's: ``len A`` (not the
+    linear length ``len A + len U - 1``) is the transform-length bound.
     """
     len_a = shape.poly_input_len
     len_u = shape.poly_kernel_len
-    return len_a, len_u, len_a + len_u - 1
+    return len_a, len_u, len_a

@@ -50,7 +50,6 @@ from repro.core.planning import (
     resolve_fft_policy,
     select_spectrum_layout,
 )
-from repro.fft import packed as _packed
 from repro.fft.plan import CacheInfo
 from repro.guard import faults as _faults
 from repro.guard.checksum import array_checksum, verify_checksum
@@ -144,15 +143,9 @@ class PolyHankelPlan:
         self.fft_policy = resolve_fft_policy(self.fft_policy, self.backend)
         self.layout = select_spectrum_layout(self.shape, self.strategy,
                                              self.fft_policy, self.layout)
-        len_a, len_u, linear_len = polynomial_lengths(self.shape)
+        len_a, len_u, transform_len = polynomial_lengths(self.shape)
         if self.strategy == "sum":
-            self.nfft = plan_fft_size(linear_len, self.fft_policy)
-            if self.layout == "interleaved" and self.fft_policy == "smooth7":
-                # The fused path's runtime is dominated by batched *complex*
-                # transforms, where pocketfft's radix-4/8 kernels make
-                # binary-rich sizes faster per point than the minimal
-                # 7-smooth length (e.g. 1280 beats 1250 by ~20%).
-                self.nfft = _fft.next_fast_len_bias2(linear_len)
+            self.nfft = plan_fft_size(transform_len, self.fft_policy)
             self.gather = output_gather_indices(self.shape)
         else:
             # Channels merge *within* a group; each group is an independent
@@ -215,9 +208,8 @@ class PolyHankelPlan:
 
         Returns ``(f, c, nfft//2 + 1)`` for the ``sum`` strategy with the
         planar layout, ``(f, nfft//2 + 1)`` for ``merge``.  The
-        interleaved layout instead returns the bins-major packed operand
-        ``(g, bins, f_per, c_per)`` of
-        :func:`repro.fft.packed.pack_weight_operand`, ready for the fused
+        interleaved layout instead returns the same spectra bins-major as
+        ``(g, bins, f_per, c_per)``, the left operand of the fused
         pointwise matmul.  Always recomputes; the cached entry point is
         :meth:`weight_spectrum`.
         """
@@ -235,9 +227,9 @@ class PolyHankelPlan:
                 w_hat = fft.rfft(stack, self.nfft)
                 if self.layout == "interleaved":
                     shape = self.shape
-                    return _packed.pack_weight_operand(w_hat.reshape(
+                    return np.ascontiguousarray(w_hat.reshape(
                         shape.groups, shape.group_filters,
-                        shape.group_channels, self.bins))
+                        shape.group_channels, self.bins).transpose(0, 3, 1, 2))
                 return w_hat
             merged = scatter_merged_stack(weight, self._taps)
             return fft.rfft(merged, self.nfft)
@@ -305,9 +297,7 @@ class PolyHankelPlan:
         (see ``_SPLIT_MIN_WORK``) the request runs sequentially anyway,
         because thread wake-up would cost more than the chunks save.
         When the batch does split, the result is bit-identical to the
-        sequential path: every pipeline stage is row-independent, and the
-        fused interleaved path pairs channels/filters *within* each image,
-        so batch chunk boundaries never cut through a packed pair.
+        sequential path: every pipeline stage is row-independent.
         ``check=False`` skips input validation for callers (the functional
         wrapper, layers) that have already performed it.
         """
@@ -330,9 +320,9 @@ class PolyHankelPlan:
             if sequential and self.layout == "interleaved" \
                     and not _faults._STACK:
                 # The fused path stages the raw input straight into its
-                # packed complex block (the zero padding border lives in
-                # the block's call-invariant zero tail/border), skipping
-                # the separate padded-copy pass entirely.
+                # transform block (the zero padding border lives in the
+                # block's call-invariant zero tail/border), skipping the
+                # separate padded-copy pass entirely.
                 return self._execute_fused(x, weight_hat, fft, reuse,
                                            raw=True)
             xp = self._pad_input(x, reuse)
@@ -434,50 +424,43 @@ class PolyHankelPlan:
     def _execute_fused(self, xp: np.ndarray, weight_hat: np.ndarray,
                        fft, reuse: bool = False,
                        raw: bool = False) -> np.ndarray:
-        """The interleaved-layout pipeline: packed one-pass transforms and
-        a single bins-major matmul for the pointwise channel sum.
+        """The interleaved-layout pipeline: one batched real transform each
+        way around a single bins-major matmul for the pointwise channel sum.
 
         Stages, for one (sub-)batch of padded inputs ``(n_block, c,
-        *padded_extents)`` against the packed weight operand ``(g, bins,
-        f_per, c_per)`` of :meth:`transform_weight`:
+        *padded_extents)`` against the bins-major weight operand ``(g,
+        bins, f_per, c_per)`` of :meth:`transform_weight`:
 
-        1. fold channel pairs of every (image, group) into complex rows
-           and run **one** batched complex FFT over all of them (an odd
-           ``c_per`` sends its last channel through one batched rfft);
-        2. stage the packed half-spectra and their conjugate-reversed
-           images as the bins-major column block ``A`` of shape ``(g,
-           bins, c_per, n)`` — with the weight operand's matching slot
-           order, ``W @ A`` *is* the pointwise multiply + cross-channel
-           sum (see :func:`repro.fft.packed.pack_weight_operand`), one
-           BLAS-shaped contraction instead of a multiply-then-reduce pair;
-        3. fold output-filter pairs of the resulting half-spectra and run
-           one batched inverse complex FFT, whose real/imag parts are the
-           two filters' products (odd ``f_per``: one batched irfft).
+        1. stage every input channel into a zeroed real ``(n, c, nfft)``
+           block and run **one** batched rfft over it;
+        2. copy the half-spectra once into the bins-major column block
+           ``A`` of shape ``(g, bins, c_per, n)``, so that ``W @ A`` *is*
+           the pointwise multiply + cross-channel sum — one BLAS-shaped
+           contraction instead of a multiply-then-reduce pair;
+        3. copy the product once back to ``(n, g, f_per, bins)`` and run
+           **one** batched irfft over it.
 
-        Packing pairs rows strictly *within* an (image, group) block, so
-        chunking the batch for ``workers=N`` never splits a pair and the
-        chunked result stays bit-identical.
+        Every stage is independent per image, so chunking the batch for
+        ``workers=N`` leaves the result bit-identical.
 
         With ``raw=True``, *xp* is the **unpadded** input and the padding
-        border is realised inside the packed block itself: the block is
+        border is realised inside the transform block itself: the block is
         allocated zeroed, only the per-image interior windows are
         rewritten each call, and (like the planar path's ``xp`` scratch)
-        the border and zero-padding tail are never dirtied — so the
-        separate padded-copy pass disappears from the pipeline.  The raw
-        route is bit-identical to the padded one.
+        the border and zero tail are never dirtied — so the separate
+        padded-copy pass disappears from the pipeline.  The raw route is
+        bit-identical to the padded one.
         """
         shape = self.shape
         n = xp.shape[0]
         g, c_per, f_per = shape.groups, shape.group_channels, \
             shape.group_filters
         bins, nfft = self.bins, self.nfft
-        c_pairs = c_per // 2
-        f_pairs, f_odd = f_per // 2, f_per % 2
 
         def buf(name: str, shp: tuple, dtype, zero: bool = False):
             # Fused-path scratch: like the planar buffers, reuse is safe
             # because every consumed element is rewritten per call — the
-            # one exception is fused_z's zero padding tail, which is
+            # one exception is fused_x's zero border and tail, which are
             # written once at allocation and never dirtied.
             if reuse:
                 b = self._scratch.get(name)
@@ -487,46 +470,22 @@ class PolyHankelPlan:
                 return b
             return (np.zeros if zero else np.empty)(shp, dtype=dtype)
 
-        def stage(dest, rows):
-            # Write *rows* (a channel slice of the input) into the length-
-            # ``poly_input_len`` head of *dest*'s last axis, viewed as the
-            # padded input.  ``raw``: scatter just the interior window (the
-            # padding border is part of dest's call-invariant zero state);
-            # otherwise copy the pre-padded inputs wholesale.
-            step = dest.strides[-1]
-            view = np.lib.stride_tricks.as_strided(
-                dest, dest.shape[:-1] + self._padded_extents,
-                dest.strides[:-1] + tuple(s * step
-                                          for s in self._poly_strides))
-            view[self._interior if raw else Ellipsis] = rows
-
-        src = xp.reshape(n, g, c_per, *xp.shape[2:])
         with span("stage.input_fft", n=nfft, rows=n * shape.c,
                   layout="interleaved", bytes=xp.nbytes):
-            z_hat = rest_hat = None
-            if c_pairs:
-                z = buf("fused_z", (n, g, c_pairs, nfft), complex,
-                        zero=True)
-                stage(z.real, src[:, :, 0: 2 * c_pairs: 2])
-                stage(z.imag, src[:, :, 1: 2 * c_pairs: 2])
-                z_hat = fft.fft(z)
-            if c_per % 2:
-                rest = buf("fused_rest", (n, g, 1, nfft), float, zero=True)
-                stage(rest, src[:, :, 2 * c_pairs:])
-                rest_hat = fft.rfft(rest, nfft)
-
-        # Bins-major packed column block [Zh | conj-reversed Zh | odd
-        # leftover]: one contiguous buffer so the fused matmul runs on
-        # BLAS-friendly strides.
-        cols = buf("fused_cols", (g, bins, c_per, n), complex)
-        if c_pairs:
-            cols[:, :, :c_pairs] = z_hat[..., :bins].transpose(1, 3, 2, 0)
-            rev = cols[:, :, c_pairs: 2 * c_pairs]
-            np.conjugate(z_hat[..., 0].transpose(1, 2, 0), out=rev[:, 0])
-            np.conjugate(z_hat[..., : nfft - bins: -1].transpose(1, 3, 2, 0),
-                         out=rev[:, 1:])
-        if rest_hat is not None:
-            cols[:, :, -1] = rest_hat[..., 0, :].transpose(1, 2, 0)
+            block = buf("fused_x", (n, shape.c, nfft), float, zero=True)
+            # The head of each row, viewed as the padded input.  ``raw``:
+            # scatter just the interior window (the padding border is part
+            # of the block's call-invariant zero state); otherwise copy
+            # the pre-padded inputs wholesale.
+            step = block.strides[-1]
+            view = np.lib.stride_tricks.as_strided(
+                block, block.shape[:-1] + self._padded_extents,
+                block.strides[:-1] + tuple(s * step
+                                           for s in self._poly_strides))
+            view[self._interior if raw else Ellipsis] = xp
+            x_hat = fft.rfft(block, nfft)                # (n, c, bins)
+            cols = buf("fused_cols", (g, bins, c_per, n), complex)
+            cols[...] = x_hat.reshape(n, g, c_per, bins).transpose(1, 3, 2, 0)
 
         target = buf("fused_out", (g, bins, f_per, n), complex)
         with span("stage.pointwise", strategy="sum", layout="interleaved",
@@ -535,27 +494,9 @@ class PolyHankelPlan:
 
         with span("stage.inverse_fft", n=nfft, rows=n * shape.f,
                   layout="interleaved", bytes=out_hat.nbytes):
-            product = buf("fused_prod", (n, g, f_per, nfft), float)
-            if f_pairs:
-                # Inverse pair fold, algebra as repro.fft.packed.
-                # fold_half_spectra but staged through scratch with the
-                # P/Q form: head bins P = E + iO, tail bins conj-reversed
-                # Q = E - iO — one reversal pass instead of two.
-                even = out_hat[:, :, 0: 2 * f_pairs: 2]  # (g, bins, fp, n)
-                odd = out_hat[:, :, 1: 2 * f_pairs: 2]
-                tmp = buf("fused_pq", (g, bins, f_pairs, n), complex)
-                np.multiply(odd, 1j, out=tmp)
-                gbuf = buf("fused_gin", (n, g, f_pairs, nfft), complex)
-                np.add(even, tmp, out=gbuf[..., :bins].transpose(1, 3, 2, 0))
-                np.subtract(even, tmp, out=tmp)          # Q = E - iO
-                np.conjugate(tmp[:, nfft - bins: 0: -1],
-                             out=gbuf[..., bins:].transpose(1, 3, 2, 0))
-                y = fft.ifft(gbuf)
-                product[..., 0: 2 * f_pairs: 2, :] = y.real
-                product[..., 1: 2 * f_pairs: 2, :] = y.imag
-            if f_odd:
-                product[..., -1:, :] = fft.irfft(
-                    out_hat[:, :, -1].transpose(2, 0, 1)[..., None, :], nfft)
+            spec = buf("fused_spec", (n, g, f_per, bins), complex)
+            spec[...] = out_hat.transpose(3, 0, 2, 1)
+            product = fft.irfft(spec, nfft)              # (n, g, f_per, nfft)
         return self._gather_output(product.reshape(n, shape.f, nfft))
 
     def _gather_output(self, product: np.ndarray) -> np.ndarray:

@@ -36,9 +36,9 @@ LAYOUTS: tuple[str, ...] = ("planar", "interleaved")
 
 #: Pointwise-work floor (``n * g * c_per * f_per * bins`` complex MACs)
 #: above which the interleaved layout's one batched bins-major matmul
-#: beats the planar einsum by enough to also pay for its packing passes.
-#: Calibrated on the bench suite: the c16 preset (~640k) flips, every
-#: small case (and the mid-size strided/dilated presets, ~200-400k)
+#: beats the planar einsum by enough to also pay for its transpose passes.
+#: Calibrated on the bench suite: the c16 preset (~600k) flips, every
+#: small case (and the mid-size strided/dilated presets, under ~400k)
 #: stays planar where the einsum's lower fixed cost wins.
 INTERLEAVED_MIN_WORK = 500_000
 
@@ -95,9 +95,8 @@ def select_spectrum_layout(shape, strategy: str = "sum",
     - ``"interleaved"`` — bins-major ``(g, bins, rows, cols)``: every
       frequency bin's cross-channel slice is contiguous, so the fused
       pointwise-multiply + channel accumulate is **one** batched complex
-      matmul (BLAS-shaped) over the packed spectrum, and the inverse
-      staging consumes it with plain strided slices.  Wins once the
-      pointwise work dwarfs the packing passes.
+      matmul (BLAS-shaped), with one transpose copy on either side of
+      it.  Wins once the pointwise work dwarfs those copies.
 
     The rule: interleaved iff the strategy sums channels in frequency
     space, the per-group contraction is non-degenerate (at least two
@@ -120,8 +119,8 @@ def select_spectrum_layout(shape, strategy: str = "sum",
         return "planar"
     from repro.core.construction import polynomial_lengths
 
-    _, _, linear_len = polynomial_lengths(shape)
-    nfft = plan_fft_size(linear_len, resolve_fft_policy(fft_policy))
+    _, _, transform_len = polynomial_lengths(shape)
+    nfft = plan_fft_size(transform_len, resolve_fft_policy(fft_policy))
     bins = nfft // 2 + 1
     work = shape.n * shape.groups * c_per * f_per * bins
     return "interleaved" if work >= INTERLEAVED_MIN_WORK else "planar"

@@ -47,8 +47,8 @@ def conv2d_single(image: np.ndarray, kernel: np.ndarray, padding: int = 0,
 
     a_coeffs = input_polynomial(image, padding)        # len Ih*Iw (padded)
     u_coeffs = kernel_polynomial(kernel, shape.padded_iw)
-    _, _, linear_len = polynomial_lengths(shape)
-    nfft = plan_fft_size(linear_len, fft_policy)
+    _, _, transform_len = polynomial_lengths(shape)
+    nfft = plan_fft_size(transform_len, fft_policy)
 
     with _fft.use_backend(_fft.get_backend(backend)):
         with span("stage.input_fft", n=nfft, rows=1,

@@ -39,7 +39,6 @@ from repro.fft.sizes import (
     is_power_of_two,
     is_smooth,
     next_fast_len,
-    next_fast_len_bias2,
     next_pow2,
 )
 
@@ -53,7 +52,7 @@ __all__ = [
     "FftCallLog", "record_fft_calls",
     "FftPlan", "get_fft_plan", "fft_plan_cache_info",
     "set_fft_plan_cache_limit", "clear_fft_plan_cache",
-    "next_fast_len", "next_fast_len_bias2", "next_pow2", "is_smooth",
+    "next_fast_len", "next_pow2", "is_smooth",
     "is_power_of_two", "factorize",
 ]
 

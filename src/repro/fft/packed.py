@@ -19,17 +19,11 @@ per component), whose single inverse complex FFT returns row ``0`` in its
 real part and row ``1`` in its imaginary part.
 
 Everything here transforms along the **last** axis and pairs rows along
-the **second-to-last** axis, matching the engine's ``(..., rows, n)``
-stacking.  An odd row count leaves the final row unpaired; it runs through
-the ordinary half-spectrum transforms.  All entry points accept
+the **second-to-last** axis of a ``(..., rows, n)`` stack.  An odd row
+count leaves the final row unpaired; it runs through the ordinary
+half-spectrum transforms.  All entry points accept
 non-contiguous (strided) inputs — staging into the packed complex block is
 itself the one contiguous pass the batched transform needs.
-
-:func:`pack_weight_operand` builds the bins-major ("interleaved") weight
-operand that lets the pointwise-multiply + cross-channel accumulate run as
-a single batched matmul over the *packed* spectrum block — see
-``repro.core.multichannel`` for the consuming pipeline and DESIGN.md
-("Spectrum layout & fusion") for the algebra.
 """
 
 from __future__ import annotations
@@ -197,44 +191,4 @@ def packed_irfft(spec: np.ndarray, n: int | None = None,
         out[..., 1: 2 * pairs: 2, :] = y.imag
     if rows % 2:
         out[..., -1:, :] = backend.irfft(spec[..., -1:, :], n)
-    return out
-
-
-def pack_weight_operand(w_hat: np.ndarray) -> np.ndarray:
-    """Bins-major packed weight operand for the fused pointwise matmul.
-
-    *w_hat* holds unpacked kernel half-spectra ``(g, f_per, c_per, bins)``.
-    The returned operand ``(g, bins, f_per, c_per)`` is built so that with
-    the matching packed input column block the whole pointwise-multiply +
-    cross-channel sum is **one** contraction::
-
-        out[g, b, f, i] = sum_c  W[g, b, f, c] * A[g, b, c, i]
-
-    (weights on the left: with the batch dimension as the *narrow* matmul
-    extent, BLAS runs measurably faster than the mirrored ``A @ W``).
-    For a channel pair ``(2j, 2j+1)`` folded as ``Z = X_2j + 1j X_2j+1``:
-
-        X_2j W_2j + X_2j+1 W_2j+1
-            = Z[k] * (W_2j - 1j W_2j+1) / 2
-            + conj(Z[(N-k) mod N]) * (W_2j + 1j W_2j+1) / 2
-
-    so contraction slots ``0..P-1`` carry ``(W_2j - 1j W_2j+1)/2``
-    (multiplying the packed spectra), slots ``P..2P-1`` carry
-    ``(W_2j + 1j W_2j+1)/2`` (multiplying their conjugate-reversed
-    images), and an odd channel count appends the last channel's plain
-    spectrum as one final slot.  The contraction extent is always exactly
-    ``c_per`` — packing reshuffles the contraction, it never grows the
-    operand.
-    """
-    g, f_per, c_per, bins = w_hat.shape
-    pairs = c_per // 2
-    out = np.empty((g, bins, f_per, c_per), dtype=complex)
-    even = w_hat[:, :, 0: 2 * pairs: 2, :]   # (g, f_per, pairs, bins)
-    odd = w_hat[:, :, 1: 2 * pairs: 2, :]
-    out[:, :, :, :pairs] = \
-        (0.5 * (even - 1j * odd)).transpose(0, 3, 1, 2)
-    out[:, :, :, pairs: 2 * pairs] = \
-        (0.5 * (even + 1j * odd)).transpose(0, 3, 1, 2)
-    if c_per % 2:
-        out[:, :, :, -1] = w_hat[:, :, -1, :].transpose(0, 2, 1)
     return out

@@ -87,33 +87,6 @@ def next_fast_len(n: int,
     return best
 
 
-def next_fast_len_bias2(n: int, slack: float = 0.05,
-                        radices: tuple[int, ...] = DEFAULT_RADICES) -> int:
-    """Fastest-in-practice smooth length >= *n* for batched complex FFTs.
-
-    :func:`next_fast_len` minimizes the point count, but pocketfft's (and
-    cuFFT's) radix-4/8 kernels make binary-rich sizes measurably faster
-    *per point* than odd-radix-heavy ones of equal smoothness: 1280 =
-    ``2^8 * 5`` runs ~20% faster than 1250 = ``2 * 5^4`` despite being
-    2.4% longer.  This picks, among the smooth candidates within *slack*
-    above the minimal smooth length, the one with the largest power-of-two
-    factor (ties go to the smallest size).  Used by the fused interleaved
-    execution path, whose batched complex transforms dominate its runtime.
-
-    >>> next_fast_len_bias2(1250)
-    1280
-    >>> next_fast_len_bias2(97)
-    100
-    """
-    base = next_fast_len(n, radices)
-    best, best_v2 = base, (base & -base).bit_length() - 1
-    for m in range(base + 1, int(base * (1.0 + slack)) + 1):
-        v2 = (m & -m).bit_length() - 1
-        if v2 > best_v2 and is_smooth(m, radices):
-            best, best_v2 = m, v2
-    return best
-
-
 def factorize(n: int,
               radices: tuple[int, ...] = DEFAULT_RADICES) -> list[int]:
     """Factor *n* over *radices*, smallest factor first.

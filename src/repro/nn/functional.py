@@ -136,8 +136,8 @@ def conv1d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
     Same parameter space and dispatch rules as :func:`conv2d` (full
     stride/dilation/groups, ``"same"`` and asymmetric ``(lo, hi)``
     padding, any registered algorithm, guard-chain routing).  Internally
-    the sequence runs as a ``1 x L`` image through the cached 2D engine,
-    so 1D inherits the packed real-pair FFT pipeline.
+    the sequence runs through the same cached, rank-generic PolyHankel
+    plan as 2D, with the same bits as the ``1 x L`` conv2d.
     """
     return run_conv(x, weight, bias, padding, stride, dilation, groups,
                     algorithm, op="conv1d", **kwargs)

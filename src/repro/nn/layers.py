@@ -392,7 +392,8 @@ class Linear(Layer):
 
 
 class Conv1d(_ConvBase):
-    """1D convolution layer; runs through the 2D engine's packed FFTs."""
+    """1D convolution layer; runs through the rank-generic PolyHankel plan
+    the 2D layer uses."""
 
     _OP = "conv1d"
     _NDIM = 1

@@ -126,9 +126,7 @@ def profile_case(case, repeats: int = 10, warmup: int = 2,
     fft_calls = fft_call_totals()
 
     if case.algorithm == "polyhankel":
-        # The packed counter variant mirrors the interleaved layout's
-        # real-pair-packed transforms (same FLOPs, packed rows).
-        report = count_polyhankel(shape, packed=(layout == "interleaved"))
+        report = count_polyhankel(shape)
     else:
         model_algo = {"gemm": "gemm"}[case.algorithm]
         report = count(model_algo, shape)

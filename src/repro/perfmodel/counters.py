@@ -409,33 +409,12 @@ def polyhankel_block_size(shape: ConvShape) -> int:
     return best
 
 
-def packed_fft_rows(rows: int) -> tuple[int, int]:
-    """``(complex_rows, leftover_real_rows)`` after real-pair packing.
-
-    Packing folds adjacent real rows in pairs into one complex transform
-    each — halving the row count for even *rows*; an odd count leaves one
-    final row on the ordinary real transform.  This is the exact rule the
-    engine's interleaved layout follows (``repro.fft.packed``), exposed
-    here so counter expressions and gates share one definition.
-    """
-    return rows // 2, rows % 2
-
-
-def count_polyhankel(shape: ConvShape, packed: bool = False) -> CounterReport:
+def count_polyhankel(shape: ConvShape) -> CounterReport:
     """PolyHankel with overlap-save streaming (Table 2/3 row 4).
 
     One pass over the un-expanded input: per-channel forward block FFTs,
     frequency-domain channel-summed products, one inverse block FFT per
     (image, filter, block), then the Eq. 12 gather.
-
-    With ``packed=True`` the transform stages model the real-pair-packed
-    path: pairs of real rows share one complex FFT, so transform *rows*
-    halve (odd channel/filter counts leave one real row) while FLOPs stay
-    put — ``2`` real transforms at ``2.5 n log n`` become ``1`` complex
-    transform at ``5 n log n``.  Traffic is unchanged too: the packed
-    block carries the same samples.  What packing buys on real hardware
-    is fewer, larger batched transforms (launch count, occupancy), which
-    is exactly what the ``fft_rows`` bench counter tracks.
     """
     b, c, f = shape.n, shape.c, shape.f
     kernel_len = shape.poly_kernel_len
@@ -448,16 +427,9 @@ def count_polyhankel(shape: ConvShape, packed: bool = False) -> CounterReport:
     # Each extra FFT pass streams the working set through DRAM once more.
     extra = (passes - 1) * 2 * blocks * bins * COMPLEX_BYTES
 
-    def transform_flops(rows: int) -> float:
-        """FFT FLOPs for *rows* real transforms per block, packed or not."""
-        if not packed:
-            return rows * _rfft_flops(nfft)
-        pairs, odd = packed_fft_rows(rows)
-        return pairs * _cfft_flops(nfft) + odd * _rfft_flops(nfft)
-
     stages = (
         Stage("input_block_ffts", "fft",
-              flops=b * blocks * transform_flops(c),
+              flops=b * blocks * c * _rfft_flops(nfft),
               bytes_read=b * c * (shape.poly_input_len * FLOAT_BYTES
                                   + extra / 2),
               bytes_written=b * c * (blocks * bins * COMPLEX_BYTES
@@ -474,7 +446,7 @@ def count_polyhankel(shape: ConvShape, packed: bool = False) -> CounterReport:
         # cuFFT store-callback in the paper's setting): only the useful
         # output coefficients ever reach DRAM.
         Stage("ifft_blocks_gather", "fft",
-              flops=b * blocks * transform_flops(f),
+              flops=b * blocks * f * _rfft_flops(nfft),
               bytes_read=b * f * (blocks * bins * COMPLEX_BYTES + extra / 2),
               bytes_written=b * f * (shape.output_elems * FLOAT_BYTES
                                      + extra / 2)),

@@ -5,35 +5,27 @@
 engine in this repo exactly: for one cached steady-state
 ``PolyHankelPlan.execute`` call it predicts the FFT invocation counters
 the observe registry will measure (``fft_calls`` / ``fft_rows`` /
-``by_kind``), per spectrum layout — for a ``ConvShape`` and a
-``ConvShapeNd`` alike, since the plan is rank-generic.  ``repro bench
---check`` gates the measured counters against a recorded baseline; the
-predictor is the closed-form statement of what those numbers *must* be,
-so tests can pin the gate's expectations instead of copying magic
-constants:
+``by_kind``) — for a ``ConvShape`` and a ``ConvShapeNd`` alike, since
+the plan is rank-generic.  ``repro bench --check`` gates the measured
+counters against a recorded baseline; the predictor is the closed-form
+statement of what those numbers *must* be, so tests can pin the gate's
+expectations instead of copying magic constants.
 
-=============  ======================================================
-layout         forward / inverse invocations (sum strategy)
-=============  ======================================================
-planar         1 ``rfft`` of ``n*c`` rows; 1 ``irfft`` of ``n*f`` rows
-interleaved    1 ``fft`` of ``n*g*(c_per//2)`` packed rows (+ 1
-               ``rfft`` of ``n*g`` rows when ``c_per`` is odd); 1
-               ``ifft`` of ``n*g*(f_per//2)`` packed rows (+ 1
-               ``irfft`` of ``n*g`` rows when ``f_per`` is odd)
-=============  ======================================================
+The sum strategy runs 1 ``rfft`` of ``n*c`` rows and 1 ``irfft`` of
+``n*f`` rows under either spectrum layout: the layouts differ only in
+how the spectra are arranged for the pointwise stage.  The merge
+strategy runs 1 ``rfft`` of ``n*g`` merged rows and 1 ``irfft`` of
+``n*f`` rows.
 
-The merge strategy always runs planar: 1 ``rfft`` of ``n*g`` merged
-rows and 1 ``irfft`` of ``n*f`` rows.
-
-The roofline side reuses the GPU-model FLOP/byte stages (packed variant
-for the interleaved layout) against the CPU proxy peaks in
-:mod:`repro.perfmodel.device`: ``roofline_pct`` is the fraction of the
-memory/compute lower bound a measured steady-state call achieves.
+The roofline side reuses the GPU-model FLOP/byte stages against the CPU
+proxy peaks in :mod:`repro.perfmodel.device`: ``roofline_pct`` is the
+fraction of the memory/compute lower bound a measured steady-state call
+achieves.
 """
 
 from __future__ import annotations
 
-from repro.perfmodel.counters import count_polyhankel, packed_fft_rows
+from repro.perfmodel.counters import count_polyhankel
 from repro.perfmodel.device import cpu_roofline_seconds
 from repro.utils.shapes import ConvShape, ConvShapeNd
 
@@ -45,44 +37,19 @@ def predict_fft_counters(shape: ConvShape | ConvShapeNd,
 
     Returns the same structure ``repro bench`` records per case:
     ``{"fft_calls": int, "fft_rows": int, "by_kind": {kind: calls}}``.
-    *layout* must be concrete (``"planar"`` or ``"interleaved"``) — pass
-    the plan's resolved layout, or use
-    :func:`repro.core.planning.select_spectrum_layout` first.
+    *layout* (``"planar"`` or ``"interleaved"``) does not change the
+    counters; it stays in the signature so callers can pass the plan's
+    resolved layout alongside its strategy.
     """
-    n, g = shape.n, shape.groups
-    calls: dict[str, tuple[int, int]] = {}  # kind -> (calls, rows)
-
-    def add(kind: str, rows: int) -> None:
-        c, r = calls.get(kind, (0, 0))
-        calls[kind] = (c + 1, r + rows)
-
-    if strategy == "merge":
-        add("rfft", n * g)
-        add("irfft", n * shape.f)
-    elif layout == "interleaved":
-        c_pairs, c_odd = packed_fft_rows(shape.group_channels)
-        f_pairs, f_odd = packed_fft_rows(shape.group_filters)
-        if c_pairs:
-            add("fft", n * g * c_pairs)
-        if c_odd:
-            add("rfft", n * g)
-        if f_pairs:
-            add("ifft", n * g * f_pairs)
-        if f_odd:
-            add("irfft", n * g)
-    else:
-        add("rfft", n * shape.c)
-        add("irfft", n * shape.f)
-
+    rows_in = shape.n * (shape.groups if strategy == "merge" else shape.c)
     return {
-        "fft_calls": sum(c for c, _ in calls.values()),
-        "fft_rows": sum(r for _, r in calls.values()),
-        "by_kind": {kind: c for kind, (c, _) in sorted(calls.items())},
+        "fft_calls": 2,
+        "fft_rows": rows_in + shape.n * shape.f,
+        "by_kind": {"irfft": 1, "rfft": 1},
     }
 
 
-def predicted_call_ms(shape: ConvShape | ConvShapeNd,
-                      layout: str = "planar") -> float:
+def predicted_call_ms(shape: ConvShape | ConvShapeNd) -> float:
     """CPU-roofline lower bound (ms) for one cached steady-state call.
 
     Sums the per-stage ``max(compute wall, memory wall)`` times of the
@@ -90,16 +57,16 @@ def predicted_call_ms(shape: ConvShape | ConvShapeNd,
     because the spectrum cache amortizes it away from the steady state —
     the same normalization ``repro profile`` applies.
     """
-    report = count_polyhankel(shape, packed=(layout == "interleaved"))
+    report = count_polyhankel(shape)
     return 1e3 * sum(
         cpu_roofline_seconds(s.flops, s.bytes_moved)
         for s in report.stages if s.name != "kernel_ffts"
     )
 
 
-def roofline_pct(shape: ConvShape | ConvShapeNd, measured_ms: float,
-                 layout: str = "planar") -> float | None:
+def roofline_pct(shape: ConvShape | ConvShapeNd,
+                 measured_ms: float) -> float | None:
     """Percent of the CPU roofline bound one measured call achieves."""
     if not measured_ms or measured_ms <= 0:
         return None
-    return 100.0 * predicted_call_ms(shape, layout) / measured_ms
+    return 100.0 * predicted_call_ms(shape) / measured_ms

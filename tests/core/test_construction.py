@@ -133,10 +133,12 @@ class TestMergedLayout:
 class TestPolynomialLengths:
     def test_matches_shape_properties(self):
         shape = ConvShape(ih=6, iw=7, kh=3, kw=2, padding=1)
-        len_a, len_u, linear = polynomial_lengths(shape)
+        len_a, len_u, transform_len = polynomial_lengths(shape)
         assert len_a == shape.poly_input_len
         assert len_u == shape.poly_kernel_len
-        assert linear == len_a + len_u - 1
+        # Eq. 12 reads no degree at or above len A, so the cyclic bound
+        # (not the linear length len A + len U - 1) sizes the transform.
+        assert transform_len == len_a
 
 
 class TestRankGenericDegrees:

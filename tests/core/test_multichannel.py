@@ -133,7 +133,7 @@ class TestPlan:
                 plan.execute(x, w_hat),
                 naive_conv2d_reference(x, w, 1), atol=1e-8)
 
-    def test_fft_size_covers_linear_length(self):
+    def test_fft_size_covers_cyclic_length(self):
         shape = ConvShape(ih=8, iw=8, kh=3, kw=3)
         plan = PolyHankelPlan(shape)
-        assert plan.nfft >= shape.poly_product_len
+        assert plan.nfft >= shape.poly_input_len

@@ -8,7 +8,6 @@ from repro.fft.packed import (
     conj_reverse_half,
     fold_half_spectra,
     fold_pairs,
-    pack_weight_operand,
     packed_irfft,
     packed_rfft,
     split_pair_spectra,
@@ -125,37 +124,6 @@ class TestPackedIrfft:
     def test_bin_count_must_match_size(self):
         with pytest.raises(ValueError, match="bins"):
             packed_irfft(np.ones((2, 5), dtype=complex), 12)
-
-
-class TestPackWeightOperand:
-    @pytest.mark.parametrize("c_per", [1, 2, 3, 16, 17])
-    def test_contraction_matches_unpacked_sum(self, c_per):
-        """The packed operand must make ``W @ cols`` equal the plain
-        per-channel multiply-accumulate, for even and odd channel counts.
-        """
-        rng = np.random.default_rng(c_per)
-        g, f_per, n, nfft = 2, 3, 2, 16
-        bins = nfft // 2 + 1
-        x = rng.standard_normal((n, g, c_per, nfft))
-        w_hat = (rng.standard_normal((g, f_per, c_per, bins))
-                 + 1j * rng.standard_normal((g, f_per, c_per, bins)))
-        want = np.einsum("ngcb,gfcb->ngfb", np.fft.rfft(x, nfft), w_hat)
-
-        operand = pack_weight_operand(w_hat)
-        assert operand.shape == (g, bins, f_per, c_per)
-        pairs = c_per // 2
-        z_hat = np.fft.fft(x[..., 0:2 * pairs:2, :]
-                           + 1j * x[..., 1:2 * pairs:2, :])
-        cols = np.empty((g, bins, c_per, n), dtype=complex)
-        if pairs:
-            cols[:, :, :pairs] = z_hat[..., :bins].transpose(1, 3, 2, 0)
-            cols[:, :, pairs:2 * pairs] = \
-                conj_reverse_half(z_hat, bins).transpose(1, 3, 2, 0)
-        if c_per % 2:
-            cols[:, :, -1] = np.fft.rfft(x[..., -1, :], nfft) \
-                .transpose(1, 2, 0)
-        got = np.matmul(operand, cols).transpose(3, 0, 2, 1)
-        np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 class TestPublicSurface:

@@ -85,8 +85,7 @@ class TestInterleavedLayoutGrid:
 
     Every shape here is far below the layout heuristic's floor, so the
     forced run is the only coverage these parameter combinations get on
-    the packed/fused pipeline — including odd per-group channel counts
-    (groups=1 with C=4 pairs fully; the g=2 slice leaves odd rows).
+    the fused pipeline, grouped and ungrouped.
     """
 
     CASES = [((1, 1), (1, 1), 1, 1),
@@ -111,8 +110,8 @@ class TestInterleavedLayoutGrid:
         np.testing.assert_allclose(fused, planar, atol=1e-10)
 
     def test_odd_channel_slice(self):
-        """Odd channel and filter counts (leftover unpaired rows) across
-        the strided/dilated path."""
+        """Odd channel and filter counts across the strided/dilated
+        path."""
         rng = np.random.default_rng(23)
         x = rng.standard_normal((N, 5, IH, IW))
         w = rng.standard_normal((3, 5, K, K))
