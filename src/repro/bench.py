@@ -80,7 +80,9 @@ from repro.serve.loadgen import (
 # modeled oracle (ceiling max_regret_pct travels with the entry) and
 # convergence onto the oracle's tie set, deterministic so never
 # re-measured; v9 dropped the seed replica's seed_ms/speedup columns
-# (their history is in BENCH_2026-08-06.json).
+# (their history is in BENCH_2026-08-06.json).  Rows no longer carry the
+# v4 ``layout`` field since the engine has one spectrum pipeline; no gate
+# reads it, so older baselines still compare.
 SCHEMA_VERSION = 9
 
 
@@ -168,7 +170,6 @@ def run_nd_case(case: NdBenchCase, repeats: int = 25) -> dict:
     """
     from repro.baselines.ndops import conv_transpose2d_naive
     from repro.baselines.registry import ConvOp, convolve, op_shape
-    from repro.core import multichannel as mc
     from repro.core.ndim import convnd_naive
     from repro.nn import functional as F
     from repro.perfmodel.engine import predict_fft_counters, roofline_pct
@@ -207,10 +208,9 @@ def run_nd_case(case: NdBenchCase, repeats: int = 25) -> dict:
     # counters are recorded ungated.)
     shape = op_shape(op, case.x_shape, case.w_shape,
                      output_padding=case.output_padding, **params)
-    layout = mc.get_plan(shape).layout
     pct = roofline_pct(shape, cached_ms)
     predicted = None if op is ConvOp.CONV_TRANSPOSE2D \
-        else predict_fft_counters(shape, "sum", layout)
+        else predict_fft_counters(shape, "sum")
     if predicted is not None:
         got = {k: case_counters[k] for k in predicted}
         if got != predicted:
@@ -225,7 +225,6 @@ def run_nd_case(case: NdBenchCase, repeats: int = 25) -> dict:
                   "padding": case.padding, "stride": case.stride,
                   "dilation": case.dilation, "groups": case.groups,
                   "output_padding": case.output_padding},
-        "layout": layout,
         "first_call_ms": round(first_call_ms, 4),
         "cached_ms": round(cached_ms, 4),
         "roofline_pct": round(pct, 2) if pct is not None else None,
@@ -505,7 +504,6 @@ def run_case(case: BenchCase, repeats: int = 25,
                   "groups": case.groups},
         "strategy": case.strategy,
         "backend": case.backend,
-        "layout": plan.layout,
         "first_call_ms": round(first_call_ms, 4),
         "uncached_ms": ms["uncached"],
         "cached_ms": ms["cached"],
@@ -664,7 +662,7 @@ SECTIONS: dict[str, Section] = {s.name: s for s in (
         Metric("counters.fft_calls", "counter"),
         Metric("counters.fft_rows", "counter"),
         Metric("counters.guard_fallbacks", "counter", exact=True),
-    ), (("case", "name", 24, "s"), ("layout", "layout", 12, "s"),
+    ), (("case", "name", 24, "s"),
         ("first", "first_call_ms", 9, ".3f"),
         ("uncached", "uncached_ms", 9, ".3f"),
         ("cached", "cached_ms", 9, ".3f"),

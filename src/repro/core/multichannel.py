@@ -45,10 +45,8 @@ from repro.core.construction import (
 from repro.core.planning import (
     FftPolicy,
     PlanSpec,
-    SpectrumLayout,
     plan_fft_size,
     resolve_fft_policy,
-    select_spectrum_layout,
 )
 from repro.fft.plan import CacheInfo
 from repro.guard import faults as _faults
@@ -102,7 +100,7 @@ class PolyHankelPlan:
     """A reusable execution plan for a fixed convolution shape.
 
     Mirrors cuDNN's plan/descriptor pattern: the FFT size, gather indices
-    and the kernel spectrum layout depend only on the shape, so repeated
+    and the kernel spectrum's shape depend only on the shape, so repeated
     executions (every training/inference step) reuse them.  The weight
     spectrum itself is cached via :meth:`weight_spectrum` when weights are
     frozen.
@@ -117,18 +115,13 @@ class PolyHankelPlan:
 
     ``fft_policy="auto"`` resolves to the concrete policy best for the
     plan's backend (see :func:`repro.core.planning.resolve_fft_policy`);
-    after construction :attr:`fft_policy` is always concrete.  The same
-    holds for ``layout="auto"`` — the spectrum layout (planar einsum vs.
-    the fused interleaved matmul pipeline, see
-    :func:`repro.core.planning.select_spectrum_layout`) is fixed at plan
-    time and recorded on the plan's :class:`PlanSpec`.
+    after construction :attr:`fft_policy` is always concrete.
     """
 
     shape: ConvShape | ConvShapeNd
     fft_policy: FftPolicy = "pow2"
     strategy: ChannelStrategy = "sum"
     backend: str | None = None
-    layout: SpectrumLayout = "auto"
     nfft: int = field(init=False)
     bins: int = field(init=False)
     gather: np.ndarray = field(init=False)
@@ -141,8 +134,6 @@ class PolyHankelPlan:
                 "expected 'sum' or 'merge'"
             )
         self.fft_policy = resolve_fft_policy(self.fft_policy, self.backend)
-        self.layout = select_spectrum_layout(self.shape, self.strategy,
-                                             self.fft_policy, self.layout)
         len_a, len_u, transform_len = polynomial_lengths(self.shape)
         if self.strategy == "sum":
             self.nfft = plan_fft_size(transform_len, self.fft_policy)
@@ -174,10 +165,7 @@ class PolyHankelPlan:
         self._split_work = self.shape.n * rows * self.nfft
         self._split_min = _SPLIT_MIN_WORK.get(backend_name,
                                               _SPLIT_MIN_WORK_DEFAULT)
-        # Per-plan scratch buffers for the sequential path (padded input,
-        # frequency-product target).  Reuse keeps the pages warm across
-        # repeated calls; every element is overwritten per call, so the
-        # values are identical to freshly allocated buffers.
+        # Per-plan scratch buffers for the sequential path (see _buffer).
         self._scratch: dict = {}
         self._scratch_lock = threading.Lock()
 
@@ -185,14 +173,13 @@ class PolyHankelPlan:
     def cache_key(self) -> tuple:
         """Identity of this plan's numerical configuration."""
         backend_name = _fft.get_backend(self.backend).name
-        return (self.shape, self.fft_policy, self.strategy, backend_name,
-                self.layout)
+        return (self.shape, self.fft_policy, self.strategy, backend_name)
 
     @property
     def spec(self) -> PlanSpec:
         """The pickle-safe :class:`PlanSpec` identifying this plan."""
         return PlanSpec(self.shape, self.fft_policy, self.strategy,
-                        _fft.get_backend(self.backend).name, self.layout)
+                        _fft.get_backend(self.backend).name)
 
     def __reduce__(self):
         # Plans hold locks and scratch buffers, so they pickle as their
@@ -206,12 +193,11 @@ class PolyHankelPlan:
     def transform_weight(self, weight: np.ndarray) -> np.ndarray:
         """Kernel polynomial spectra for *weight* (``(f, c, *kernel)``).
 
-        Returns ``(f, c, nfft//2 + 1)`` for the ``sum`` strategy with the
-        planar layout, ``(f, nfft//2 + 1)`` for ``merge``.  The
-        interleaved layout instead returns the same spectra bins-major as
-        ``(g, bins, f_per, c_per)``, the left operand of the fused
-        pointwise matmul.  Always recomputes; the cached entry point is
-        :meth:`weight_spectrum`.
+        Returns the ``sum`` strategy's spectra bins-major as ``(g, bins,
+        c_per, f_per)`` — per group and frequency bin, the matrix each
+        image's channel row vector multiplies in the pointwise stage — and
+        ``(f, nfft//2 + 1)`` for ``merge``.  Always recomputes; the cached
+        entry point is :meth:`weight_spectrum`.
         """
         weight = ensure_array(weight, "weight", dtype=float)
         if weight.shape != self.shape.weight_shape():
@@ -221,16 +207,21 @@ class PolyHankelPlan:
             )
         fft = _fft.get_backend(self.backend)
         with span("weight.transform", strategy=self.strategy,
-                  nfft=self.nfft, layout=self.layout, bytes=weight.nbytes):
+                  nfft=self.nfft, bytes=weight.nbytes):
             if self.strategy == "sum":
-                stack = scatter_channel_stack(weight, self._taps)
-                w_hat = fft.rfft(stack, self.nfft)
-                if self.layout == "interleaved":
-                    shape = self.shape
-                    return np.ascontiguousarray(w_hat.reshape(
-                        shape.groups, shape.group_filters,
-                        shape.group_channels, self.bins).transpose(0, 3, 1, 2))
-                return w_hat
+                shape = self.shape
+                g, c_per, f_per = shape.groups, shape.group_channels, \
+                    shape.group_filters
+                # Allocated before the transform's temporary: in the other
+                # order, freeing the temporary let the allocator hand the
+                # heap top back to the OS, and an uncached call took 441
+                # page faults instead of 111 (conv64 bench preset).
+                operand = np.empty((g, self.bins, c_per, f_per), complex)
+                w_hat = fft.rfft(scatter_channel_stack(weight, self._taps),
+                                 self.nfft)              # (f, c_per, bins)
+                operand[...] = w_hat.reshape(g, f_per, c_per, self.bins) \
+                    .transpose(0, 3, 2, 1)
+                return operand
             merged = scatter_merged_stack(weight, self._taps)
             return fft.rfft(merged, self.nfft)
 
@@ -309,195 +300,155 @@ class PolyHankelPlan:
                     f"{self.shape.input_shape()}"
                 )
         fft = _fft.get_backend(self.backend)
+        run = self._execute_sum if self.strategy == "sum" \
+            else self._execute_merge
+        if _faults._STACK:
+            # Fault-injection hook: poisons a *copy*, so reused scratch
+            # buffers (whose zero border is never rewritten) stay clean.
+            x = _faults.poison_intermediate(x)
         n = self.shape.n
-        sequential = workers is None or workers <= 1 or n <= 1 \
-            or self._split_work < self._split_min
-        # Scratch reuse only for the sequential path, and only when no
-        # other caller holds the buffers (concurrent callers fall back to
-        # fresh allocations, so reuse is never a correctness concern).
-        reuse = sequential and self._scratch_lock.acquire(blocking=False)
-        try:
-            if sequential and self.layout == "interleaved" \
-                    and not _faults._STACK:
-                # The fused path stages the raw input straight into its
-                # transform block (the zero padding border lives in the
-                # block's call-invariant zero tail/border), skipping the
-                # separate padded-copy pass entirely.
-                return self._execute_fused(x, weight_hat, fft, reuse,
-                                           raw=True)
-            xp = self._pad_input(x, reuse)
-            if _faults._STACK:
-                # Fault-injection hook: poisons a *copy*, so reused scratch
-                # buffers (whose zero border is never rewritten) stay clean.
-                xp = _faults.poison_intermediate(xp)
-            if sequential:
-                out = self._execute_block(xp, weight_hat, fft, reuse)
-                return _faults.maybe_blowup(out) if _faults._STACK else out
-        finally:
-            if reuse:
-                self._scratch_lock.release()
-        bounds = np.array_split(np.arange(n), min(workers, n))
-        pool = _get_pool(min(workers, n))
-        futures = [
-            pool.submit(self._execute_block,
-                        xp[idx[0]: idx[-1] + 1], weight_hat, fft)
-            for idx in bounds if len(idx)
-        ]
-        out = np.concatenate([f.result() for f in futures], axis=0)
+        if workers is None or workers <= 1 or n <= 1 \
+                or self._split_work < self._split_min:
+            # Scratch reuse only when no other caller holds the buffers
+            # (concurrent callers fall back to fresh allocations, so reuse
+            # is never a correctness concern).
+            reuse = self._scratch_lock.acquire(blocking=False)
+            try:
+                out = run(x, weight_hat, fft, reuse)
+            finally:
+                if reuse:
+                    self._scratch_lock.release()
+        else:
+            bounds = np.array_split(np.arange(n), min(workers, n))
+            pool = _get_pool(min(workers, n))
+            futures = [pool.submit(run, x[idx[0]: idx[-1] + 1], weight_hat,
+                                   fft)
+                       for idx in bounds if len(idx)]
+            out = np.concatenate([f.result() for f in futures], axis=0)
         return _faults.maybe_blowup(out) if _faults._STACK else out
 
-    def _pad_input(self, x: np.ndarray, reuse: bool = False) -> np.ndarray:
-        """Zero-padded input, from the plan's scratch buffer if *reuse*.
+    def _buffer(self, reuse: bool, name: str, shape: tuple, dtype,
+                zero: bool = False) -> np.ndarray:
+        """A work buffer, from the plan's scratch if *reuse*.
 
-        The scratch border stays zero across calls (only the interior is
-        rewritten), so reuse skips re-zeroing the whole buffer.
+        Reuse keeps the pages warm across repeated calls and is safe
+        because every consumed element is rewritten per call — except the
+        zero padding border and tail of ``zero`` buffers, which are
+        written once at allocation and never dirtied.
         """
-        if not self._has_padding:
-            return x
-        with span("stage.pad", reuse=reuse, bytes=x.nbytes):
-            buf = self._scratch.get("xp") if reuse else None
-            if buf is None:
-                # Allocate-and-assign: several times faster than np.pad.
-                buf = np.zeros(x.shape[:2] + self._padded_extents)
-                if reuse:
-                    self._scratch["xp"] = buf
-            buf[self._interior] = x
-            return buf
+        alloc = np.zeros if zero else np.empty
+        if not reuse:
+            return alloc(shape, dtype=dtype)
+        buf = self._scratch.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self._scratch[name] = alloc(shape, dtype=dtype)
+        return buf
 
-    def _execute_block(self, xp: np.ndarray, weight_hat: np.ndarray,
-                       fft, reuse: bool = False) -> np.ndarray:
-        """The frequency-domain pipeline for one (sub-)batch of padded
-        inputs ``(n_block, c, *padded_extents)``."""
-        if self.layout == "interleaved":
-            return self._execute_fused(xp, weight_hat, fft, reuse)
-        shape = self.shape
-        n = xp.shape[0]
-        g, c_per, f_per = shape.groups, shape.group_channels, \
-            shape.group_filters
-        bins = weight_hat.shape[-1]
-        out = None
-        if reuse:
-            out = self._scratch.get("out_hat")
-            if out is None or out.shape != (n, shape.f, bins):
-                out = np.empty((n, shape.f, bins), dtype=complex)
-                self._scratch["out_hat"] = out
-        # With groups, filter block g only sees channel block g; both
-        # strategies express this as a reshape to (..., g, per-group, bins)
-        # so the g == 1 case degenerates to the ungrouped pipeline.
-        target = out.reshape(n, g, f_per, bins) if out is not None else None
-        if self.strategy == "sum":
-            flat = xp.reshape(n, shape.c, -1)
-            with span("stage.input_fft", n=self.nfft, rows=n * shape.c,
-                      bytes=flat.nbytes):
-                x_hat = fft.rfft(flat, self.nfft)        # (n, c, bins)
-            # Pointwise multiply and sum over channels: the paper's
-            # "summation of outputs across different channels ... during
-            # element-wise multiplication" — per group.
-            xg = x_hat.reshape(n, g, c_per, bins)
-            wg = weight_hat.reshape(g, f_per, c_per, bins)
-            with span("stage.pointwise", strategy="sum",
-                      bytes=x_hat.nbytes + weight_hat.nbytes):
-                out_hat = np.einsum("ngcb,gfcb->ngfb", xg, wg, out=target) \
-                    if target is not None \
-                    else np.einsum("ngcb,gfcb->ngfb", xg, wg)
-        else:
-            grouped = xp.reshape(n * g, c_per, -1)
-            merged = merged_input_stack(grouped)         # (n*g, c_per*L)
-            with span("stage.input_fft", n=self.nfft, rows=n * g,
-                      bytes=merged.nbytes):
-                x_hat = fft.rfft(merged, self.nfft).reshape(n, g, bins)
-            wg = weight_hat.reshape(g, f_per, bins)
-            with span("stage.pointwise", strategy="merge",
-                      bytes=x_hat.nbytes + weight_hat.nbytes):
-                if target is not None:
-                    out_hat = np.multiply(x_hat[:, :, None, :],
-                                          wg[None, :, :, :], out=target)
-                else:
-                    out_hat = x_hat[:, :, None, :] * wg[None, :, :, :]
-        out_hat = out_hat.reshape(n, shape.f, bins)
-
-        with span("stage.inverse_fft", n=self.nfft, rows=n * shape.f,
-                  bytes=out_hat.nbytes):
-            product = fft.irfft(out_hat, self.nfft)      # (n, f, nfft)
-        return self._gather_output(product)
-
-    def _execute_fused(self, xp: np.ndarray, weight_hat: np.ndarray,
-                       fft, reuse: bool = False,
-                       raw: bool = False) -> np.ndarray:
-        """The interleaved-layout pipeline: one batched real transform each
-        way around a single bins-major matmul for the pointwise channel sum.
-
-        Stages, for one (sub-)batch of padded inputs ``(n_block, c,
-        *padded_extents)`` against the bins-major weight operand ``(g,
-        bins, f_per, c_per)`` of :meth:`transform_weight`:
+    def _execute_sum(self, x: np.ndarray, weight_hat: np.ndarray,
+                     fft, reuse: bool = False) -> np.ndarray:
+        """The sum-strategy pipeline for one (sub-)batch of **unpadded**
+        inputs ``(n_block, c, *extents)`` against the ``(g, bins, c_per,
+        f_per)`` operand of :meth:`transform_weight`:
 
         1. stage every input channel into a zeroed real ``(n, c, nfft)``
-           block and run **one** batched rfft over it;
-        2. copy the half-spectra once into the bins-major column block
-           ``A`` of shape ``(g, bins, c_per, n)``, so that ``W @ A`` *is*
-           the pointwise multiply + cross-channel sum — one BLAS-shaped
-           contraction instead of a multiply-then-reduce pair;
-        3. copy the product once back to ``(n, g, f_per, bins)`` and run
-           **one** batched irfft over it.
+           block — the padding border is part of the block's zero state,
+           so only the interior window is written — and run **one**
+           batched rfft over it;
+        2. copy the half-spectra once into the bins-major block ``(g,
+           bins, n, 1, c_per)``: per frequency bin, each image is one row
+           vector, and its product with the bin's ``(c_per, f_per)``
+           weight matrix *is* the pointwise multiply + cross-channel sum;
+        3. copy the products once back to ``(n, g, f_per, bins)`` and run
+           **one** batched irfft over them.
 
-        Every stage is independent per image, so chunking the batch for
-        ``workers=N`` leaves the result bit-identical.
-
-        With ``raw=True``, *xp* is the **unpadded** input and the padding
-        border is realised inside the transform block itself: the block is
-        allocated zeroed, only the per-image interior windows are
-        rewritten each call, and (like the planar path's ``xp`` scratch)
-        the border and zero tail are never dirtied — so the separate
-        padded-copy pass disappears from the pipeline.  The raw route is
-        bit-identical to the padded one.
+        Each image gets its own row-vector product rather than sharing
+        one ``(c_per, n)`` column block: BLAS blocks a matrix product by
+        its column count, which changes the bits with ``n``.  With one
+        row per image, row ``i`` of a batch call is bit-identical to the
+        single-image call for every ``n``, and chunking the batch for
+        ``workers=N`` leaves the result bit-identical too.  Depthwise
+        groups (``c_per == 1``) have no channel sum, so their contraction
+        is a broadcast multiply — chosen by shape, still per image.
         """
         shape = self.shape
-        n = xp.shape[0]
+        n = x.shape[0]
         g, c_per, f_per = shape.groups, shape.group_channels, \
             shape.group_filters
         bins, nfft = self.bins, self.nfft
 
-        def buf(name: str, shp: tuple, dtype, zero: bool = False):
-            # Fused-path scratch: like the planar buffers, reuse is safe
-            # because every consumed element is rewritten per call — the
-            # one exception is fused_x's zero border and tail, which are
-            # written once at allocation and never dirtied.
-            if reuse:
-                b = self._scratch.get(name)
-                if b is None or b.shape != shp:
-                    b = (np.zeros if zero else np.empty)(shp, dtype=dtype)
-                    self._scratch[name] = b
-                return b
-            return (np.zeros if zero else np.empty)(shp, dtype=dtype)
-
         with span("stage.input_fft", n=nfft, rows=n * shape.c,
-                  layout="interleaved", bytes=xp.nbytes):
-            block = buf("fused_x", (n, shape.c, nfft), float, zero=True)
-            # The head of each row, viewed as the padded input.  ``raw``:
-            # scatter just the interior window (the padding border is part
-            # of the block's call-invariant zero state); otherwise copy
-            # the pre-padded inputs wholesale.
+                  bytes=x.nbytes):
+            block = self._buffer(reuse, "x", (n, shape.c, nfft), float,
+                                 zero=True)
+            # The head of each row, viewed as the padded input.
             step = block.strides[-1]
-            view = np.lib.stride_tricks.as_strided(
+            padded = np.lib.stride_tricks.as_strided(
                 block, block.shape[:-1] + self._padded_extents,
                 block.strides[:-1] + tuple(s * step
                                            for s in self._poly_strides))
-            view[self._interior if raw else Ellipsis] = xp
+            padded[self._interior] = x
             x_hat = fft.rfft(block, nfft)                # (n, c, bins)
-            cols = buf("fused_cols", (g, bins, c_per, n), complex)
-            cols[...] = x_hat.reshape(n, g, c_per, bins).transpose(1, 3, 2, 0)
+            # The row block and the inverse transform's input are never
+            # live together, so they share one buffer.
+            shared = self._buffer(reuse, "spectra",
+                                  (n * bins * max(shape.c, shape.f),),
+                                  complex)
+            rows = shared[:n * bins * shape.c].reshape(g, bins, n, 1, c_per)
+            rows[:, :, :, 0] = x_hat.reshape(n, g, c_per, bins) \
+                .transpose(1, 3, 0, 2)
 
-        target = buf("fused_out", (g, bins, f_per, n), complex)
-        with span("stage.pointwise", strategy="sum", layout="interleaved",
-                  bytes=cols.nbytes + weight_hat.nbytes):
-            out_hat = np.matmul(weight_hat, cols, out=target)
+        products = self._buffer(reuse, "products", (g, bins, n, 1, f_per),
+                                complex)
+        with span("stage.pointwise", strategy="sum",
+                  bytes=rows.nbytes + weight_hat.nbytes):
+            w = weight_hat[:, :, None]                  # (g, bins, 1, c, f)
+            if c_per == 1:
+                np.multiply(rows, w, out=products)
+            else:
+                np.matmul(rows, w, out=products)
 
         with span("stage.inverse_fft", n=nfft, rows=n * shape.f,
-                  layout="interleaved", bytes=out_hat.nbytes):
-            spec = buf("fused_spec", (n, g, f_per, bins), complex)
-            spec[...] = out_hat.transpose(3, 0, 2, 1)
+                  bytes=products.nbytes):
+            spec = shared[:n * bins * shape.f].reshape(n, g, f_per, bins)
+            spec[...] = products[:, :, :, 0].transpose(2, 0, 3, 1)
             product = fft.irfft(spec, nfft)              # (n, g, f_per, nfft)
         return self._gather_output(product.reshape(n, shape.f, nfft))
+
+    def _execute_merge(self, x: np.ndarray, weight_hat: np.ndarray,
+                       fft, reuse: bool = False) -> np.ndarray:
+        """The merge-strategy pipeline for one (sub-)batch of unpadded
+        inputs: pad, interleave each group's channels into one long
+        polynomial, one batched rfft, a broadcast multiply with the
+        ``(f, bins)`` merged kernel spectra, one batched irfft."""
+        shape = self.shape
+        g, c_per, f_per = shape.groups, shape.group_channels, \
+            shape.group_filters
+        bins = self.bins
+        if self._has_padding:
+            with span("stage.pad", reuse=reuse, bytes=x.nbytes):
+                # Allocate-and-assign: several times faster than np.pad.
+                xp = self._buffer(reuse, "padded",
+                                  x.shape[:2] + self._padded_extents, float,
+                                  zero=True)
+                xp[self._interior] = x
+        else:
+            xp = x
+        n = xp.shape[0]
+        merged = merged_input_stack(xp.reshape(n * g, c_per, -1))
+        with span("stage.input_fft", n=self.nfft, rows=n * g,
+                  bytes=merged.nbytes):
+            x_hat = fft.rfft(merged, self.nfft).reshape(n, g, 1, bins)
+        out_hat = self._buffer(reuse, "out_hat", (n, g, f_per, bins),
+                               complex)
+        with span("stage.pointwise", strategy="merge",
+                  bytes=x_hat.nbytes + weight_hat.nbytes):
+            np.multiply(x_hat, weight_hat.reshape(g, f_per, bins),
+                        out=out_hat)
+        with span("stage.inverse_fft", n=self.nfft, rows=n * shape.f,
+                  bytes=out_hat.nbytes):
+            product = fft.irfft(out_hat.reshape(n, shape.f, bins),
+                                self.nfft)               # (n, f, nfft)
+        return self._gather_output(product)
 
     def _gather_output(self, product: np.ndarray) -> np.ndarray:
         """The Eq. 12 output gather over ``(n, f, nfft)`` products."""
@@ -536,17 +487,16 @@ _PLAN_KEYS: dict[tuple, tuple] = {}
 def get_plan(shape: ConvShape | ConvShapeNd,
              fft_policy: FftPolicy = "auto",
              strategy: ChannelStrategy = "sum",
-             backend: str | None = None,
-             layout: SpectrumLayout = "auto") -> PolyHankelPlan:
+             backend: str | None = None) -> PolyHankelPlan:
     """Fetch (or build and LRU-cache) the plan for *shape* and options.
 
     A hit is one lookup under the options as the caller spelled them; the
-    FFT policy and spectrum layout are resolved only on a miss.  Every
+    FFT policy is resolved only on a miss.  Every
     spelling of one numerical configuration shares one plan object, since
     the spectrum caches key on the plan's identity.
     """
     backend_name = _fft.get_backend(backend).name
-    request = (shape, fft_policy, strategy, backend_name, layout)
+    request = (shape, fft_policy, strategy, backend_name)
     with _plan_lock:
         key = _PLAN_KEYS.get(request)
         plan = _PLAN_CACHE.get(key) if key is not None else None
@@ -555,16 +505,13 @@ def get_plan(shape: ConvShape | ConvShapeNd,
             _PLAN_CACHE.move_to_end(key)
             return plan
     policy = resolve_fft_policy(fft_policy, backend_name)
-    layout = select_spectrum_layout(shape, strategy, policy, layout)
-    key = (shape, policy, strategy, backend_name, layout)
+    key = (shape, policy, strategy, backend_name)
     with _plan_lock:
         plan = _PLAN_CACHE.get(key)
     record_cache_event("conv_plan", hit=plan is not None)
     if plan is None:
-        with span("plan.build", strategy=strategy, backend=backend_name,
-                  layout=layout):
-            plan = PolyHankelPlan(shape, policy, strategy, backend_name,
-                                  layout)
+        with span("plan.build", strategy=strategy, backend=backend_name):
+            plan = PolyHankelPlan(shape, policy, strategy, backend_name)
     with _plan_lock:
         _PLAN_CACHE[key] = plan
         _PLAN_CACHE.move_to_end(key)
@@ -683,11 +630,10 @@ def _hashable(value):
 
 
 def _plan_for_args(shape_type, x_shape, w_shape, padding, stride, dilation,
-                   groups, fft_policy, strategy, backend,
-                   layout="auto") -> PolyHankelPlan:
+                   groups, fft_policy, strategy, backend) -> PolyHankelPlan:
     key = (shape_type, x_shape, w_shape, _hashable(padding),
            _hashable(stride), _hashable(dilation), groups, fft_policy,
-           strategy, backend, layout)
+           strategy, backend)
     with _plan_lock:
         plan = _ARG_MEMO.get(key)
     if plan is not None:
@@ -697,7 +643,7 @@ def _plan_for_args(shape_type, x_shape, w_shape, padding, stride, dilation,
         return plan
     shape = shape_type.from_tensors(x_shape, w_shape, padding, stride,
                                     dilation, groups)
-    plan = get_plan(shape, fft_policy, strategy, backend, layout=layout)
+    plan = get_plan(shape, fft_policy, strategy, backend)
     with _plan_lock:
         _ARG_MEMO[key] = plan
         while len(_ARG_MEMO) > _ARG_MEMO_LIMIT:
@@ -713,7 +659,6 @@ def conv2d_polyhankel(x: np.ndarray, weight: np.ndarray,
                       fft_policy: FftPolicy = "auto",
                       strategy: ChannelStrategy = "sum",
                       backend: str | None = None,
-                      layout: SpectrumLayout = "auto",
                       workers: int | None = None) -> np.ndarray:
     """2D convolution of an NCHW batch via the PolyHankel method.
 
@@ -729,8 +674,7 @@ def conv2d_polyhankel(x: np.ndarray, weight: np.ndarray,
     weight = ensure_array(weight, "weight", dtype=float)
     check_conv_inputs(x, weight, padding, stride, dilation, groups)
     out = run_polyhankel(ConvShape, x, weight, padding, stride, dilation,
-                         groups, fft_policy, strategy, backend, layout,
-                         workers)
+                         groups, fft_policy, strategy, backend, workers)
     if bias is not None:
         bias = ensure_array(bias, "bias", ndim=1)
         if len(bias) != out.shape[1]:
@@ -746,7 +690,6 @@ def run_polyhankel(shape_type, x: np.ndarray, weight: np.ndarray,
                    fft_policy: FftPolicy = "auto",
                    strategy: ChannelStrategy = "sum",
                    backend: str | None = None,
-                   layout: SpectrumLayout = "auto",
                    workers: int | None = None) -> np.ndarray:
     """One forward pass of float arrays *x* and *weight* through the
     cached plan of their problem, described as a *shape_type*
@@ -754,6 +697,6 @@ def run_polyhankel(shape_type, x: np.ndarray, weight: np.ndarray,
     PolyHankel front door shares."""
     plan = _plan_for_args(shape_type, x.shape, weight.shape, padding,
                           stride, dilation, groups, fft_policy, strategy,
-                          backend, layout)
+                          backend)
     return plan.execute(x, plan.weight_spectrum(weight), workers=workers,
                         check=False)

@@ -20,7 +20,7 @@ in the frequency domain as in Sec. 3.2 and the full parameter space
 Because the degree map is rank-generic, so is the engine: every rank runs
 :class:`repro.core.multichannel.PolyHankelPlan` on a :class:`ConvShapeNd`,
 with the same bounded plan cache, content-checked spectrum cache, FFT
-policy, spectrum layouts and ``workers`` batch split as conv2d.  The
+policy, spectrum pipeline and ``workers`` batch split as conv2d.  The
 functions here are thin rank checks over that one plan path, plus the
 direct N-D references the tests referee it with.
 """
@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.construction import scatter_channel_stack, tap_degrees
 from repro.core.multichannel import ChannelStrategy, run_polyhankel
-from repro.core.planning import FftPolicy, SpectrumLayout
+from repro.core.planning import FftPolicy
 from repro.utils.shapes import ConvShapeNd
 from repro.utils.validation import ensure_array, require
 
@@ -69,7 +69,6 @@ def convnd_polyhankel(x: np.ndarray, weight: np.ndarray, padding=0,
                       fft_policy: FftPolicy = "auto",
                       backend: str | None = None, *,
                       strategy: ChannelStrategy = "sum",
-                      layout: SpectrumLayout = "auto",
                       workers: int | None = None) -> np.ndarray:
     """d-dimensional convolution of an ``(n, c, *spatial)`` batch.
 
@@ -83,8 +82,7 @@ def convnd_polyhankel(x: np.ndarray, weight: np.ndarray, padding=0,
     weight = ensure_array(weight, "weight", dtype=float)
     require(x.ndim >= 3, "input must be (n, c, *spatial)")
     return run_polyhankel(ConvShapeNd, x, weight, padding, stride, dilation,
-                          groups, fft_policy, strategy, backend, layout,
-                          workers)
+                          groups, fft_policy, strategy, backend, workers)
 
 
 def conv1d_polyhankel(x: np.ndarray, weight: np.ndarray, padding=0,

@@ -30,19 +30,6 @@ FftPolicy = Literal["pow2", "smooth7", "even", "exact", "auto"]
 
 POLICIES: tuple[str, ...] = ("pow2", "smooth7", "even", "exact")
 
-SpectrumLayout = Literal["planar", "interleaved", "auto"]
-
-LAYOUTS: tuple[str, ...] = ("planar", "interleaved")
-
-#: Pointwise-work floor (``n * g * c_per * f_per * bins`` complex MACs)
-#: above which the interleaved layout's one batched bins-major matmul
-#: beats the planar einsum by enough to also pay for its transpose passes.
-#: Calibrated on the bench suite: the c16 preset (~600k) flips, every
-#: small case (and the mid-size strided/dilated presets, under ~400k)
-#: stays planar where the einsum's lower fixed cost wins.
-INTERLEAVED_MIN_WORK = 500_000
-
-
 @dataclass(frozen=True)
 class PlanSpec:
     """Pickle-safe identity of one execution plan.
@@ -60,14 +47,13 @@ class PlanSpec:
     fft_policy: FftPolicy
     strategy: str
     backend: str | None
-    layout: SpectrumLayout = "auto"
 
     def resolve(self):
         """The (cached) live plan for this spec in *this* process."""
         from repro.core.multichannel import get_plan
 
         return get_plan(self.shape, self.fft_policy, self.strategy,
-                        self.backend, layout=self.layout)
+                        self.backend)
 
 
 def resolve_fft_policy(policy: FftPolicy,
@@ -80,50 +66,6 @@ def resolve_fft_policy(policy: FftPolicy,
     if policy != "auto":
         return policy
     return "smooth7" if _fft.get_backend(backend).name == "numpy" else "pow2"
-
-
-def select_spectrum_layout(shape, strategy: str = "sum",
-                           fft_policy: FftPolicy = "pow2",
-                           layout: SpectrumLayout = "auto") -> str:
-    """Resolve ``"auto"`` to the spectrum layout best for *shape*.
-
-    Two layouts exist for the sum strategy's spectrum block:
-
-    - ``"planar"`` — row-major ``(n, c, bins)``: each transform row is
-      contiguous, the pointwise stage is an einsum over the channel axis.
-      Lowest fixed cost; wins on small blocks.
-    - ``"interleaved"`` — bins-major ``(g, bins, rows, cols)``: every
-      frequency bin's cross-channel slice is contiguous, so the fused
-      pointwise-multiply + channel accumulate is **one** batched complex
-      matmul (BLAS-shaped), with one transpose copy on either side of
-      it.  Wins once the pointwise work dwarfs those copies.
-
-    The rule: interleaved iff the strategy sums channels in frequency
-    space, the per-group contraction is non-degenerate (at least two
-    channels *and* two filters per group — depthwise stays planar), and
-    the pointwise work ``n * g * c_per * f_per * bins`` clears
-    :data:`INTERLEAVED_MIN_WORK`.  Concrete layouts pass through (after
-    validation), so tests and experiments can force either path.
-    """
-    if layout != "auto":
-        if layout not in LAYOUTS:
-            raise ValueError(
-                f"unknown spectrum layout {layout!r}; "
-                f"one of {LAYOUTS + ('auto',)}"
-            )
-        return layout
-    if strategy != "sum":
-        return "planar"
-    c_per, f_per = shape.group_channels, shape.group_filters
-    if c_per < 2 or f_per < 2:
-        return "planar"
-    from repro.core.construction import polynomial_lengths
-
-    _, _, transform_len = polynomial_lengths(shape)
-    nfft = plan_fft_size(transform_len, resolve_fft_policy(fft_policy))
-    bins = nfft // 2 + 1
-    work = shape.n * shape.groups * c_per * f_per * bins
-    return "interleaved" if work >= INTERLEAVED_MIN_WORK else "planar"
 
 
 def plan_fft_size(min_len: int, policy: FftPolicy = "pow2") -> int:

@@ -97,14 +97,6 @@ def profile_case(case, repeats: int = 10, warmup: int = 2,
                       f=case.filters, padding=case.padding,
                       stride=case.stride, dilation=case.dilation,
                       groups=case.groups)
-    layout = None
-    if case.algorithm == "polyhankel":
-        from repro.core.planning import (
-            resolve_fft_policy, select_spectrum_layout,
-        )
-
-        layout = select_spectrum_layout(
-            shape, case.strategy, resolve_fft_policy("auto", case.backend))
     x, w = random_problem(shape)
     call, transform = _runner(case, x, w)
 
@@ -184,7 +176,6 @@ def profile_case(case, repeats: int = 10, warmup: int = 2,
         "algorithm": case.algorithm,
         "strategy": case.strategy,
         "backend": case.backend,
-        "layout": layout,
         "shape": {"size": case.size, "kernel": case.kernel,
                   "batch": case.batch, "channels": case.channels,
                   "filters": case.filters, "padding": case.padding,
@@ -249,13 +240,11 @@ def case_for_shape(algorithm: str = "polyhankel", *, size: int = 32,
 
 def format_profile(report: dict) -> str:
     """Human-readable per-stage drift table."""
-    layout = f"  layout={report['layout']}" if report.get("layout") else ""
     roofline = (f", {report['roofline_pct']:.1f}% of roofline"
                 if report.get("roofline_pct") is not None else "")
     lines = [
         f"profile {report['name']}  algo={report['algorithm']}  "
-        f"strategy={report['strategy']}  backend={report['backend']}"
-        f"{layout}  "
+        f"strategy={report['strategy']}  backend={report['backend']}  "
         f"({report['repeats']} calls, {report['call_ms']:.3f} ms/call"
         f"{roofline})",
         f"{'stage':<24} {'measured':>11} {'flops':>12} {'bytes':>12} "

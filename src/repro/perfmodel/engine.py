@@ -12,10 +12,8 @@ statement of what those numbers *must* be, so tests can pin the gate's
 expectations instead of copying magic constants.
 
 The sum strategy runs 1 ``rfft`` of ``n*c`` rows and 1 ``irfft`` of
-``n*f`` rows under either spectrum layout: the layouts differ only in
-how the spectra are arranged for the pointwise stage.  The merge
-strategy runs 1 ``rfft`` of ``n*g`` merged rows and 1 ``irfft`` of
-``n*f`` rows.
+``n*f`` rows.  The merge strategy runs 1 ``rfft`` of ``n*g`` merged rows
+and 1 ``irfft`` of ``n*f`` rows.
 
 The roofline side reuses the GPU-model FLOP/byte stages against the CPU
 proxy peaks in :mod:`repro.perfmodel.device`: ``roofline_pct`` is the
@@ -31,15 +29,11 @@ from repro.utils.shapes import ConvShape, ConvShapeNd
 
 
 def predict_fft_counters(shape: ConvShape | ConvShapeNd,
-                         strategy: str = "sum",
-                         layout: str = "planar") -> dict:
+                         strategy: str = "sum") -> dict:
     """Counters of one cached steady-state engine call.
 
     Returns the same structure ``repro bench`` records per case:
     ``{"fft_calls": int, "fft_rows": int, "by_kind": {kind: calls}}``.
-    *layout* (``"planar"`` or ``"interleaved"``) does not change the
-    counters; it stays in the signature so callers can pass the plan's
-    resolved layout alongside its strategy.
     """
     rows_in = shape.n * (shape.groups if strategy == "merge" else shape.c)
     return {

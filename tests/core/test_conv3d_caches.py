@@ -58,4 +58,4 @@ def test_warm_conv3d_follows_the_plan_counter_model():
         "by_kind": {k: v["calls"] for k, v in sorted(totals.items())},
     }
     shape = ConvShapeNd.from_tensors(x.shape, w.shape, padding=1)
-    assert got == predict_fft_counters(shape, "sum", get_plan(shape).layout)
+    assert got == predict_fft_counters(shape, "sum")

@@ -28,12 +28,15 @@ GEOMETRY = {
     3: ((6, 7, 5), (2, 3, 2)),
 }
 
+#: The last id token names the spectrum layout each case once ran under;
+#: there is one pipeline now, and the token picks the batch size instead.
+BATCH = {"planar": 1, "interleaved": 2}
+
 GRID = [
     pytest.param(ndim, s, d, p, g, layout,
                  id=f"{ndim}d-s{s}-d{d}-p{p}-g{g}-{layout}")
     for ndim, s, d, p, g, layout in itertools.product(
-        (1, 2, 3), (1, 2), (1, 2), (0, "same"), (1, 2),
-        ("planar", "interleaved"))
+        (1, 2, 3), (1, 2), (1, 2), (0, "same"), (1, 2), BATCH)
 ]
 
 
@@ -41,20 +44,29 @@ def _shape_type(ndim):
     return ConvShape if ndim == 2 else ConvShapeNd
 
 
+def _exact_plan_output(x, w, padding, stride, dilation, groups):
+    shape = _shape_type(x.ndim - 2).from_tensors(x.shape, w.shape, padding,
+                                                 stride, dilation, groups)
+    plan = get_plan(shape, "exact", backend="numpy")
+    assert plan.nfft == shape.poly_input_len
+    return plan.execute(x, plan.transform_weight(w))
+
+
 @pytest.mark.parametrize("ndim,stride,dilation,padding,groups,layout", GRID)
 def test_exact_plan_uses_cyclic_length(ndim, stride, dilation, padding,
                                        groups, layout):
+    """Correct at the cyclic length; a batch's rows are also the bits of
+    the single-image calls."""
     extents, kernel = GEOMETRY[ndim]
     rng = np.random.default_rng(ndim * 100 + stride * 10 + dilation)
-    x = rng.standard_normal((2, 4) + extents)
+    x = rng.standard_normal((BATCH[layout], 4) + extents)
     w = rng.standard_normal((4, 4 // groups) + kernel)
-    shape = _shape_type(ndim).from_tensors(x.shape, w.shape, padding,
-                                           stride, dilation, groups)
-    plan = get_plan(shape, "exact", backend="numpy", layout=layout)
-    assert plan.nfft == shape.poly_input_len
-    got = plan.execute(x, plan.transform_weight(w))
-    assert_conv_close(got, naive_convnd_reference(x, w, padding, stride,
-                                                  dilation, groups))
+    params = (padding, stride, dilation, groups)
+    got = _exact_plan_output(x, w, *params)
+    assert_conv_close(got, naive_convnd_reference(x, w, *params))
+    for i in range(len(x)):
+        assert np.array_equal(got[i:i + 1],
+                              _exact_plan_output(x[i:i + 1], w, *params))
 
 
 def _cyclic_product_output(x, w, shape, length):

@@ -1,4 +1,10 @@
-"""Spectrum layout selection and the fused interleaved execution path."""
+"""The fused sum-strategy pipeline and its bins-major weight operand.
+
+Every sum-strategy plan runs one pipeline: one batched rfft, a per-bin
+row-vector contraction against the ``(g, bins, c_per, f_per)`` weight
+operand, one batched irfft.  The merge strategy keeps its own row-major
+``(f, bins)`` spectra.  There is no spectrum-layout option any more.
+"""
 
 import pickle
 
@@ -11,19 +17,14 @@ from repro.core.multichannel import (
     conv2d_polyhankel,
     get_plan,
 )
-from repro.core.planning import (
-    INTERLEAVED_MIN_WORK,
-    PlanSpec,
-    select_spectrum_layout,
-)
+from repro.core.planning import PlanSpec
 from repro.observe import tracing
 from repro.observe.registry import counters, fft_call_totals
 from repro.perfmodel.engine import predict_fft_counters
 from repro.utils.shapes import ConvShape
 from tests.conftest import assert_conv_close, naive_conv2d_reference
 
-#: The bench suite's c16 preset shape (conv32_sum_numpy_c16): the case the
-#: fused-path acceptance criteria are written against.
+#: The bench suite's c16 preset shape (conv32_sum_numpy_c16).
 C16_SHAPE = ConvShape(ih=32, iw=32, kh=3, kw=3, n=4, c=16, f=16, padding=1)
 
 
@@ -50,40 +51,21 @@ def _measured_counters(plan, x, w):
 
 
 class TestLayoutSelection:
-    def test_c16_preset_selects_interleaved(self):
-        assert select_spectrum_layout(C16_SHAPE, "sum", "smooth7") \
-            == "interleaved"
-
-    def test_small_shape_stays_planar(self):
-        shape = ConvShape(ih=16, iw=16, kh=3, kw=3, n=4, c=3, f=8, padding=1)
-        assert select_spectrum_layout(shape, "sum", "smooth7") == "planar"
-
     def test_merge_strategy_is_always_planar(self):
-        assert select_spectrum_layout(C16_SHAPE, "merge", "smooth7") \
-            == "planar"
-
-    def test_depthwise_stays_planar(self):
-        shape = ConvShape(ih=64, iw=64, kh=3, kw=3, n=8, c=16, f=16,
-                          padding=1, groups=16)
-        assert select_spectrum_layout(shape, "sum", "smooth7") == "planar"
-
-    def test_concrete_layouts_pass_through(self):
-        assert select_spectrum_layout(C16_SHAPE, "sum", "pow2",
-                                      "planar") == "planar"
-        small = ConvShape(ih=8, iw=8, kh=3, kw=3, n=1, c=2, f=2)
-        assert select_spectrum_layout(small, "sum", "pow2",
-                                      "interleaved") == "interleaved"
+        """The merge strategy's spectra stay row-major: one ``(bins,)``
+        row per filter."""
+        plan = get_plan(C16_SHAPE, strategy="merge", backend="numpy")
+        x, w = _problem(C16_SHAPE)
+        assert plan.transform_weight(w).shape == (C16_SHAPE.f, plan.bins)
 
     def test_unknown_layout_rejected(self):
-        with pytest.raises(ValueError, match="layout"):
-            select_spectrum_layout(C16_SHAPE, "sum", "pow2", "diagonal")
-
-    def test_threshold_is_the_decision_boundary(self):
-        shape = C16_SHAPE
-        bins = get_plan(shape, backend="numpy").nfft // 2 + 1
-        work = shape.n * shape.groups * shape.group_channels \
-            * shape.group_filters * bins
-        assert work >= INTERLEAVED_MIN_WORK
+        """``layout`` is no longer an engine option: every value of it is
+        an unknown keyword."""
+        with pytest.raises(TypeError, match="layout"):
+            get_plan(C16_SHAPE, backend="numpy", layout="diagonal")
+        x, w = _problem(C16_SHAPE)
+        with pytest.raises(TypeError, match="layout"):
+            conv2d_polyhankel(x, w, layout="interleaved")
 
 
 class TestFusedParity:
@@ -96,21 +78,22 @@ class TestFusedParity:
         (5, 3, 1),    # odd channels and filters
     ])
     def test_matches_planar_and_reference(self, c, f, groups):
+        """The sum pipeline against the naive reference and against the
+        merge strategy, the engine's other (row-major spectra) pipeline."""
         rng = np.random.default_rng(c * 7 + f)
         x = rng.standard_normal((2, c, 12, 11))
         w = rng.standard_normal((f, c // groups, 3, 4))
         ref = naive_conv2d_reference(x, w, 1, (1, 1), (1, 1), groups)
-        planar = conv2d_polyhankel(x, w, padding=1, groups=groups,
-                                   layout="planar")
-        fused = conv2d_polyhankel(x, w, padding=1, groups=groups,
-                                  layout="interleaved")
+        fused = conv2d_polyhankel(x, w, padding=1, groups=groups)
+        merged = conv2d_polyhankel(x, w, padding=1, groups=groups,
+                                   strategy="merge")
         assert_conv_close(fused, ref)
-        np.testing.assert_allclose(fused, planar, atol=1e-10)
+        np.testing.assert_allclose(fused, merged, atol=1e-10)
 
     def test_c16_preset_matches_naive(self):
         x, w = _problem(C16_SHAPE)
         ref = naive_conv2d_reference(x, w, 1, (1, 1), (1, 1), 1)
-        got = conv2d_polyhankel(x, w, padding=1)  # auto -> interleaved
+        got = conv2d_polyhankel(x, w, padding=1)
         assert_conv_close(got, ref)
 
     def test_strided_input(self):
@@ -118,21 +101,25 @@ class TestFusedParity:
         base = rng.standard_normal((2, 6, 24, 22))
         x = base[:, :, ::2, ::2]
         w = rng.standard_normal((4, 6, 3, 3))
-        want = conv2d_polyhankel(np.ascontiguousarray(x), w,
-                                 layout="interleaved")
-        np.testing.assert_array_equal(
-            conv2d_polyhankel(x, w, layout="interleaved"), want)
+        want = conv2d_polyhankel(np.ascontiguousarray(x), w)
+        np.testing.assert_array_equal(conv2d_polyhankel(x, w), want)
 
     def test_workers_bit_identical(self):
-        """Every fused stage is independent per image, so the threaded
-        path stays bit-identical to the sequential one."""
-        shape = ConvShape(ih=16, iw=16, kh=3, kw=3, n=6, c=6, f=4, padding=1)
-        x, w = _problem(shape)
-        plan = get_plan(shape, backend="numpy", layout="interleaved")
-        w_hat = plan.transform_weight(w)
-        want = plan.execute(x, w_hat)
-        np.testing.assert_array_equal(
-            plan.execute(x, w_hat, workers=3), want)
+        """Every stage is independent per image, so the threaded path
+        (which stages each chunk unpadded, like the sequential one) stays
+        bit-identical — the depthwise multiply included."""
+        for groups in (1, 6):
+            shape = ConvShape(ih=16, iw=16, kh=3, kw=3, n=6, c=6, f=6,
+                              padding=1, groups=groups)
+            x, w = _problem(shape)
+            # An uncached plan whose work floor is lifted, so workers=3
+            # really splits the batch.
+            plan = PolyHankelPlan(shape, backend="numpy")
+            plan._split_min = 0
+            w_hat = plan.transform_weight(w)
+            want = plan.execute(x, w_hat)
+            np.testing.assert_array_equal(
+                plan.execute(x, w_hat, workers=3), want)
 
     def test_scratch_reuse_is_stable(self):
         """Back-to-back cached executes (scratch reuse on) must not leak
@@ -149,16 +136,18 @@ class TestFusedParity:
 
 class TestFusedCounters:
     def test_c16_counters_match_planar(self):
-        """Both layouts run the same plain real transforms on the c16
-        preset; only the pointwise stage's spectrum arrangement differs."""
+        """The fused pipeline runs the plain real transforms a separate
+        per-channel pipeline would: one rfft of ``n*c`` rows, one irfft
+        of ``n*f`` rows."""
         x, w = _problem(C16_SHAPE)
-        fused = _measured_counters(
-            get_plan(C16_SHAPE, backend="numpy"), x, w)
-        planar = _measured_counters(
-            get_plan(C16_SHAPE, backend="numpy", layout="planar"), x, w)
-        assert get_plan(C16_SHAPE, backend="numpy").layout == "interleaved"
-        assert fused == planar
+        n, c, f = C16_SHAPE.n, C16_SHAPE.c, C16_SHAPE.f
+        assert _measured_counters(get_plan(C16_SHAPE, backend="numpy"),
+                                  x, w) == {
+            "fft_calls": 2, "fft_rows": n * c + n * f,
+            "by_kind": {"irfft": 1, "rfft": 1}}
 
+    # The third id token names the spectrum layout these shapes ran under
+    # before the engine had one pipeline; it now picks the batch size.
     @pytest.mark.parametrize("c,f,layout", [
         (16, 16, "interleaved"),
         (16, 16, "planar"),
@@ -166,38 +155,33 @@ class TestFusedCounters:
         (1, 4, "interleaved"),
     ])
     def test_predictor_matches_measurement(self, c, f, layout):
-        shape = ConvShape(ih=12, iw=11, kh=3, kw=3, n=2, c=c, f=f, padding=1)
+        n = {"planar": 1, "interleaved": 2}[layout]
+        shape = ConvShape(ih=12, iw=11, kh=3, kw=3, n=n, c=c, f=f,
+                          padding=1)
         x, w = _problem(shape)
-        plan = get_plan(shape, backend="numpy", layout=layout)
+        plan = get_plan(shape, backend="numpy")
         assert _measured_counters(plan, x, w) \
-            == predict_fft_counters(shape, "sum", layout)
+            == predict_fft_counters(shape, "sum")
 
 
 class TestPlanIdentity:
-    def test_layout_is_part_of_plan_identity(self):
-        a = get_plan(C16_SHAPE, backend="numpy", layout="planar")
-        b = get_plan(C16_SHAPE, backend="numpy", layout="interleaved")
-        assert a is not b
-        assert (a.layout, b.layout) == ("planar", "interleaved")
-
-    def test_auto_resolves_to_concrete_layout_in_cache(self):
-        auto = get_plan(C16_SHAPE, backend="numpy")
-        forced = get_plan(C16_SHAPE, backend="numpy", layout=auto.layout)
-        assert auto is forced
-
     def test_plan_pickles_as_spec_with_layout(self):
-        plan = get_plan(C16_SHAPE, backend="numpy", layout="interleaved")
+        """A plan pickles as its spec and re-resolves to the cached plan,
+        whose weight operand has the bins-major layout."""
+        plan = get_plan(C16_SHAPE, backend="numpy")
         clone = pickle.loads(pickle.dumps(plan))
-        assert clone is get_plan(C16_SHAPE, backend="numpy",
-                                 layout="interleaved")
-        assert clone.layout == "interleaved"
+        assert clone is get_plan(C16_SHAPE, backend="numpy")
+        _, w = _problem(C16_SHAPE)
+        assert clone.transform_weight(w).shape == (1, plan.bins, 16, 16)
 
     def test_spec_round_trip(self):
-        spec = PlanSpec(C16_SHAPE, "smooth7", "sum", "numpy", "interleaved")
-        assert spec.resolve().layout == "interleaved"
+        spec = PlanSpec(C16_SHAPE, "smooth7", "sum", "numpy")
+        assert spec.resolve() is get_plan(C16_SHAPE, "smooth7",
+                                          backend="numpy")
+        assert spec.resolve().spec == spec
 
     def test_direct_plan_resolves_auto(self):
         clear_plan_cache()
-        plan = PolyHankelPlan(C16_SHAPE, backend="numpy")
-        assert plan.layout in ("planar", "interleaved")
+        plan = PolyHankelPlan(C16_SHAPE, "auto", backend="numpy")
+        assert plan.fft_policy == "smooth7"
         assert plan.bins == plan.nfft // 2 + 1

@@ -80,13 +80,9 @@ class TestPolyHankelGrid:
 
 
 class TestInterleavedLayoutGrid:
-    """The fused (interleaved) spectrum layout on a diagonal slice of the
-    grid, forced past the auto-selection work threshold.
-
-    Every shape here is far below the layout heuristic's floor, so the
-    forced run is the only coverage these parameter combinations get on
-    the fused pipeline, grouped and ungrouped.
-    """
+    """The sum pipeline's bins-major (once "interleaved") contraction on a
+    diagonal slice of the grid, grouped and ungrouped, against the
+    reference and against the merge strategy's independent pipeline."""
 
     CASES = [((1, 1), (1, 1), 1, 1),
              ((2, 2), (2, 2), 2, 0),
@@ -101,13 +97,12 @@ class TestInterleavedLayoutGrid:
                                           padding):
         x, w, ref = _problem(stride, dilation, groups, padding)
         fused = conv2d_polyhankel(x, w, padding=padding, stride=stride,
-                                  dilation=dilation, groups=groups,
-                                  layout="interleaved")
+                                  dilation=dilation, groups=groups)
         assert_conv_close(fused, ref)
-        planar = conv2d_polyhankel(x, w, padding=padding, stride=stride,
+        merged = conv2d_polyhankel(x, w, padding=padding, stride=stride,
                                    dilation=dilation, groups=groups,
-                                   layout="planar")
-        np.testing.assert_allclose(fused, planar, atol=1e-10)
+                                   strategy="merge")
+        np.testing.assert_allclose(fused, merged, atol=1e-10)
 
     def test_odd_channel_slice(self):
         """Odd channel and filter counts across the strided/dilated
@@ -117,7 +112,7 @@ class TestInterleavedLayoutGrid:
         w = rng.standard_normal((3, 5, K, K))
         ref = naive_conv2d_reference(x, w, 1, (2, 1), (1, 2), 1)
         got = conv2d_polyhankel(x, w, padding=1, stride=(2, 1),
-                                dilation=(1, 2), layout="interleaved")
+                                dilation=(1, 2))
         assert_conv_close(got, ref)
 
 

@@ -29,7 +29,6 @@ def test_smoke_suite_schema(tmp_path, monkeypatch):
     for row in report["results"]:
         assert row["counters"]["fft_calls"] >= 2
         assert row["counters"]["guard_fallbacks"] == 0
-        assert row["layout"] in ("planar", "interleaved", None)
         assert row["roofline_pct"] is None or row["roofline_pct"] > 0
     nd_rows = [row for row in report["results"] if "op" in row]
     rows_2d = [row for row in report["results"] if "op" not in row]
