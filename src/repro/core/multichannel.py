@@ -25,9 +25,11 @@ sequential path because every pipeline stage is row-independent.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Literal
 
 import numpy as np
@@ -229,14 +231,19 @@ class PolyHankelPlan:
         """Cached kernel spectra for *weight*.
 
         Consults the module-level spectrum cache keyed by ``(id(weight),
-        id(plan))``.  A hit is only served after an exact content check
-        against the stored snapshot, so mutating a weight array (in place
-        or by rebinding) always yields fresh spectra — the cache can return
-        stale results **never**, only miss.  While the guard is enabled,
-        entries additionally carry a content checksum of the *spectrum*
-        itself: a hit whose spectrum no longer matches its insert-time
-        stamp (in-memory rot, a doctored entry) is treated as a miss and
-        recomputed, reported through ``guard.cache_corrupt``.
+        id(plan))``.  An entry dies with its weight array: it holds a weak
+        reference whose callback drops the entry once the weight is
+        collected, so the spectra of throwaway operands (a gradient
+        convolution's per-call arrays) are freed with them instead of
+        filling the LRU bound.  A weight that cannot be weakly referenced
+        is transformed uncached.  A hit is only served after an exact
+        content check against the stored snapshot, so mutating a weight
+        array (in place or by rebinding) always yields fresh spectra — the
+        cache can return stale results **never**, only miss.  While the
+        guard is enabled, entries additionally carry a content checksum of
+        the *spectrum* itself: a hit whose spectrum no longer matches its
+        insert-time stamp (in-memory rot, a doctored entry) is treated as a
+        miss and recomputed, reported through ``guard.cache_corrupt``.
         """
         if not _spectrum_cache_enabled():
             return self.transform_weight(weight)
@@ -249,14 +256,14 @@ class PolyHankelPlan:
         hit = None
         with _spectrum_lock:
             entry = _SPECTRUM_CACHE.get(key)
-            if entry is not None and entry[1] is self \
-                    and arr.shape == entry[0].shape \
-                    and np.array_equal(arr, entry[0]):
+            if entry is not None and entry[2] is self \
+                    and arr.shape == entry[1].shape \
+                    and np.array_equal(arr, entry[1]):
                 record_cache_event("spectrum", hit=True)
                 _SPECTRUM_CACHE.move_to_end(key)
                 hit = entry
         if hit is not None:
-            spectrum, stamp = hit[2], hit[3]
+            spectrum, stamp = hit[3], hit[4]
             if _faults._STACK:
                 _faults.maybe_corrupt_spectrum(spectrum)
             if not guard_enabled() or verify_checksum(spectrum, stamp):
@@ -264,13 +271,17 @@ class PolyHankelPlan:
             counters.add("guard.cache_corrupt", cache="spectrum")
         else:
             record_cache_event("spectrum", hit=False)
+        try:
+            ref = weakref.ref(weight, partial(_evict_spectrum, key))
+        except TypeError:
+            return self.transform_weight(weight)
         spectrum = self.transform_weight(weight)
         # Stamp unconditionally: inserts are rare (one per weight transform)
         # and a crc32 is microseconds, so entries born while the guard was
         # off are still verifiable once it turns on.
         stamp = array_checksum(spectrum)
         with _spectrum_lock:
-            _SPECTRUM_CACHE[key] = (arr.astype(float, copy=True), self,
+            _SPECTRUM_CACHE[key] = (ref, arr.astype(float, copy=True), self,
                                     spectrum, stamp)
             _SPECTRUM_CACHE.move_to_end(key)
             while len(_SPECTRUM_CACHE) > _SPECTRUM_LIMIT[0]:
@@ -555,11 +566,28 @@ def clear_plan_cache() -> None:
 # ---------------------------------------------------------------------------
 
 _spectrum_lock = threading.Lock()
+# key -> (weight ref, weight snapshot, plan, spectrum, spectrum checksum)
 _SPECTRUM_CACHE: OrderedDict[
-    tuple, tuple[np.ndarray, PolyHankelPlan, np.ndarray, int | None]
+    tuple, tuple[weakref.ref, np.ndarray, PolyHankelPlan, np.ndarray,
+                 int | None]
 ] = OrderedDict()
 _SPECTRUM_LIMIT = [64]
 _SPECTRUM_ENABLED = [True]
+
+
+def _evict_spectrum(key: tuple, ref: weakref.ref) -> None:
+    """Weakref callback: drop the entry of a weight that was collected.
+
+    It never takes ``_spectrum_lock``: a collection can run inside the
+    locked region, where the non-reentrant lock would deadlock; each dict
+    operation is atomic under the GIL.  The callback runs before the
+    weight's memory is freed, so no newer array holds its ``id()`` yet;
+    the ``is ref`` test spares the entry of a weight that was re-inserted
+    (after an in-place update) under a newer reference.
+    """
+    entry = _SPECTRUM_CACHE.get(key)
+    if entry is not None and entry[0] is ref:
+        _SPECTRUM_CACHE.pop(key, None)
 
 
 def _spectrum_cache_enabled() -> bool:

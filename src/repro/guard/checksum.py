@@ -19,9 +19,12 @@ import numpy as np
 
 
 def array_checksum(arr: np.ndarray) -> int:
-    """CRC32 of the array's contents (layout-independent)."""
-    arr = np.ascontiguousarray(arr)
-    return zlib.crc32(arr.tobytes())
+    """CRC32 of the array's contents (layout-independent).
+
+    Hashes the C-contiguous buffer in place; only a non-contiguous input
+    is copied first.
+    """
+    return zlib.crc32(np.ascontiguousarray(arr))
 
 
 def verify_checksum(arr: np.ndarray, expected: int | None) -> bool:

@@ -56,19 +56,23 @@ class Tensor:
         """Reverse-mode sweep from this tensor (default seed: ones)."""
         if grad is None:
             grad = np.ones_like(self.data)
-        # Topological order over the tape.
+        # Topological order over the tape: a depth-first post-order, kept
+        # iterative because a recursive closure references itself through
+        # its own cell, and that cycle would keep every Tensor of the step
+        # alive until the cyclic collector runs.
         order: list[Tensor] = []
-        seen: set[int] = set()
-
-        def visit(node: "Tensor") -> None:
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for parent in node.parents:
-                visit(parent)
-            order.append(node)
-
-        visit(self)
+        seen = {id(self)}
+        stack = [(self, iter(self.parents))]
+        while stack:
+            node, parents = stack[-1]
+            for parent in parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append((parent, iter(parent.parents)))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
         self._accumulate(np.asarray(grad, dtype=float))
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None \
@@ -239,16 +243,19 @@ def max_pool2d(x: Tensor, kernel_size: int,
     def backward_fn(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        dx = np.zeros_like(x.data)
-        du, dv = np.divmod(arg, kernel_size)
-        for i in range(oh):
-            for j in range(ow):
-                rows = i * stride + du[:, :, i, j]
-                cols = j * stride + dv[:, :, i, j]
-                nn, cc = np.meshgrid(np.arange(n), np.arange(c),
-                                     indexing="ij")
-                np.add.at(dx, (nn, cc, rows, cols), grad[:, :, i, j])
-        x._accumulate(dx)
+        # Flat input index of each window's maximum: its offset inside the
+        # window, plus the window's corner, plus its (n, c) plane.
+        taps = np.arange(kernel_size)
+        index = (taps[:, None] * w + taps).ravel()[arg]
+        index += np.arange(oh)[:, None] * (stride * w) \
+            + np.arange(ow) * stride
+        index += np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
+        # One scatter-add in (n, c, i, j) order: each input element
+        # receives its windows' gradients in row-major window order, the
+        # order a per-window loop adds them.
+        dx = np.zeros(x.data.size)
+        np.add.at(dx, index.ravel(), grad.ravel())
+        x._accumulate(dx.reshape(x.data.shape))
 
     return Tensor(out, (x,), backward_fn)
 

@@ -1,6 +1,9 @@
 """Tests for repro.guard.checksum: content stamps on cached spectra."""
 
+import zlib
+
 import numpy as np
+import pytest
 
 from repro.guard.checksum import array_checksum, verify_checksum
 
@@ -25,6 +28,21 @@ class TestArrayChecksum:
         stamp = array_checksum(a)
         a[3] = np.nan
         assert array_checksum(a) != stamp
+
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: rng.standard_normal((6, 5)),                 # C order
+        lambda rng: rng.standard_normal((6, 10))[:, ::3],        # strided
+        lambda rng: np.asfortranarray(rng.standard_normal((4, 7))),
+        lambda rng: rng.standard_normal((3, 4)) + 1j * rng.standard_normal(
+            (3, 4)),                                             # complex
+        lambda rng: (rng.standard_normal((4, 6))
+                     + 1j * rng.standard_normal((4, 6)))[::2, 1::2],
+    ])
+    def test_equals_crc32_of_the_bytes(self, rng, make):
+        """Hashing the buffer in place gives the CRC of ``tobytes()``."""
+        a = make(rng)
+        assert array_checksum(a) == zlib.crc32(a.tobytes())
 
 
 class TestVerifyChecksum:

@@ -119,6 +119,63 @@ class TestOps:
         np.testing.assert_allclose(logits.grad, expected, atol=1e-5)
 
 
+def _per_window_pool_grad(x, kernel_size, stride, grad):
+    """Test oracle: the per-window loop ``max_pool2d``'s backward once ran,
+    one ``meshgrid`` and ``np.add.at`` per window position."""
+    n, c, h, w = x.shape
+    oh = (h - kernel_size) // stride + 1
+    ow = (w - kernel_size) // stride + 1
+    windows = np.lib.stride_tricks.sliding_window_view(
+        x, (kernel_size, kernel_size), axis=(2, 3)
+    )[:, :, ::stride, ::stride]
+    arg = windows.reshape(n, c, oh, ow, -1).argmax(axis=-1)
+    dx = np.zeros_like(x)
+    du, dv = np.divmod(arg, kernel_size)
+    for i in range(oh):
+        for j in range(ow):
+            rows = i * stride + du[:, :, i, j]
+            cols = j * stride + dv[:, :, i, j]
+            nn, cc = np.meshgrid(np.arange(n), np.arange(c), indexing="ij")
+            np.add.at(dx, (nn, cc, rows, cols), grad[:, :, i, j])
+    return dx
+
+
+class TestMaxPoolBackward:
+    """The vectorized ``max_pool2d`` backward is pinned bit for bit, sign
+    of zero included, to the per-window loop it replaced."""
+
+    @pytest.mark.parametrize("shape, kernel_size, stride", [
+        ((2, 3, 8, 8), 2, 2),       # stride = kernel
+        ((2, 3, 8, 8), 3, 1),       # overlapping windows
+        ((2, 2, 9, 9), 3, 2),       # overlapping, strided
+        ((2, 2, 7, 9), 2, 2),       # extents not divisible by the kernel
+        ((1, 2, 10, 7), 4, 3),      # ragged and overlapping
+        ((2, 4, 6, 6), 6, 6),       # global pool
+    ])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_per_window_loop(self, rng, shape, kernel_size, stride,
+                                     ties):
+        if ties:
+            # Few distinct values: most windows hold a tied maximum, and
+            # the zeros come in both signs.
+            x_data = rng.integers(-1, 2, shape).astype(float)
+            x_data[x_data == 0] = np.where(
+                rng.random(np.count_nonzero(x_data == 0)) < 0.5, 0.0, -0.0)
+        else:
+            x_data = rng.standard_normal(shape)
+        x = ag.parameter(x_data)
+        out = ag.max_pool2d(x, kernel_size, stride)
+        grad = rng.standard_normal(out.shape)
+        grad[rng.random(out.shape) < 0.3] = -0.0
+        # A -0.0 seed shows the sign of every zero the backward adds.
+        x.grad = np.full(shape, -0.0)
+        out._backward_fn(grad)
+        expected = np.full(shape, -0.0) + _per_window_pool_grad(
+            x_data, kernel_size, stride, grad)
+        assert np.array_equal(x.grad, expected)
+        assert np.array_equal(np.signbit(x.grad), np.signbit(expected))
+
+
 class TestTraining:
     def test_sgd_reduces_quadratic(self):
         p = ag.parameter(np.array([5.0, -3.0]))
