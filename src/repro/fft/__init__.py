@@ -7,8 +7,6 @@ Public surface:
 - :func:`set_backend` / :func:`use_backend` — choose ``"builtin"`` (this
   package's radix-2 / mixed-radix / Bluestein stack) or ``"numpy"``.
 - :func:`next_fast_len` / :func:`next_pow2` — cuFFT-style size planning.
-- :func:`packed_rfft` / :func:`packed_irfft` — stacked real transforms via
-  real-pair packing (two rows per complex FFT, Hermitian-split unpack).
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from repro.fft.backend import (
     use_backend,
 )
 from repro.fft.dft import dft, idft
-from repro.fft.packed import packed_irfft, packed_rfft
 from repro.fft.plan import (
     FftPlan,
     clear_fft_plan_cache,
@@ -44,7 +41,6 @@ from repro.fft.sizes import (
 
 __all__ = [
     "fft", "ifft", "rfft", "irfft",
-    "packed_rfft", "packed_irfft",
     "dft", "idft",
     "BackendExecutionError",
     "FftBackend", "available_backends", "get_backend", "set_backend",
