@@ -14,7 +14,7 @@ from repro.core.multichannel import PolyHankelPlan, conv2d_polyhankel
 from repro.utils.random import random_problem
 from repro.utils.shapes import ConvShape
 
-SHAPE = ConvShape(ih=32, iw=32, kh=3, kw=3, n=2, c=8, f=8, padding=1)
+SHAPE = ConvShape((32, 32), (3, 3), n=2, c=8, f=8, padding=1)
 
 
 @pytest.mark.parametrize("strategy", ["sum", "merge"])

@@ -12,7 +12,7 @@ from repro.core.planning import plan_fft_size
 from repro.utils.random import random_problem
 from repro.utils.shapes import ConvShape
 
-SHAPE = ConvShape(ih=48, iw=48, kh=5, kw=5, n=2, c=3, f=4, padding=2)
+SHAPE = ConvShape((48, 48), (5, 5), n=2, c=3, f=4, padding=2)
 POLICIES = ["pow2", "smooth7", "even"]
 
 
@@ -32,7 +32,7 @@ def test_padding_overhead_by_policy(benchmark, record_result):
     def overheads():
         rows = []
         for size in (24, 48, 96, 144, 224):
-            shape = SHAPE.with_(ih=size, iw=size)
+            shape = SHAPE.with_(extents=(size, size))
             need = shape.poly_input_len   # the cyclic transform bound
             rows.append((size, need,
                          {p: plan_fft_size(need, p) for p in POLICIES}))

@@ -15,7 +15,7 @@ from repro.perfmodel.counters import polyhankel_block_size
 from repro.utils.random import random_problem
 from repro.utils.shapes import ConvShape
 
-SHAPE = ConvShape(ih=32, iw=32, kh=3, kw=3, n=8, c=2, f=2, padding=1)
+SHAPE = ConvShape((32, 32), (3, 3), n=8, c=2, f=2, padding=1)
 
 
 @pytest.mark.parametrize("impl", ["monolithic", "overlap_save"])
@@ -31,9 +31,9 @@ def test_block_size_tracks_kernel_not_input(benchmark, record_result):
     vector, so it is invariant to input size and grows with kernel size."""
     def sizes():
         by_input = [polyhankel_block_size(
-            ConvShape(ih=s, iw=64, kh=3, kw=3)) for s in (16, 64, 256)]
+            ConvShape((s, 64), (3, 3))) for s in (16, 64, 256)]
         by_kernel = [polyhankel_block_size(
-            ConvShape(ih=64, iw=64, kh=k, kw=k)) for k in (3, 9, 21)]
+            ConvShape((64, 64), (k, k))) for k in (3, 9, 21)]
         return by_input, by_kernel
 
     by_input, by_kernel = benchmark.pedantic(sizes, rounds=1, iterations=1)

@@ -13,8 +13,8 @@ from repro.baselines.registry import convolve, supports
 from repro.utils.random import random_problem
 from repro.utils.shapes import ConvShape
 
-SHAPE = ConvShape(ih=64, iw=64, kh=5, kw=5, n=4, c=3, f=8, padding=2)
-SMALL = ConvShape(ih=16, iw=16, kh=3, kw=3, n=4, c=3, f=8, padding=1)
+SHAPE = ConvShape((64, 64), (5, 5), n=4, c=3, f=8, padding=2)
+SMALL = ConvShape((16, 16), (3, 3), n=4, c=3, f=8, padding=1)
 
 ALGOS = [A.GEMM, A.IMPLICIT_GEMM, A.IMPLICIT_PRECOMP_GEMM, A.FFT,
          A.FFT_TILING, A.WINOGRAD, A.FINEGRAIN_FFT, A.POLYHANKEL,

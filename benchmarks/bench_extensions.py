@@ -31,7 +31,7 @@ def test_conv3d_wallclock(benchmark):
 
 @pytest.mark.parametrize("which", ["input", "weight"])
 def test_backward_wallclock(benchmark, which):
-    shape = ConvShape(ih=32, iw=32, kh=3, kw=3, n=4, c=8, f=8, padding=1)
+    shape = ConvShape((32, 32), (3, 3), n=4, c=8, f=8, padding=1)
     x, w = random_problem(shape)
     g = rng.standard_normal(shape.output_shape())
     if which == "input":
@@ -66,7 +66,7 @@ def test_auto_dispatch_overhead(benchmark):
     """algorithm='auto' adds only the O(1) rule evaluation."""
     from repro.nn import functional as F
 
-    shape = ConvShape(ih=24, iw=24, kh=3, kw=3, n=2, c=2, f=4, padding=1)
+    shape = ConvShape((24, 24), (3, 3), n=2, c=2, f=4, padding=1)
     x, w = random_problem(shape)
     benchmark.pedantic(
         lambda: F.conv2d(x, w, padding=1, algorithm="auto"),
@@ -83,7 +83,7 @@ def test_plan_cache_ablation(benchmark, record_result):
         PolyHankelPlan, clear_plan_cache, conv2d_polyhankel,
     )
 
-    shape = ConvShape(ih=48, iw=48, kh=3, kw=3, n=4, c=4, f=8, padding=1)
+    shape = ConvShape((48, 48), (3, 3), n=4, c=4, f=8, padding=1)
     x, w = random_problem(shape)
 
     def measure():

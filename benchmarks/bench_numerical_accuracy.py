@@ -25,7 +25,7 @@ def relative_error(algorithm, shape: ConvShape) -> float:
 
 
 def test_accuracy_by_algorithm(benchmark, record_result):
-    shape = ConvShape(ih=24, iw=24, kh=5, kw=5, n=2, c=3, f=4, padding=2)
+    shape = ConvShape((24, 24), (5, 5), n=2, c=3, f=4, padding=2)
 
     def measure():
         errors = {}
@@ -53,7 +53,7 @@ def test_winograd_error_grows_with_kernel_size(benchmark, record_result):
     def measure():
         rows = []
         for k in (2, 3, 5, 7):
-            shape = ConvShape(ih=20, iw=20, kh=k, kw=k, n=1, c=2, f=2)
+            shape = ConvShape((20, 20), (k, k), n=1, c=2, f=2)
             rows.append((k, relative_error(A.WINOGRAD, shape),
                          relative_error(A.POLYHANKEL, shape)))
         return rows
@@ -77,7 +77,7 @@ def test_winograd_error_grows_with_kernel_size(benchmark, record_result):
 def test_polyhankel_accuracy_by_dtype(benchmark, dtype):
     """Input dtype does not break the pipeline; float32 inputs keep
     ~float32-level agreement with the float64 reference."""
-    shape = ConvShape(ih=16, iw=16, kh=3, kw=3, n=2, c=2, f=2, padding=1)
+    shape = ConvShape((16, 16), (3, 3), n=2, c=2, f=2, padding=1)
 
     def measure():
         x, w = random_problem(shape, dtype=dtype)

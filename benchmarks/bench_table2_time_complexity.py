@@ -11,7 +11,7 @@ from conftest import run_once
 from repro.experiments import TIME_ROWS, complexity_report, scaling_ratio
 from repro.utils.shapes import ConvShape
 
-SHAPES = [ConvShape(ih=s, iw=s, kh=5, kw=5, n=1, c=1, f=1, padding=2)
+SHAPES = [ConvShape((s, s), (5, 5), n=1, c=1, f=1, padding=2)
           for s in (32, 64, 128, 224)]
 
 
@@ -31,7 +31,7 @@ def test_table2_growth_agreement(benchmark, record_result):
 def test_table2_ranking_at_large_sizes(benchmark):
     """The table's qualitative claim: PolyHankel needs far fewer
     operations than the traditional (2D) FFT method."""
-    shape = ConvShape(ih=224, iw=224, kh=5, kw=5, n=1, c=1, f=1, padding=2)
+    shape = ConvShape((224, 224), (5, 5), n=1, c=1, f=1, padding=2)
 
     def evaluate():
         return {row.method: row.measured(shape) for row in TIME_ROWS}
@@ -44,8 +44,8 @@ def test_table2_ranking_at_large_sizes(benchmark):
 def test_table2_kernel_size_sensitivity(benchmark):
     """Table 2 structure: GEMM's count scales with Kh*Kw; PolyHankel's only
     via the (Kh*Iw) term inside the log/linear factors."""
-    small = ConvShape(ih=64, iw=64, kh=3, kw=3, n=1, c=1, f=1, padding=1)
-    big = ConvShape(ih=64, iw=64, kh=9, kw=9, n=1, c=1, f=1, padding=4)
+    small = ConvShape((64, 64), (3, 3), n=1, c=1, f=1, padding=1)
+    big = ConvShape((64, 64), (9, 9), n=1, c=1, f=1, padding=4)
 
     def ratios():
         from repro.baselines.registry import ConvAlgorithm as A

@@ -11,7 +11,7 @@ from repro.experiments import SPACE_ROWS, complexity_report, scaling_ratio
 from repro.perfmodel.counters import count
 from repro.utils.shapes import ConvShape
 
-SHAPES = [ConvShape(ih=s, iw=s, kh=5, kw=5, n=1, c=1, f=1, padding=2)
+SHAPES = [ConvShape((s, s), (5, 5), n=1, c=1, f=1, padding=2)
           for s in (32, 64, 128, 224)]
 
 
@@ -28,7 +28,7 @@ def test_table3_growth_agreement(benchmark, record_result):
 def test_table3_im2col_redundancy_dominates(benchmark):
     """Table 3's headline: the im2col workspace (Kh*Kw*Oh*Ow) dwarfs every
     FFT-family footprint by roughly the kernel-area factor."""
-    shape = ConvShape(ih=128, iw=128, kh=5, kw=5, n=1, c=1, f=1, padding=2)
+    shape = ConvShape((128, 128), (5, 5), n=1, c=1, f=1, padding=2)
 
     def workspaces():
         return {row.method: row.measured(shape) for row in SPACE_ROWS}
@@ -43,9 +43,9 @@ def test_table3_polyhankel_workspace_linear_in_input(benchmark):
     area, independent of Kw."""
     def ratio():
         a = count(A.POLYHANKEL,
-                  ConvShape(ih=64, iw=64, kh=5, kw=5, padding=2))
+                  ConvShape((64, 64), (5, 5), padding=2))
         b = count(A.POLYHANKEL,
-                  ConvShape(ih=128, iw=128, kh=5, kw=5, padding=2))
+                  ConvShape((128, 128), (5, 5), padding=2))
         return b.workspace_bytes / a.workspace_bytes
 
     r = run_once(benchmark, ratio)

@@ -52,8 +52,9 @@ def conv2d_fft(x: np.ndarray, weight: np.ndarray, padding: int = 0,
     shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride)
 
     xp = pad2d(x, padding)
-    fh = plan_fft_size(shape.padded_ih + shape.kh - 1, fft_policy)
-    fw = plan_fft_size(shape.padded_iw + shape.kw - 1, fft_policy)
+    ph, pw = shape.padded_extents
+    fh = plan_fft_size(ph + shape.kh - 1, fft_policy)
+    fw = plan_fft_size(pw + shape.kw - 1, fft_policy)
 
     flipped = weight[:, :, ::-1, ::-1]
     x_hat = rfft2(xp, (fh, fw), backend)             # (n, c, fh, bins)

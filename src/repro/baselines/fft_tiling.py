@@ -35,8 +35,9 @@ def conv2d_fft_tiling(x: np.ndarray, weight: np.ndarray, padding: int = 0,
     xp = pad2d(x, padding)
     # Tiles are defined on the *pre-stride* valid-output grid; striding is a
     # final subsample, as in the monolithic FFT path.
-    full_oh = shape.padded_ih - shape.kh + 1
-    full_ow = shape.padded_iw - shape.kw + 1
+    ph, pw = shape.padded_extents
+    full_oh = ph - shape.kh + 1
+    full_ow = pw - shape.kw + 1
 
     patch_h = tile + shape.kh - 1
     patch_w = tile + shape.kw - 1

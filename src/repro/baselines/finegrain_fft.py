@@ -38,7 +38,7 @@ def conv2d_finegrain_fft(x: np.ndarray, weight: np.ndarray, padding: int = 0,
     xp = pad2d(x, padding)                               # (n, c, ph, pw)
     # Each row's linear correlation needs pw + kw - 1 samples; the method
     # pads row blocks to the next power of two (~2 * Iw).
-    nfft = plan_fft_size(shape.padded_iw + shape.kw - 1, "pow2")
+    nfft = plan_fft_size(shape.padded_extents[1] + shape.kw - 1, "pow2")
 
     x_hat = fft.rfft(xp, nfft)                           # (n, c, ph, bins)
     w_hat = fft.rfft(weight[:, :, :, ::-1], nfft)        # (f, c, kh, bins)

@@ -21,8 +21,8 @@ _OFFSET_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 def _gather_offsets(shape: ConvShape) -> tuple[np.ndarray, np.ndarray]:
     """Row/col index tables mapping output positions x kernel taps to the
     padded input.  Stride moves the window origin; dilation spaces taps."""
-    sh, sw = shape.stride_hw
-    dh, dw = shape.dilation_hw
+    sh, sw = shape.stride_nd
+    dh, dw = shape.dilation_nd
     rows = (sh * np.arange(shape.oh)[:, None, None, None]
             + dh * np.arange(shape.kh)[None, None, :, None])
     cols = (sw * np.arange(shape.ow)[None, :, None, None]
@@ -33,8 +33,8 @@ def _gather_offsets(shape: ConvShape) -> tuple[np.ndarray, np.ndarray]:
 
 def precomputed_offsets(shape: ConvShape) -> tuple[np.ndarray, np.ndarray]:
     """Cached offset tables for *shape* (the PRECOMP workspace)."""
-    key = (shape.oh, shape.ow, shape.kh, shape.kw, shape.stride_hw,
-           shape.dilation_hw)
+    key = (shape.oh, shape.ow, shape.kh, shape.kw, shape.stride_nd,
+           shape.dilation_nd)
     if key not in _OFFSET_CACHE:
         _OFFSET_CACHE[key] = _gather_offsets(shape)
     return _OFFSET_CACHE[key]
@@ -60,9 +60,9 @@ def conv2d_implicit_gemm(x: np.ndarray, weight: np.ndarray, padding=0,
     check_conv_inputs(x, weight, padding, stride, dilation, groups)
     shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride,
                                    dilation, groups)
-    xp = pad2d(x, shape.pad_tblr)
-    sh, sw = shape.stride_hw
-    dh, dw = shape.dilation_hw
+    xp = pad2d(x, shape.padding)
+    sh, sw = shape.stride_nd
+    dh, dw = shape.dilation_nd
     g, c_per, f_per = shape.groups, shape.group_channels, shape.group_filters
     xg = xp.reshape(shape.n, g, c_per, *xp.shape[-2:])
     wg = weight.reshape(g, f_per, c_per, shape.kh, shape.kw)

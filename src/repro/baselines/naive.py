@@ -35,9 +35,10 @@ def conv2d_naive(x: np.ndarray, weight: np.ndarray, padding=0,
     shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride,
                                    dilation, groups)
 
-    xp = pad2d(x, shape.pad_tblr)
-    sh, sw = shape.stride_hw
-    dh, dw = shape.dilation_hw
+    xp = pad2d(x, shape.padding)
+    sh, sw = shape.stride_nd
+    dh, dw = shape.dilation_nd
+    eff_kh, eff_kw = shape.eff_kernel
     g, c_per, f_per = shape.groups, shape.group_channels, shape.group_filters
     xg = xp.reshape(shape.n, g, c_per, *xp.shape[-2:])
     wg = weight.reshape(g, f_per, c_per, shape.kh, shape.kw)
@@ -47,7 +48,7 @@ def conv2d_naive(x: np.ndarray, weight: np.ndarray, padding=0,
         for j in range(shape.ow):
             top = i * sh
             left = j * sw
-            patch = xg[:, :, :, top: top + shape.eff_kh: dh,
-                       left: left + shape.eff_kw: dw]
+            patch = xg[:, :, :, top: top + eff_kh: dh,
+                       left: left + eff_kw: dw]
             out_g[:, :, :, i, j] = np.einsum("ngchw,gfchw->ngf", patch, wg)
     return out

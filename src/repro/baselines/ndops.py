@@ -24,23 +24,20 @@ import numpy as np
 
 from repro.utils.shapes import (
     ConvShape,
-    ConvShapeNd,
     normalize_padding_nd,
     normalize_tuple,
 )
 from repro.utils.validation import ensure_array, require
 
 
-def lift_1d_shape(shape: ConvShapeNd) -> ConvShape:
+def lift_1d_shape(shape: ConvShape) -> ConvShape:
     """The 2D problem a rank-1 *shape* lowers onto (singleton height)."""
     require(shape.ndim == 1, "lift_1d_shape needs a rank-1 problem")
     (lo, hi), = shape.pad_pairs
-    return ConvShape(ih=1, iw=shape.extents[0], kh=1, kw=shape.kernel[0],
-                     n=shape.n, c=shape.c, f=shape.f,
-                     padding=(0, 0, lo, hi),
-                     stride=(1, shape.stride_nd[0]),
-                     dilation=(1, shape.dilation_nd[0]),
-                     groups=shape.groups)
+    return shape.with_(extents=(1, *shape.extents),
+                       kernel=(1, *shape.kernel), padding=(0, 0, lo, hi),
+                       stride=(1, *shape.stride_nd),
+                       dilation=(1, *shape.dilation_nd))
 
 
 def conv_transpose2d_output_shape(x_shape, w_shape, padding=0, stride=1,
@@ -119,8 +116,7 @@ def transpose_internal_shape(x_shape, w_shape, padding=0, stride=1,
                     for i, s in zip(tuple(x_shape)[2:], stride_nd))
     eff_kh = dilation_nd[0] * (kh - 1) + 1
     eff_kw = dilation_nd[1] * (kw - 1) + 1
-    return ConvShape(ih=dilated[0], iw=dilated[1], kh=kh, kw=kw, n=n,
-                     c=c_in, f=out_shape[1],
+    return ConvShape(dilated, (kh, kw), n=n, c=c_in, f=out_shape[1],
                      padding=(eff_kh - 1, eff_kh - 1, eff_kw - 1,
                               eff_kw - 1),
                      stride=1, dilation=dilation_nd, groups=groups)

@@ -8,9 +8,9 @@ benchmarks read like the paper's figures, and adds the two research methods
 The degree map does not depend on rank, so one dispatch serves every op:
 :func:`convolve` takes conv1d, conv2d and conv3d from the input rank and
 conv_transpose2d by name.  :func:`op_shape` describes each op's problem
-once — a :class:`ConvShape` for conv2d and the transposed adjoint's 2D
-problem, a :class:`ConvShapeNd` for conv1d and conv3d — and
-:func:`supports` / :func:`fallback_chain` answer against that shape.
+once as a :class:`ConvShape` — of the input's rank, or the transposed
+adjoint's rank-2 problem — and :func:`supports` / :func:`fallback_chain`
+answer against that shape.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from repro.core.overlap_save import conv2d_polyhankel_os
 from repro.hankel.im2col_view import pad2d
 from repro.utils.shapes import (
     ConvShape,
-    ConvShapeNd,
     normalize_padding_nd,
     normalize_tuple,
 )
@@ -110,7 +109,7 @@ def op_shape(op: ConvOp | str | None, x_shape, w_shape, padding=0,
              stride=1, dilation=1, groups: int = 1, output_padding=0):
     """The problem shape dispatch and guarding decide on.
 
-    conv2d → :class:`ConvShape`; conv1d/conv3d → :class:`ConvShapeNd`;
+    conv1d/conv2d/conv3d → the :class:`ConvShape` of the input's rank;
     conv_transpose2d → the internal adjoint :class:`ConvShape` (see
     :func:`repro.baselines.ndops.transpose_internal_shape`).
     """
@@ -121,11 +120,8 @@ def op_shape(op: ConvOp | str | None, x_shape, w_shape, padding=0,
     if output_padding not in (0, (0, 0)):
         raise ValueError(f"output_padding only applies to "
                          f"conv_transpose2d, not {op.value}")
-    if op is ConvOp.CONV2D:
-        return ConvShape.from_tensors(x_shape, w_shape, padding, stride,
-                                      dilation, groups)
-    shape = ConvShapeNd.from_tensors(x_shape, w_shape, padding, stride,
-                                     dilation, groups)
+    shape = ConvShape.from_tensors(x_shape, w_shape, padding, stride,
+                                   dilation, groups)
     if _OP_BY_NDIM.get(shape.ndim + 2) is not op:
         raise ValueError(
             f"{op.value} does not take a rank-{shape.ndim} problem "
@@ -163,9 +159,8 @@ def _winograd_supported(shape: ConvShape) -> bool:
     # cuDNN restricts Winograd to 3x3 stride-1; our generated transforms are
     # a bit more general but still bounded by conditioning.  Dilation is
     # lowered into the kernel, so the *effective* extents must fit the tile.
-    return (shape.stride_hw == (1, 1)
-            and 2 + shape.eff_kh - 1 <= MAX_ALPHA
-            and 2 + shape.eff_kw - 1 <= MAX_ALPHA)
+    return (shape.stride == 1
+            and 2 + max(shape.eff_kernel) - 1 <= MAX_ALPHA)
 
 
 _ENTRIES: dict[ConvAlgorithm, AlgorithmEntry] = {}
@@ -226,10 +221,10 @@ def get_entry(algorithm: ConvAlgorithm | str) -> AlgorithmEntry:
     return _ENTRIES[algorithm]
 
 
-def _planar(shape: ConvShape | ConvShapeNd) -> ConvShape | None:
+def _planar(shape: ConvShape) -> ConvShape | None:
     """The 2D problem *shape* runs as (conv1d lifts to ``1 x L``), or
     ``None`` for a problem only the rank-generic engines run."""
-    if isinstance(shape, ConvShape):
+    if shape.ndim == 2:
         return shape
     return lift_1d_shape(shape) if shape.ndim == 1 else None
 
@@ -240,7 +235,7 @@ def _supported(entry: AlgorithmEntry, planar: ConvShape | None) -> bool:
 
 
 def supports(algorithm: ConvAlgorithm | str,
-             shape: ConvShape | ConvShapeNd) -> bool:
+             shape: ConvShape) -> bool:
     """Whether *algorithm* can run the problem *shape* (any op's shape,
     as :func:`op_shape` builds it)."""
     return _supported(get_entry(algorithm), _planar(shape))
@@ -259,7 +254,7 @@ FALLBACK_ORDER = (
 )
 
 
-def fallback_chain(shape: ConvShape | ConvShapeNd,
+def fallback_chain(shape: ConvShape,
                    primary: ConvAlgorithm | str | None = None,
                    order=None) -> list[ConvAlgorithm]:
     """Ordered algorithms guarded execution may try for *shape* (any
@@ -344,14 +339,13 @@ def _convolve_lowered(entry: AlgorithmEntry, x: np.ndarray,
         ]
         return np.concatenate(outs, axis=1)
     if not isinstance(shape.padding, int):
-        pt, pb, pl, pr = shape.pad_tblr
+        (pt, pb), (pl, pr) = shape.pad_pairs
         x = pad2d(x, (pt, pb, pl, pr))
-        shape = shape.with_(ih=shape.ih + pt + pb, iw=shape.iw + pl + pr,
-                            padding=0)
+        shape = shape.with_(extents=shape.padded_extents, padding=0)
     if shape.dilation != 1:
-        weight = _dilate_kernel(weight, shape.dilation_hw)
-        shape = shape.with_(kh=shape.eff_kh, kw=shape.eff_kw, dilation=1)
-    sh, sw = shape.stride_hw
+        weight = _dilate_kernel(weight, shape.dilation_nd)
+        shape = shape.with_(kernel=shape.eff_kernel, dilation=1)
+    sh, sw = shape.stride_nd
     if sh == sw:
         return entry.fn(x, weight, padding=shape.padding, stride=sh,
                         **kwargs)

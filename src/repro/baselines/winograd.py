@@ -144,9 +144,8 @@ def conv2d_winograd(x: np.ndarray, weight: np.ndarray, padding: int = 0,
     xp = pad2d(x, padding)
     need_h = tiles_h * m + kh - 1
     need_w = tiles_w * m + kw - 1
-    xp = np.pad(xp, [(0, 0), (0, 0),
-                     (0, need_h - shape.padded_ih),
-                     (0, need_w - shape.padded_iw)])
+    xp = np.pad(xp, [(0, 0), (0, 0), (0, need_h - xp.shape[2]),
+                     (0, need_w - xp.shape[3])])
 
     # Filter transform: U = G k G^T per (f, c).
     u = np.einsum("au,fcuv,bv->fcab", g_h, weight, g_w)

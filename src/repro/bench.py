@@ -355,11 +355,10 @@ def _case_problem(case: BenchCase):
     from repro.utils.random import random_problem
     from repro.utils.shapes import ConvShape
 
-    shape = ConvShape(ih=case.size, iw=case.size, kh=case.kernel,
-                      kw=case.kernel, n=case.batch, c=case.channels,
-                      f=case.filters, padding=case.padding,
-                      stride=case.stride, dilation=case.dilation,
-                      groups=case.groups)
+    shape = ConvShape((case.size, case.size), (case.kernel, case.kernel),
+                      n=case.batch, c=case.channels, f=case.filters,
+                      padding=case.padding, stride=case.stride,
+                      dilation=case.dilation, groups=case.groups)
     x, w = random_problem(shape)
     want = conv2d_naive(x, w, padding=case.padding, stride=case.stride,
                         dilation=case.dilation, groups=case.groups)

@@ -71,11 +71,10 @@ def _parse_padding(text: str):
 def _shape_from_args(args) -> "ConvShape":
     from repro.utils.shapes import ConvShape
 
-    return ConvShape(ih=args.size, iw=args.size, kh=args.kernel,
-                     kw=args.kernel, n=args.batch, c=args.channels,
-                     f=args.filters, padding=args.padding,
-                     stride=args.stride, dilation=args.dilation,
-                     groups=args.groups)
+    return ConvShape((args.size, args.size), (args.kernel, args.kernel),
+                     n=args.batch, c=args.channels, f=args.filters,
+                     padding=args.padding, stride=args.stride,
+                     dilation=args.dilation, groups=args.groups)
 
 
 def _add_shape_arguments(parser: argparse.ArgumentParser) -> None:
@@ -112,7 +111,7 @@ def cmd_selftest(args) -> int:
     from repro.utils.random import random_problem
     from repro.utils.shapes import ConvShape
 
-    shape = ConvShape(ih=12, iw=11, kh=3, kw=3, n=2, c=3, f=4, padding=1)
+    shape = ConvShape((12, 11), (3, 3), n=2, c=3, f=4, padding=1)
     x, w = random_problem(shape)
     reference = convolve(x, w, algorithm=ConvAlgorithm.NAIVE, padding=1)
     failures = 0

@@ -18,7 +18,7 @@ Everything is computed directly from the input and kernel; the im2col matrix
 is never formed.  The degree of an element is its flattened index in the
 padded input at any rank, so the helpers the engine builds its plan from
 (:func:`tap_degrees`, the ``scatter_*`` stacks, the gather indices) take a
-``ConvShape`` or a ``ConvShapeNd`` alike.
+``ConvShape`` of any rank.
 """
 
 from __future__ import annotations

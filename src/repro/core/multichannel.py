@@ -60,7 +60,7 @@ from repro.observe.registry import (
     counters,
     reset_cache_stats,
 )
-from repro.utils.shapes import ConvShape, ConvShapeNd
+from repro.utils.shapes import ConvShape
 from repro.utils.validation import check_conv_inputs, ensure_array
 
 ChannelStrategy = Literal["sum", "merge"]
@@ -107,20 +107,19 @@ class PolyHankelPlan:
     spectrum itself is cached via :meth:`weight_spectrum` when weights are
     frozen.
 
-    One plan serves every spatial rank: the shape is a :class:`ConvShape`
-    or a :class:`ConvShapeNd`, read only through their shared
-    rank-generic names (``extents``, ``pad_pairs``, ``poly_strides``, ...),
-    because the degree of an input element is its flattened index in the
-    padded input at any rank.  Everything rank-dependent — the padding
-    window, the staging view's strides, the kernel tap degrees, the
-    gather grid — is fixed here at build time.
+    One plan serves every spatial rank: the :class:`ConvShape` is read
+    only through its rank-generic names (``extents``, ``pad_pairs``,
+    ``poly_strides``, ...), because the degree of an input element is its
+    flattened index in the padded input at any rank.  Everything
+    rank-dependent — the padding window, the staging view's strides, the
+    kernel tap degrees, the gather grid — is fixed here at build time.
 
     ``fft_policy="auto"`` resolves to the concrete policy best for the
     plan's backend (see :func:`repro.core.planning.resolve_fft_policy`);
     after construction :attr:`fft_policy` is always concrete.
     """
 
-    shape: ConvShape | ConvShapeNd
+    shape: ConvShape
     fft_policy: FftPolicy = "pow2"
     strategy: ChannelStrategy = "sum"
     backend: str | None = None
@@ -495,7 +494,7 @@ _PLAN_LIMIT = [256]
 _PLAN_KEYS: dict[tuple, tuple] = {}
 
 
-def get_plan(shape: ConvShape | ConvShapeNd,
+def get_plan(shape: ConvShape,
              fft_policy: FftPolicy = "auto",
              strategy: ChannelStrategy = "sum",
              backend: str | None = None) -> PolyHankelPlan:
@@ -657,9 +656,9 @@ def _hashable(value):
     return tuple(value) if isinstance(value, list) else value
 
 
-def _plan_for_args(shape_type, x_shape, w_shape, padding, stride, dilation,
-                   groups, fft_policy, strategy, backend) -> PolyHankelPlan:
-    key = (shape_type, x_shape, w_shape, _hashable(padding),
+def _plan_for_args(x_shape, w_shape, padding, stride, dilation, groups,
+                   fft_policy, strategy, backend) -> PolyHankelPlan:
+    key = (x_shape, w_shape, _hashable(padding),
            _hashable(stride), _hashable(dilation), groups, fft_policy,
            strategy, backend)
     with _plan_lock:
@@ -669,8 +668,8 @@ def _plan_for_args(shape_type, x_shape, w_shape, padding, stride, dilation,
         # so the consolidated cache table reflects steady-state reuse.
         record_cache_event("conv_plan", hit=True)
         return plan
-    shape = shape_type.from_tensors(x_shape, w_shape, padding, stride,
-                                    dilation, groups)
+    shape = ConvShape.from_tensors(x_shape, w_shape, padding, stride,
+                                   dilation, groups)
     plan = get_plan(shape, fft_policy, strategy, backend)
     with _plan_lock:
         _ARG_MEMO[key] = plan
@@ -701,8 +700,8 @@ def conv2d_polyhankel(x: np.ndarray, weight: np.ndarray,
     x = ensure_array(x, "x", dtype=float)
     weight = ensure_array(weight, "weight", dtype=float)
     check_conv_inputs(x, weight, padding, stride, dilation, groups)
-    out = run_polyhankel(ConvShape, x, weight, padding, stride, dilation,
-                         groups, fft_policy, strategy, backend, workers)
+    out = run_polyhankel(x, weight, padding, stride, dilation, groups,
+                         fft_policy, strategy, backend, workers)
     if bias is not None:
         bias = ensure_array(bias, "bias", ndim=1)
         if len(bias) != out.shape[1]:
@@ -713,18 +712,16 @@ def conv2d_polyhankel(x: np.ndarray, weight: np.ndarray,
     return out
 
 
-def run_polyhankel(shape_type, x: np.ndarray, weight: np.ndarray,
+def run_polyhankel(x: np.ndarray, weight: np.ndarray,
                    padding, stride, dilation, groups: int,
                    fft_policy: FftPolicy = "auto",
                    strategy: ChannelStrategy = "sum",
                    backend: str | None = None,
                    workers: int | None = None) -> np.ndarray:
     """One forward pass of float arrays *x* and *weight* through the
-    cached plan of their problem, described as a *shape_type*
-    (:class:`ConvShape` or :class:`ConvShapeNd`) — the tail every
+    cached plan of their problem, at any spatial rank — the tail every
     PolyHankel front door shares."""
-    plan = _plan_for_args(shape_type, x.shape, weight.shape, padding,
-                          stride, dilation, groups, fft_policy, strategy,
-                          backend)
+    plan = _plan_for_args(x.shape, weight.shape, padding, stride, dilation,
+                          groups, fft_policy, strategy, backend)
     return plan.execute(x, plan.weight_spectrum(weight), workers=workers,
                         check=False)

@@ -18,7 +18,7 @@ in the frequency domain as in Sec. 3.2 and the full parameter space
 (per-axis stride and dilation, asymmetric/"same" padding, groups).
 
 Because the degree map is rank-generic, so is the engine: every rank runs
-:class:`repro.core.multichannel.PolyHankelPlan` on a :class:`ConvShapeNd`,
+:class:`repro.core.multichannel.PolyHankelPlan` on a :class:`ConvShape`,
 with the same bounded plan cache, content-checked spectrum cache, FFT
 policy, spectrum pipeline and ``workers`` batch split as conv2d.  The
 functions here are thin rank checks over that one plan path, plus the
@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.construction import scatter_channel_stack, tap_degrees
 from repro.core.multichannel import ChannelStrategy, run_polyhankel
 from repro.core.planning import FftPolicy
-from repro.utils.shapes import ConvShapeNd
+from repro.utils.shapes import ConvShape
 from repro.utils.validation import ensure_array, require
 
 
@@ -59,8 +59,8 @@ def kernel_polynomial_nd(kernel: np.ndarray,
     the degree map just stretches.
     """
     kernel = ensure_array(kernel, "kernel", dtype=float)
-    shape = ConvShapeNd(padded_extents, kernel.shape,
-                        dilation=1 if dilation is None else dilation)
+    shape = ConvShape(padded_extents, kernel.shape,
+                      dilation=1 if dilation is None else dilation)
     return scatter_channel_stack(kernel[None, None], tap_degrees(shape))[0, 0]
 
 
@@ -81,8 +81,8 @@ def convnd_polyhankel(x: np.ndarray, weight: np.ndarray, padding=0,
     x = ensure_array(x, "x", dtype=float)
     weight = ensure_array(weight, "weight", dtype=float)
     require(x.ndim >= 3, "input must be (n, c, *spatial)")
-    return run_polyhankel(ConvShapeNd, x, weight, padding, stride, dilation,
-                          groups, fft_policy, strategy, backend, workers)
+    return run_polyhankel(x, weight, padding, stride, dilation, groups,
+                          fft_policy, strategy, backend, workers)
 
 
 def conv1d_polyhankel(x: np.ndarray, weight: np.ndarray, padding=0,
@@ -110,8 +110,8 @@ def convnd_naive(x: np.ndarray, weight: np.ndarray, padding=0,
     """Direct d-dimensional reference (for testing the fast path)."""
     x = ensure_array(x, "x", dtype=float)
     weight = ensure_array(weight, "weight", dtype=float)
-    shape = ConvShapeNd.from_tensors(x.shape, weight.shape, padding,
-                                     stride, dilation, groups)
+    shape = ConvShape.from_tensors(x.shape, weight.shape, padding,
+                                   stride, dilation, groups)
     xp = np.pad(x, [(0, 0), (0, 0)] + list(shape.pad_pairs))
     stride_nd, dilation_nd = shape.stride_nd, shape.dilation_nd
     eff = shape.eff_kernel
@@ -145,8 +145,8 @@ def convnd_im2col_gemm(x: np.ndarray, weight: np.ndarray, padding=0,
     """
     x = ensure_array(x, "x", dtype=float)
     weight = ensure_array(weight, "weight", dtype=float)
-    shape = ConvShapeNd.from_tensors(x.shape, weight.shape, padding,
-                                     stride, dilation, groups)
+    shape = ConvShape.from_tensors(x.shape, weight.shape, padding,
+                                   stride, dilation, groups)
     ndim = shape.ndim
     xp = np.pad(x, [(0, 0), (0, 0)] + list(shape.pad_pairs))
     windows = np.lib.stride_tricks.sliding_window_view(

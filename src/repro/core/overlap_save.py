@@ -105,7 +105,7 @@ def conv2d_polyhankel_os(x: np.ndarray, weight: np.ndarray,
     long_signal = np.ascontiguousarray(
         staged.transpose(1, 0, 2)).reshape(c, n * slot)
 
-    kernels = channel_kernel_stack(weight, shape.padded_iw)  # (f, c, M+1)
+    kernels = channel_kernel_stack(weight, shape.padded_extents[1])
     gather = output_gather_indices(shape)                    # (oh, ow)
     # Batched gather: index (i, *, gather) for every image at once.
     batch_gather = (np.arange(n)[:, None] * slot

@@ -43,7 +43,7 @@ class PlanSpec:
     need: plans travel as cache keys, never as payloads.
     """
 
-    shape: object  # ConvShape / ConvShapeNd (untyped to stay import-light)
+    shape: object  # ConvShape (untyped to stay import-light)
     fft_policy: FftPolicy
     strategy: str
     backend: str | None

@@ -41,12 +41,12 @@ def conv2d_single(image: np.ndarray, kernel: np.ndarray, padding: int = 0,
     """
     image = ensure_array(image, "image", ndim=2, dtype=float)
     kernel = ensure_array(kernel, "kernel", ndim=2, dtype=float)
-    shape = ConvShape(ih=image.shape[0], iw=image.shape[1],
-                      kh=kernel.shape[0], kw=kernel.shape[1],
-                      padding=padding, stride=stride)
+    shape = ConvShape((image.shape[0], image.shape[1]),
+                      (kernel.shape[0], kernel.shape[1]), padding=padding,
+                      stride=stride)
 
     a_coeffs = input_polynomial(image, padding)        # len Ih*Iw (padded)
-    u_coeffs = kernel_polynomial(kernel, shape.padded_iw)
+    u_coeffs = kernel_polynomial(kernel, shape.padded_extents[1])
     _, _, transform_len = polynomial_lengths(shape)
     nfft = plan_fft_size(transform_len, fft_policy)
 

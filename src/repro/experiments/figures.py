@@ -32,9 +32,8 @@ def fig3_input_sweep(device: str,
     config = config or Fig3Config()
     values = {}
     for size in config.input_sizes:
-        shape = ConvShape(ih=size, iw=size, kh=config.kernel,
-                          kw=config.kernel, n=config.batch,
-                          c=config.channels, f=config.filters,
+        shape = ConvShape((size, size), (config.kernel, config.kernel),
+                          n=config.batch, c=config.channels, f=config.filters,
                           padding=config.padding)
         for method in config.methods:
             if supports(method, shape):
@@ -58,17 +57,15 @@ def fig4_kernel_sweep(device: str,
     methods = config.methods + (A.WINOGRAD,)
     values = {}
     for k in config.kernel_sizes:
-        shape = ConvShape(ih=config.input_size, iw=config.input_size,
-                          kh=k, kw=k, n=config.batch, c=config.channels,
-                          f=config.filters)
+        shape = ConvShape((config.input_size, config.input_size), (k, k),
+                          n=config.batch, c=config.channels, f=config.filters)
         for method in config.methods:
             if supports(method, shape):
                 values[(k, method)] = simulate_ms(method, shape, device)
     # The lone Winograd point.
     wk = config.winograd_kernel
-    wino_shape = ConvShape(ih=config.input_size, iw=config.input_size,
-                           kh=wk, kw=wk, n=config.batch, c=config.channels,
-                           f=config.filters)
+    wino_shape = ConvShape((config.input_size, config.input_size), (wk, wk),
+                           n=config.batch, c=config.channels, f=config.filters)
     if wk in config.kernel_sizes:
         values[(wk, A.WINOGRAD)] = simulate_ms(A.WINOGRAD, wino_shape,
                                                device)
@@ -86,10 +83,9 @@ def fig5_channel_sweep(config: Fig5Config | None = None) -> SweepResult:
     config = config or Fig5Config()
     values = {}
     for c in config.channel_counts:
-        shape = ConvShape(ih=config.input_size, iw=config.input_size,
-                          kh=config.kernel, kw=config.kernel,
-                          n=config.batch, c=c, f=c,
-                          padding=config.padding)
+        shape = ConvShape((config.input_size, config.input_size),
+                          (config.kernel, config.kernel), n=config.batch, c=c,
+                          f=c, padding=config.padding)
         for method in config.methods:
             if supports(method, shape):
                 values[(c, method)] = simulate_ms(method, shape,
@@ -138,9 +134,8 @@ def fig7_counters(config: Fig7Config | None = None
     config = config or Fig7Config()
     flops, transactions = {}, {}
     for size in config.input_sizes:
-        shape = ConvShape(ih=size, iw=size, kh=config.kernel,
-                          kw=config.kernel, n=config.batch,
-                          c=config.channels, f=config.filters,
+        shape = ConvShape((size, size), (config.kernel, config.kernel),
+                          n=config.batch, c=config.channels, f=config.filters,
                           padding=config.padding)
         for method in config.methods:
             if supports(method, shape):

@@ -32,21 +32,23 @@ def time_im2col_mm(s: ConvShape) -> float:
 
 def time_traditional_fft(s: ConvShape) -> float:
     """(Iw+Kw)(Ih+Kh)(log(Ih+Kh)+log(Iw+Kw)) * 2 + elementwise + IFFT."""
-    plane = (s.padded_iw + s.kw) * (s.padded_ih + s.kh)
-    logs = _log(s.padded_ih + s.kh) + _log(s.padded_iw + s.kw)
+    ph, pw = s.padded_extents
+    plane = (pw + s.kw) * (ph + s.kh)
+    logs = _log(ph + s.kh) + _log(pw + s.kw)
     return plane * logs * 2 + plane + plane * logs
 
 
 def time_finegrain_fft(s: ConvShape) -> float:
     """Ih*2Iw log(2Iw) + Kh*2Iw log(2Iw) + Oh*Kh*Iw + Oh*2Iw log(2Iw)."""
-    row = 2 * s.padded_iw * _log(2 * s.padded_iw)
-    return (s.padded_ih * row + s.kh * row
-            + s.oh * s.kh * s.padded_iw + s.oh * row)
+    ph, pw = s.padded_extents
+    row = 2 * pw * _log(2 * pw)
+    return ph * row + s.kh * row + s.oh * s.kh * pw + s.oh * row
 
 
 def time_polyhankel(s: ConvShape) -> float:
     """3 * (Ih*Iw + Kh*Iw) log(Ih*Iw + Kh*Iw) + (Ih*Iw + Kh*Iw)."""
-    padded = s.padded_ih * s.padded_iw + s.kh * s.padded_iw
+    ph, pw = s.padded_extents
+    padded = ph * pw + s.kh * pw
     return 3 * padded * _log(padded) + padded
 
 
@@ -58,15 +60,18 @@ def space_im2col_mm(s: ConvShape) -> float:
 
 
 def space_traditional_fft(s: ConvShape) -> float:
-    return 3 * (s.padded_ih + s.kh) * (s.padded_iw + s.kw)
+    ph, pw = s.padded_extents
+    return 3 * (ph + s.kh) * (pw + s.kw)
 
 
 def space_finegrain_fft(s: ConvShape) -> float:
-    return 2 * s.padded_iw * (s.padded_ih + s.kh + s.oh)
+    ph, pw = s.padded_extents
+    return 2 * pw * (ph + s.kh + s.oh)
 
 
 def space_polyhankel(s: ConvShape) -> float:
-    return 3 * (s.padded_ih * s.padded_iw + s.kh * s.padded_iw)
+    ph, pw = s.padded_extents
+    return 3 * (ph * pw + s.kh * pw)
 
 
 @dataclass(frozen=True)

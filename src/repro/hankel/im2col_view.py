@@ -47,14 +47,14 @@ def im2col_patches(x: np.ndarray, kh: int, kw: int, padding=0,
     ``patches @ weights.T``).  Dilation subsamples the taps inside each
     (effective-extent) window; stride subsamples the window positions.
     """
-    from repro.utils.shapes import normalize_padding, normalize_pair
+    from repro.utils.shapes import normalize_padding_nd, normalize_tuple
 
     x = ensure_array(x, "x", ndim=4)
     n, c, ih, iw = x.shape
-    sh, sw = normalize_pair(stride, "stride")
-    dh, dw = normalize_pair(dilation, "dilation")
-    pt, pb, pl, pr = normalize_padding(padding, ih, iw, kh, kw,
-                                       (sh, sw), (dh, dw))
+    sh, sw = normalize_tuple(stride, 2, "stride")
+    dh, dw = normalize_tuple(dilation, 2, "dilation")
+    (pt, pb), (pl, pr) = normalize_padding_nd(padding, (ih, iw), (kh, kw),
+                                              (sh, sw), (dh, dw))
     oh = conv_output_size(ih, kh, (pt, pb), sh, dh)
     ow = conv_output_size(iw, kw, (pl, pr), sw, dw)
     eff_kh = dh * (kh - 1) + 1

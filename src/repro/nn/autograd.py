@@ -49,8 +49,12 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # One pass into a fresh array of data's shape and dtype, never
+            # ``grad`` itself (it may alias an upstream buffer).  ``g + 0.0``
+            # equals ``0.0 + g`` bit for bit, signed zeros and NaN included.
+            self.grad = np.add(grad, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Reverse-mode sweep from this tensor (default seed: ones)."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.registry import ConvAlgorithm, convolve
-from repro.utils.shapes import ConvShapeNd, normalize_tuple
+from repro.utils.shapes import ConvShape, normalize_tuple
 from repro.utils.validation import ensure_array
 
 
@@ -57,8 +57,8 @@ def convnd_backward_input(grad_out: np.ndarray, weight: np.ndarray,
     """
     grad_out = ensure_array(grad_out, "grad_out", dtype=float)
     weight = ensure_array(weight, "weight", dtype=float)
-    shape = ConvShapeNd.from_tensors(input_shape, weight.shape, padding,
-                                     stride, dilation, groups)
+    shape = ConvShape.from_tensors(input_shape, weight.shape, padding,
+                                   stride, dilation, groups)
     ndim = shape.ndim
     if grad_out.shape != shape.output_shape():
         raise ValueError(
@@ -114,10 +114,10 @@ def convnd_backward_weight(grad_out: np.ndarray, x: np.ndarray,
     grad_out = ensure_array(grad_out, "grad_out", dtype=float)
     x = ensure_array(x, "x", dtype=float)
     kernel_size = tuple(kernel_size)
-    shape = ConvShapeNd(extents=x.shape[2:], kernel=kernel_size,
-                        n=x.shape[0], c=x.shape[1], f=grad_out.shape[1],
-                        padding=padding, stride=stride, dilation=dilation,
-                        groups=groups)
+    shape = ConvShape(extents=x.shape[2:], kernel=kernel_size,
+                      n=x.shape[0], c=x.shape[1], f=grad_out.shape[1],
+                      padding=padding, stride=stride, dilation=dilation,
+                      groups=groups)
     f_per, c_per = shape.group_filters, shape.group_channels
     xp = np.pad(x, [(0, 0), (0, 0)] + list(shape.pad_pairs))
     g = dilate_spatial(grad_out, shape.stride_nd)

@@ -57,11 +57,10 @@ def _runner(case, x, w):
         from repro.core import multichannel as mc
         from repro.utils.shapes import ConvShape
 
-        shape = ConvShape(ih=case.size, iw=case.size, kh=case.kernel,
-                          kw=case.kernel, n=case.batch, c=case.channels,
-                          f=case.filters, padding=case.padding,
-                          stride=case.stride, dilation=case.dilation,
-                          groups=case.groups)
+        shape = ConvShape((case.size, case.size), (case.kernel, case.kernel),
+                          n=case.batch, c=case.channels, f=case.filters,
+                          padding=case.padding, stride=case.stride,
+                          dilation=case.dilation, groups=case.groups)
         plan = mc.get_plan(shape, strategy=case.strategy,
                            backend=case.backend)
         w_hat = plan.transform_weight(w)
@@ -92,11 +91,10 @@ def profile_case(case, repeats: int = 10, warmup: int = 2,
     from repro.utils.random import random_problem
     from repro.utils.shapes import ConvShape
 
-    shape = ConvShape(ih=case.size, iw=case.size, kh=case.kernel,
-                      kw=case.kernel, n=case.batch, c=case.channels,
-                      f=case.filters, padding=case.padding,
-                      stride=case.stride, dilation=case.dilation,
-                      groups=case.groups)
+    shape = ConvShape((case.size, case.size), (case.kernel, case.kernel),
+                      n=case.batch, c=case.channels, f=case.filters,
+                      padding=case.padding, stride=case.stride,
+                      dilation=case.dilation, groups=case.groups)
     x, w = random_problem(shape)
     call, transform = _runner(case, x, w)
 

@@ -182,8 +182,9 @@ def _fft2d_extents(shape: ConvShape,
                    policy: str = "pow2") -> tuple[int, int]:
     # cuDNN's FFT algorithm requires power-of-two transform extents (its
     # documented FFT-algo constraint), unlike free-standing cuFFT.
-    fh = plan_fft_size(shape.padded_ih + shape.kh - 1, policy)
-    fw = plan_fft_size(shape.padded_iw + shape.kw - 1, policy)
+    ph, pw = shape.padded_extents
+    fh = plan_fft_size(ph + shape.kh - 1, policy)
+    fw = plan_fft_size(pw + shape.kw - 1, policy)
     return fh, fw
 
 
@@ -214,8 +215,7 @@ def count_fft(shape: ConvShape) -> CounterReport:
         )
         return [rows, cols]
 
-    stages = fft2d_stages("input", b * c,
-                          shape.padded_ih * shape.padded_iw)
+    stages = fft2d_stages("input", b * c, shape.poly_input_len)
     stages += fft2d_stages("kernel", f * c, shape.kernel_elems)
     stages.append(Stage(
         "pointwise", "cgemm",
@@ -243,8 +243,9 @@ def count_fft(shape: ConvShape) -> CounterReport:
 def count_fft_tiling(shape: ConvShape, tile: int = 32) -> CounterReport:
     """Tiled 2D FFT: per-tile transforms with halo re-reads."""
     b, c, f = shape.n, shape.c, shape.f
-    full_oh = shape.padded_ih - shape.kh + 1
-    full_ow = shape.padded_iw - shape.kw + 1
+    ph, pw = shape.padded_extents
+    full_oh = ph - shape.kh + 1
+    full_ow = pw - shape.kw + 1
     tiles = math.ceil(full_oh / tile) * math.ceil(full_ow / tile)
     fh = plan_fft_size(tile + shape.kh - 1, "pow2")
     fw = plan_fft_size(tile + shape.kw - 1, "pow2")
@@ -282,14 +283,14 @@ def count_finegrain_fft(shape: ConvShape) -> CounterReport:
     products; one inverse FFT per output row.
     """
     b, c, f = shape.n, shape.c, shape.f
-    nfft = plan_fft_size(shape.padded_iw + shape.kw - 1, "pow2")
+    ph, pw = shape.padded_extents
+    nfft = plan_fft_size(pw + shape.kw - 1, "pow2")
     bins = nfft // 2 + 1
     stages = (
         Stage("input_row_ffts", "fft",
-              flops=b * c * shape.padded_ih * _rfft_flops(nfft),
-              bytes_read=b * c * shape.padded_ih * shape.padded_iw
-              * FLOAT_BYTES,
-              bytes_written=b * c * shape.padded_ih * bins * COMPLEX_BYTES),
+              flops=b * c * ph * _rfft_flops(nfft),
+              bytes_read=b * c * ph * pw * FLOAT_BYTES,
+              bytes_written=b * c * ph * bins * COMPLEX_BYTES),
         Stage("kernel_row_ffts", "fft",
               flops=f * c * shape.kh * _rfft_flops(nfft),
               bytes_read=f * c * shape.kernel_elems * FLOAT_BYTES,
@@ -304,7 +305,7 @@ def count_finegrain_fft(shape: ConvShape) -> CounterReport:
               bytes_read=b * f * shape.oh * bins * COMPLEX_BYTES,
               bytes_written=b * f * shape.output_elems * FLOAT_BYTES),
     )
-    workspace = (b * c * shape.padded_ih + b * f * shape.oh) \
+    workspace = (b * c * ph + b * f * shape.oh) \
         * bins * COMPLEX_BYTES
     return CounterReport(ConvAlgorithm.FINEGRAIN_FFT, shape, stages,
                          workspace_bytes=workspace)

@@ -5,7 +5,7 @@
 engine in this repo exactly: for one cached steady-state
 ``PolyHankelPlan.execute`` call it predicts the FFT invocation counters
 the observe registry will measure (``fft_calls`` / ``fft_rows`` /
-``by_kind``) — for a ``ConvShape`` and a ``ConvShapeNd`` alike, since
+``by_kind``) — for a ``ConvShape`` of any rank, since
 the plan is rank-generic.  ``repro bench --check`` gates the measured
 counters against a recorded baseline; the predictor is the closed-form
 statement of what those numbers *must* be, so tests can pin the gate's
@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from repro.perfmodel.counters import count_polyhankel
 from repro.perfmodel.device import cpu_roofline_seconds
-from repro.utils.shapes import ConvShape, ConvShapeNd
+from repro.utils.shapes import ConvShape
 
 
-def predict_fft_counters(shape: ConvShape | ConvShapeNd,
+def predict_fft_counters(shape: ConvShape,
                          strategy: str = "sum") -> dict:
     """Counters of one cached steady-state engine call.
 
@@ -43,7 +43,7 @@ def predict_fft_counters(shape: ConvShape | ConvShapeNd,
     }
 
 
-def predicted_call_ms(shape: ConvShape | ConvShapeNd) -> float:
+def predicted_call_ms(shape: ConvShape) -> float:
     """CPU-roofline lower bound (ms) for one cached steady-state call.
 
     Sums the per-stage ``max(compute wall, memory wall)`` times of the
@@ -58,7 +58,7 @@ def predicted_call_ms(shape: ConvShape | ConvShapeNd) -> float:
     )
 
 
-def roofline_pct(shape: ConvShape | ConvShapeNd,
+def roofline_pct(shape: ConvShape,
                  measured_ms: float) -> float | None:
     """Percent of the CPU roofline bound one measured call achieves."""
     if not measured_ms or measured_ms <= 0:

@@ -56,6 +56,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.observe.registry import counters
+from repro.utils.shapes import canonical_axes, canonical_params
 
 #: Persisted-table schema.  Bump on any layout change; loaders reject
 #: other versions loudly instead of guessing.
@@ -205,25 +206,27 @@ def key_digest(*, op: str, input_chw: tuple, weight_shape: tuple,
     The :class:`~repro.serve.coalescer.CoalesceKey` minus the tensor
     identities (the bandit learns per *problem*, not per weight array)
     and minus the requested algorithm (that is what the bandit decides).
-    Parameter spellings canonicalize exactly like the coalescer's, so a
+    Parameters are spelled by :func:`repro.utils.shapes.canonical_params`
+    at the rank *input_chw* implies, as in the coalescer's key, so a
     direct ``execute_conv`` call and a served request over the same
     geometry land on the same table entry.  Used verbatim as the JSON
     table key and the ``key`` counter tag.
     """
-    from repro.serve.coalescer import _canonical_padding, _canonical_pair
-
+    ndim = len(input_chw) - 1
+    padding, stride, dilation = canonical_params(padding, stride, dilation,
+                                                 ndim)
     return "|".join((
         op,
         "chw=" + "x".join(str(d) for d in input_chw),
         "w=" + "x".join(str(d) for d in weight_shape),
         f"dt={dtype}",
-        f"p={_canonical_padding(padding)}",
-        f"s={_canonical_pair(stride)}",
-        f"d={_canonical_pair(dilation)}",
+        f"p={padding}",
+        f"s={stride}",
+        f"d={dilation}",
         f"g={groups}",
         f"st={strategy}",
         f"be={backend}",
-        f"op={output_padding}",
+        f"op={canonical_axes(output_padding, ndim, 'output_padding')}",
     ))
 
 

@@ -44,14 +44,11 @@ from repro.utils.shapes import ConvShape
 DRILL_SHAPES: tuple[tuple[str, ConvShape], ...] = (
     # Deep stack with a mid-size kernel: the frequency-domain method's
     # home turf — the model ranks PolyHankel first.
-    ("large_poly", ConvShape(ih=128, iw=128, kh=7, kw=7, n=1, c=32, f=32,
-                             padding=3)),
+    ("large_poly", ConvShape((128, 128), (7, 7), n=1, c=32, f=32, padding=3)),
     # Small input, small kernel: left of the paper's crossover — GEMM.
-    ("small_gemm", ConvShape(ih=8, iw=8, kh=3, kw=3, n=1, c=4, f=8,
-                             padding=1)),
+    ("small_gemm", ConvShape((8, 8), (3, 3), n=1, c=4, f=8, padding=1)),
     # Wide kernel on a modest image: right of the crossover again.
-    ("wide_kernel", ConvShape(ih=64, iw=64, kh=13, kw=13, n=1, c=8, f=16,
-                              padding=6)),
+    ("wide_kernel", ConvShape((64, 64), (13, 13), n=1, c=8, f=16, padding=6)),
 )
 
 #: Seeded relative noise on synthetic observations — wide enough to make

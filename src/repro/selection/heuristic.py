@@ -142,7 +142,7 @@ def select_algorithm_rules(shape: ConvShape) -> ConvAlgorithm:
     GEMM, where the per-group FFT work cannot amortize.
     """
     small_input = max(shape.ih, shape.iw) < SMALL_INPUT_THRESHOLD
-    large_kernel = max(shape.eff_kh, shape.eff_kw) >= LARGE_KERNEL_THRESHOLD
+    large_kernel = max(shape.eff_kernel) >= LARGE_KERNEL_THRESHOLD
     thin_groups = (shape.groups > 1
                    and shape.group_channels <= THIN_GROUP_THRESHOLD)
     if small_input or thin_groups:

@@ -54,7 +54,7 @@ class ConvTuner:
     """Measure-and-cache algorithm selection.
 
     >>> tuner = ConvTuner(repeats=1)
-    >>> shape = ConvShape(ih=16, iw=16, kh=3, kw=3, n=2, c=2, f=2)
+    >>> shape = ConvShape((16, 16), (3, 3), n=2, c=2, f=2)
     >>> algo = tuner.best_algorithm(shape)     # measured on this machine
     >>> tuner.best_algorithm(shape) is algo    # second call hits the cache
     True

@@ -14,10 +14,11 @@ family pass the key to :func:`repro.guard.chain.guarded_conv2d` as
 matter how the batch axis was split (per-shard shapes differ only in
 ``n``, which the key deliberately excludes).
 
-Parameter spellings are canonicalized the same way :class:`~repro.utils.
-shapes.ConvShape` does (``(1, 1)`` collapses to ``1``, an ``(ph, pw)``
-pair expands to the 4-tuple before collapsing) so equivalent spellings
-coalesce — without paying ConvShape construction per request.
+Parameter spellings go through :func:`repro.utils.shapes.canonical_params`,
+the function :class:`~repro.utils.shapes.ConvShape` canonicalizes with
+(``(1, 1)`` collapses to ``1``, an ``(ph, pw)`` pair expands to the
+4-tuple before collapsing), so equivalent spellings coalesce without
+paying ConvShape construction per request.
 """
 
 from __future__ import annotations
@@ -29,34 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-
-def _canonical_pair(value) -> int | tuple:
-    """Collapse a uniform per-axis stride/dilation tuple to an int (cheap,
-    no validation — the engine validates on execution)."""
-    if isinstance(value, (tuple, list)):
-        value = tuple(value)
-        if value and len(set(value)) == 1:
-            return value[0]
-        return value
-    return value
-
-
-def _canonical_padding(value, ndim: int = 2) -> int | tuple | str:
-    """Collapse any padding spelling to its canonical hashable form.
-
-    Mirrors :func:`repro.utils.shapes.normalize_padding_nd`: a per-axis
-    symmetric tuple (one entry per spatial dimension) expands to the flat
-    ``(lo, hi) * ndim`` form before the uniform collapse, so equivalent
-    spellings coalesce regardless of rank.
-    """
-    if isinstance(value, (tuple, list)):
-        value = tuple(value)
-        if len(value) == ndim:
-            value = tuple(p for p in value for _ in range(2))
-        if value and len(set(value)) == 1:
-            return value[0]
-        return value
-    return value
+from repro.utils.shapes import canonical_axes, canonical_params
 
 
 class CoalesceKey(NamedTuple):
@@ -109,21 +83,24 @@ def coalesce_key(x: np.ndarray, weight: np.ndarray,
     algorithm = getattr(algorithm, "value", algorithm)
     op = getattr(op, "value", op)
     ndim = x.ndim - 2
+    padding, stride, dilation = canonical_params(padding, stride, dilation,
+                                                 ndim)
     return CoalesceKey(
         input_chw=tuple(x.shape[1:]),
         weight_id=id(weight),
         weight_shape=tuple(weight.shape),
         bias_id=None if bias is None else id(bias),
         dtype=x.dtype.char,  # .char, not str(): dtype.__str__ costs ~8us
-        padding=_canonical_padding(padding, ndim),
-        stride=_canonical_pair(stride),
-        dilation=_canonical_pair(dilation),
+        padding=padding,
+        stride=stride,
+        dilation=dilation,
         groups=int(groups),
         algorithm=str(algorithm),
         strategy=str(strategy),
         backend=backend,
         op=str(op),
-        output_padding=_canonical_pair(output_padding),
+        output_padding=canonical_axes(output_padding, ndim,
+                                      "output_padding"),
     )
 
 

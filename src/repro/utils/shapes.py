@@ -1,29 +1,35 @@
 """Convolution shape arithmetic.
 
 All algorithms in this library speak the same shape language, captured by
-:class:`ConvShape`.  The notation follows Table 1 of the paper:
+:class:`ConvShape` at every spatial rank (conv1d is rank 1, conv2d rank 2,
+conv3d rank 3).  The notation follows Table 1 of the paper:
 
-===========  =============================
-``n``        mini-batch size (N)
-``c``        input channels (C)
-``f``        number of kernels / filters (K in the paper)
-``ih, iw``   input height / width
-``kh, kw``   kernel height / width
-``oh, ow``   output height / width
-``padding``  zero padding — int, ``(ph, pw)``, ``(pt, pb, pl, pr)`` or
-             ``"same"``
-``stride``   convolution stride — int or ``(sh, sw)``
-``dilation`` kernel tap spacing — int or ``(dh, dw)``
-``groups``   channel groups (``c`` and ``f`` both divisible by it)
-===========  =============================
+==============  ==========================================================
+``n``           mini-batch size (N)
+``c``           input channels (C)
+``f``           number of kernels / filters (K in the paper)
+``extents``     input spatial extents; ``ih, iw`` at rank 2
+``kernel``      kernel spatial extents; ``kh, kw`` at rank 2
+``out_extents`` output spatial extents; ``oh, ow`` at rank 2
+``padding``     zero padding — int, one int per axis, a flat ``(lo, hi)``
+                pair per axis (``(pt, pb, pl, pr)`` at rank 2) or
+                ``"same"``
+``stride``      convolution stride — int or one int per axis
+``dilation``    kernel tap spacing — int or one int per axis
+``groups``      channel groups (``c`` and ``f`` both divisible by it)
+==============  ==========================================================
 
-Parameters are canonicalized at construction time (symmetric tuples collapse
-back to ints, ``"same"`` resolves to concrete pads), so equal geometries
-always hash to the same plan-cache key regardless of how they were spelled.
+Parameters are canonicalized at construction time by
+:func:`canonical_params` (uniform tuples collapse back to ints, per-axis
+padding expands to flat ``(lo, hi)`` pairs, ``"same"`` resolves to concrete
+pads), so equal geometries always hash to the same plan-cache key
+regardless of how they were spelled; request and table keys use the same
+function.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -35,6 +41,8 @@ def ensure_int(value, name: str) -> int:
     and return an answer for a different problem.  Integral values of any
     type (numpy ints included) pass; everything else raises ``ValueError``.
     """
+    if type(value) is int:
+        return value
     if isinstance(value, numbers.Integral):
         return int(value)
     raise ValueError(
@@ -43,24 +51,11 @@ def ensure_int(value, name: str) -> int:
     )
 
 
-def normalize_pair(value: int | tuple, name: str) -> tuple[int, int]:
-    """Coerce an int or 2-sequence into an ``(h, w)`` int pair."""
-    if isinstance(value, (tuple, list)):
-        if len(value) != 2:
-            raise ValueError(
-                f"{name} must be an int or an (h, w) pair, got {value!r}"
-            )
-        return ensure_int(value[0], name), ensure_int(value[1], name)
-    v = ensure_int(value, name)
-    return v, v
-
-
 def normalize_tuple(value, ndim: int, name: str) -> tuple[int, ...]:
     """Coerce an int or length-*ndim* sequence into one int per spatial dim.
 
-    The N-dimensional analogue of :func:`normalize_pair` — a wrong-length
-    sequence is rejected with the expected rank in the message instead of
-    being broadcast into a different problem.
+    A wrong-length sequence is rejected with the expected rank in the
+    message instead of being broadcast into a different problem.
     """
     if isinstance(value, (tuple, list)):
         if len(value) != ndim:
@@ -79,40 +74,34 @@ def normalize_padding_nd(padding, extents: tuple[int, ...],
                          stride: int | tuple = 1,
                          dilation: int | tuple = 1
                          ) -> tuple[tuple[int, int], ...]:
-    """Resolve any N-D padding spelling to per-axis ``(lo, hi)`` pairs.
+    """Resolve any padding spelling to per-axis ``(lo, hi)`` pairs.
 
-    Accepts an int (every edge), a length-``ndim`` sequence (per-axis
-    symmetric), a length-``2*ndim`` flat sequence of ``(lo, hi)`` pairs in
-    axis order (the N-D generalization of ``(pt, pb, pl, pr)``), or
-    ``"same"``.
+    Accepts every spelling :func:`canonical_params` does, plus ``"same"``
+    (output extent ``ceil(input/stride)``), which needs the geometry
+    arguments.
     """
     ndim = len(extents)
+    if not isinstance(padding, str):
+        return _pad_pairs(canonical_params(padding, 1, 1, ndim)[0], ndim)
+    if padding != "same":
+        raise ValueError(
+            f"unknown padding mode {padding!r}; the only string mode is "
+            "'same'"
+        )
     stride = normalize_tuple(stride, ndim, "stride")
     dilation = normalize_tuple(dilation, ndim, "dilation")
-    if isinstance(padding, str):
-        if padding != "same":
-            raise ValueError(
-                f"unknown padding mode {padding!r}; the only string mode "
-                "is 'same'"
-            )
-        return tuple(
-            same_padding_1d(e, k, s, d)
-            for e, k, s, d in zip(extents, kernel, stride, dilation)
-        )
-    if isinstance(padding, (tuple, list)):
-        vals = tuple(ensure_int(p, "padding") for p in padding)
-        if len(vals) == ndim:
-            return tuple((p, p) for p in vals)
-        if len(vals) == 2 * ndim:
-            return tuple((vals[2 * i], vals[2 * i + 1]) for i in range(ndim))
-        raise ValueError(
-            f"padding must be an int, a length-{ndim} per-axis sequence "
-            f"(one entry per spatial dimension), a length-{2 * ndim} "
-            f"(lo, hi) flat sequence or 'same'; got {padding!r} of length "
-            f"{len(vals)}"
-        )
-    p = ensure_int(padding, "padding")
-    return ((p, p),) * ndim
+    return tuple(
+        same_padding_1d(e, k, s, d)
+        for e, k, s, d in zip(extents, kernel, stride, dilation)
+    )
+
+
+def _pad_pairs(padding: int | tuple, ndim: int
+               ) -> tuple[tuple[int, int], ...]:
+    """Per-axis ``(lo, hi)`` pairs of a canonical int-or-flat padding."""
+    if type(padding) is int:
+        return ((padding, padding),) * ndim
+    return tuple(zip(padding[::2], padding[1::2]))
 
 
 def same_padding_1d(input_size: int, kernel_size: int, stride: int = 1,
@@ -128,54 +117,58 @@ def same_padding_1d(input_size: int, kernel_size: int, stride: int = 1,
     return total // 2, total - total // 2
 
 
-def normalize_padding(padding, ih: int, iw: int, kh: int, kw: int,
-                      stride: int | tuple = 1, dilation: int | tuple = 1
-                      ) -> tuple[int, int, int, int]:
-    """Resolve any accepted padding spelling to ``(pt, pb, pl, pr)``.
-
-    Accepts an int (all four sides), an ``(ph, pw)`` pair (per-axis
-    symmetric), a ``(pt, pb, pl, pr)`` 4-tuple, or the string ``"same"``
-    (output extent ``ceil(input/stride)``; needs the geometry arguments).
-    """
-    if isinstance(padding, str):
-        if padding != "same":
-            raise ValueError(
-                f"unknown padding mode {padding!r}; the only string mode "
-                "is 'same'"
-            )
-        sh, sw = normalize_pair(stride, "stride")
-        dh, dw = normalize_pair(dilation, "dilation")
-        pt, pb = same_padding_1d(ih, kh, sh, dh)
-        pl, pr = same_padding_1d(iw, kw, sw, dw)
-        return pt, pb, pl, pr
-    if isinstance(padding, (tuple, list)):
-        vals = tuple(ensure_int(p, "padding") for p in padding)
-        if len(vals) == 2:
-            return vals[0], vals[0], vals[1], vals[1]
-        if len(vals) == 4:
-            return vals
-        raise ValueError(
-            "padding must be an int, (ph, pw), (pt, pb, pl, pr) or 'same'; "
-            f"got {padding!r}"
-        )
-    p = ensure_int(padding, "padding")
-    return p, p, p, p
-
-
-def _canonical_pair(pair: tuple[int, int]) -> int | tuple[int, int]:
-    """Collapse a uniform pair back to a plain int (stable cache keys)."""
-    return pair[0] if pair[0] == pair[1] else pair
-
-
-def _canonical_padding(tblr: tuple[int, int, int, int]
-                       ) -> int | tuple[int, int, int, int]:
-    return tblr[0] if len(set(tblr)) == 1 else tblr
-
-
-def _canonical_nd(values: tuple[int, ...]) -> int | tuple[int, ...]:
-    """Collapse a uniform per-axis tuple back to a plain int (stable cache
-    keys across spellings, any rank)."""
+def _uniform(values: tuple[int, ...]) -> int | tuple[int, ...]:
+    """Collapse a tuple whose entries all agree back to a plain int."""
     return values[0] if len(set(values)) == 1 else values
+
+
+def canonical_params(padding, stride, dilation, ndim: int
+                     ) -> tuple[int | tuple | str, int | tuple, int | tuple]:
+    """The one canonical spelling of a rank-*ndim* problem's parameters.
+
+    Returns ``(padding, stride, dilation)`` such that equal geometries
+    compare and hash equal however they were spelled:
+
+    - *stride* / *dilation*: an int or one int per spatial axis; a uniform
+      tuple collapses to a plain int;
+    - *padding*: an int, one int per axis (symmetric) or a flat ``(lo,
+      hi)`` pair per axis in axis order (``(pt, pb, pl, pr)`` at rank 2);
+      a per-axis spelling expands to the flat pairs, then a uniform
+      tuple collapses to a plain int.  A string (``"same"``) passes
+      through untouched: resolving it needs the extents, which
+      :class:`ConvShape` has and a request key does not.
+
+    Every entry must be integral and every sequence the right length;
+    value ranges (``stride >= 1``, ``padding >= 0``) are the shape's to
+    check.  :class:`ConvShape`, the serving layer's ``CoalesceKey`` and
+    the selection bandit's ``key_digest`` all spell parameters through
+    this function.
+    """
+    if type(padding) is not int and not isinstance(padding, str):
+        if isinstance(padding, (tuple, list)):
+            flat = tuple(ensure_int(p, "padding") for p in padding)
+            if len(flat) == ndim:
+                flat = tuple(p for p in flat for _ in (0, 1))
+            elif len(flat) != 2 * ndim:
+                raise ValueError(
+                    f"padding must be an int, a length-{ndim} per-axis "
+                    f"sequence (one entry per spatial dimension), a "
+                    f"length-{2 * ndim} (lo, hi) flat sequence or 'same'; "
+                    f"got {padding!r} of length {len(flat)}"
+                )
+            padding = _uniform(flat)
+        else:
+            padding = ensure_int(padding, "padding")
+    return (padding, canonical_axes(stride, ndim, "stride"),
+            canonical_axes(dilation, ndim, "dilation"))
+
+
+def canonical_axes(value, ndim: int, name: str) -> int | tuple[int, ...]:
+    """An int-or-per-axis parameter in canonical form (see
+    :func:`canonical_params`): a plain int when every axis agrees."""
+    if type(value) is int:
+        return value
+    return _uniform(normalize_tuple(value, ndim, name))
 
 
 def conv_output_size(input_size: int, kernel_size: int,
@@ -220,297 +213,15 @@ def conv_output_size(input_size: int, kernel_size: int,
 
 @dataclass(frozen=True)
 class ConvShape:
-    """Complete description of a 2D convolution problem.
+    """Complete description of a convolution problem of any spatial rank.
 
-    The derived quantities (``oh``, ``ow``, FLOP counts, ...) are computed
-    lazily from the primary fields so a ``ConvShape`` stays a plain frozen
-    value type that can be used as a cache key.
-    """
-
-    ih: int
-    iw: int
-    kh: int
-    kw: int
-    n: int = 1
-    c: int = 1
-    f: int = 1
-    padding: int | tuple | str = 0
-    stride: int | tuple = 1
-    dilation: int | tuple = 1
-    groups: int = 1
-
-    def __post_init__(self) -> None:
-        # Canonicalize the parameter spellings in place (frozen dataclass,
-        # hence object.__setattr__) so equal geometries share a hash.
-        sh, sw = normalize_pair(self.stride, "stride")
-        dh, dw = normalize_pair(self.dilation, "dilation")
-        if sh < 1 or sw < 1:
-            raise ValueError(
-                f"stride must be >= 1 in both axes, got ({sh}, {sw})"
-            )
-        if dh < 1 or dw < 1:
-            raise ValueError(
-                f"dilation must be >= 1 in both axes, got ({dh}, {dw})"
-            )
-        tblr = normalize_padding(self.padding, self.ih, self.iw,
-                                 self.kh, self.kw, (sh, sw), (dh, dw))
-        if min(tblr) < 0:
-            raise ValueError(f"padding must be non-negative, got {tblr}")
-        object.__setattr__(self, "stride", _canonical_pair((sh, sw)))
-        object.__setattr__(self, "dilation", _canonical_pair((dh, dw)))
-        object.__setattr__(self, "padding", _canonical_padding(tblr))
-        object.__setattr__(self, "groups", ensure_int(self.groups, "groups"))
-        if self.groups < 1:
-            raise ValueError(f"groups must be positive, got {self.groups}")
-        if self.c % self.groups or self.f % self.groups:
-            raise ValueError(
-                f"channels ({self.c}) and filters ({self.f}) must both be "
-                f"divisible by groups ({self.groups})"
-            )
-        # Trigger validation of every derived extent at construction time.
-        _ = self.oh, self.ow
-
-    # -- normalized parameter views -----------------------------------------
-
-    @property
-    def stride_hw(self) -> tuple[int, int]:
-        """``(sh, sw)`` regardless of how stride was spelled."""
-        return normalize_pair(self.stride, "stride")
-
-    @property
-    def dilation_hw(self) -> tuple[int, int]:
-        """``(dh, dw)`` regardless of how dilation was spelled."""
-        return normalize_pair(self.dilation, "dilation")
-
-    @property
-    def pad_tblr(self) -> tuple[int, int, int, int]:
-        """``(pt, pb, pl, pr)`` regardless of how padding was spelled."""
-        p = self.padding
-        if isinstance(p, int):
-            return p, p, p, p
-        return p  # canonicalized 4-tuple
-
-    @property
-    def eff_kh(self) -> int:
-        """Dilated (effective) kernel height ``dh*(kh-1) + 1``."""
-        return self.dilation_hw[0] * (self.kh - 1) + 1
-
-    @property
-    def eff_kw(self) -> int:
-        """Dilated (effective) kernel width ``dw*(kw-1) + 1``."""
-        return self.dilation_hw[1] * (self.kw - 1) + 1
-
-    @property
-    def group_channels(self) -> int:
-        """Input channels seen by one filter: ``c // groups``."""
-        return self.c // self.groups
-
-    @property
-    def group_filters(self) -> int:
-        """Filters per group: ``f // groups``."""
-        return self.f // self.groups
-
-    # -- derived spatial extents -------------------------------------------
-
-    @property
-    def padded_ih(self) -> int:
-        pt, pb, _, _ = self.pad_tblr
-        return self.ih + pt + pb
-
-    @property
-    def padded_iw(self) -> int:
-        _, _, pl, pr = self.pad_tblr
-        return self.iw + pl + pr
-
-    @property
-    def oh(self) -> int:
-        pt, pb, _, _ = self.pad_tblr
-        return conv_output_size(self.ih, self.kh, (pt, pb),
-                                self.stride_hw[0], self.dilation_hw[0])
-
-    @property
-    def ow(self) -> int:
-        _, _, pl, pr = self.pad_tblr
-        return conv_output_size(self.iw, self.kw, (pl, pr),
-                                self.stride_hw[1], self.dilation_hw[1])
-
-    # -- element counts -----------------------------------------------------
-
-    @property
-    def input_elems(self) -> int:
-        """Elements in one input feature map (no padding)."""
-        return self.ih * self.iw
-
-    @property
-    def kernel_elems(self) -> int:
-        return self.kh * self.kw
-
-    @property
-    def output_elems(self) -> int:
-        return self.oh * self.ow
-
-    @property
-    def total_input_elems(self) -> int:
-        return self.n * self.c * self.input_elems
-
-    @property
-    def total_kernel_elems(self) -> int:
-        return self.f * self.group_channels * self.kernel_elems
-
-    @property
-    def total_output_elems(self) -> int:
-        return self.n * self.f * self.output_elems
-
-    # -- classic operation counts -------------------------------------------
-
-    @property
-    def macs(self) -> int:
-        """Multiply-accumulate count of the direct algorithm."""
-        return (self.n * self.f * self.group_channels
-                * self.output_elems * self.kernel_elems)
-
-    @property
-    def direct_flops(self) -> int:
-        """FLOPs of the direct algorithm (one mul + one add per MAC)."""
-        return 2 * self.macs
-
-    # -- PolyHankel-specific extents (Sec. 2.2 / 3.2 of the paper) ----------
-
-    @property
-    def poly_input_len(self) -> int:
-        """Length of the flattened (padded) input polynomial A(t)."""
-        return self.padded_ih * self.padded_iw
-
-    @property
-    def poly_kernel_len(self) -> int:
-        """Combined kernel polynomial length ``M + 1`` (Sec. 3.2).
-
-        With the stretched (dilated) degree map, tap ``(i, j)`` sits at
-        degree ``M - (Iw*dh*i + dw*j)``, so ``M = (Kh-1)*dh*Iw + (Kw-1)*dw``.
-        For ``dilation=1`` this is the paper's ``(Kh-1)*Iw + Kw``.
-        """
-        dh, dw = self.dilation_hw
-        return (self.kh - 1) * dh * self.padded_iw + (self.kw - 1) * dw + 1
-
-    @property
-    def poly_product_len(self) -> int:
-        """Linear-convolution length of A(t) * U(t)."""
-        return self.poly_input_len + self.poly_kernel_len - 1
-
-    # -- the rank-generic names of ConvShapeNd -------------------------------
-
-    @property
-    def extents(self) -> tuple[int, int]:
-        return self.ih, self.iw
-
-    @property
-    def kernel(self) -> tuple[int, int]:
-        return self.kh, self.kw
-
-    @property
-    def stride_nd(self) -> tuple[int, int]:
-        return self.stride_hw
-
-    @property
-    def dilation_nd(self) -> tuple[int, int]:
-        return self.dilation_hw
-
-    @property
-    def pad_pairs(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        pt, pb, pl, pr = self.pad_tblr
-        return (pt, pb), (pl, pr)
-
-    @property
-    def padded_extents(self) -> tuple[int, int]:
-        return self.padded_ih, self.padded_iw
-
-    @property
-    def out_extents(self) -> tuple[int, int]:
-        return self.oh, self.ow
-
-    @property
-    def poly_strides(self) -> tuple[int, int]:
-        """Row-major degree strides over the padded plane (Eq. 10)."""
-        return self.padded_iw, 1
-
-    # -- convenience ---------------------------------------------------------
-
-    def with_(self, **kwargs) -> "ConvShape":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
-
-    def group_view(self) -> "ConvShape":
-        """The per-group sub-problem: ``c/groups`` channels, ``f/groups``
-        filters, ``groups=1``, same spatial geometry."""
-        return replace(self, c=self.group_channels, f=self.group_filters,
-                       groups=1)
-
-    def input_shape(self) -> tuple[int, int, int, int]:
-        """NCHW shape of the input tensor."""
-        return (self.n, self.c, self.ih, self.iw)
-
-    def weight_shape(self) -> tuple[int, int, int, int]:
-        """FCKhKw shape of the weight tensor (``C`` is per-group)."""
-        return (self.f, self.group_channels, self.kh, self.kw)
-
-    def output_shape(self) -> tuple[int, int, int, int]:
-        """NFOhOw shape of the output tensor."""
-        return (self.n, self.f, self.oh, self.ow)
-
-    @classmethod
-    def from_tensors(cls, x_shape, w_shape, padding: int | tuple | str = 0,
-                     stride: int | tuple = 1, dilation: int | tuple = 1,
-                     groups: int = 1) -> "ConvShape":
-        """Build a ConvShape from NCHW input and FCKhKw weight shapes.
-
-        The spatial rank must be exactly 2 on *both* tensors: a rank
-        mismatch (e.g. a 3D kernel against a 4D input) is rejected with an
-        explicit error instead of broadcasting into a different problem —
-        rank-3/rank-5 problems belong to ``conv1d``/``conv3d`` and
-        :class:`ConvShapeNd`.
-        """
-        if len(x_shape) != len(w_shape):
-            raise ValueError(
-                f"input rank {len(x_shape)} does not match kernel rank "
-                f"{len(w_shape)} (shapes {tuple(x_shape)} vs "
-                f"{tuple(w_shape)}): conv2d expects a 4D NCHW input and a "
-                "FCKhKw weight; rank-1/rank-3 problems belong to "
-                "conv1d/conv3d (ConvShapeNd)"
-            )
-        if len(x_shape) != 4:
-            raise ValueError(
-                f"input must be 4D NCHW, got shape {tuple(x_shape)}; "
-                "use conv1d/conv3d (ConvShapeNd) for other spatial ranks"
-            )
-        n, c, ih, iw = x_shape
-        f, wc, kh, kw = w_shape
-        groups = ensure_int(groups, "groups")
-        if groups < 1:
-            raise ValueError(f"groups must be positive, got {groups}")
-        if c % groups:
-            raise ValueError(
-                f"input channels ({c}) must be divisible by groups ({groups})"
-            )
-        if wc != c // groups:
-            raise ValueError(
-                f"channel mismatch: weight expects C/groups = "
-                f"{c // groups} input channels per group, got {wc}"
-            )
-        return cls(ih=ih, iw=iw, kh=kh, kw=kw, n=n, c=c, f=f,
-                   padding=padding, stride=stride, dilation=dilation,
-                   groups=groups)
-
-
-@dataclass(frozen=True)
-class ConvShapeNd:
-    """Complete description of an N-dimensional convolution problem.
-
-    The rank-generic sibling of :class:`ConvShape`: *extents* and *kernel*
-    are the spatial extents of the input and kernel (any rank >= 1), and
-    all parameters canonicalize exactly as in the 2D case so equal
-    geometries share a hash.  The PolyHankel quantities follow the N-D
-    degree map ``t^(sum_l s_l i_l)`` over the row-major strides ``s_l`` of
-    the padded extents (see ``repro.core.ndim``).
+    *extents* and *kernel* are the spatial extents of the input and the
+    kernel (rank >= 1; 2D is rank 2).  The parameters canonicalize at
+    construction through :func:`canonical_params`, so a ``ConvShape`` is
+    a plain frozen value type that serves as a cache key.  Derived
+    quantities follow the paper's degree map generalized to rank N:
+    ``t^(sum_l s_l i_l)`` over the row-major strides ``s_l`` of the
+    padded extents (Eq. 10 at rank 2).
     """
 
     extents: tuple
@@ -524,46 +235,59 @@ class ConvShapeNd:
     groups: int = 1
 
     def __post_init__(self) -> None:
-        extents = tuple(ensure_int(e, "extents") for e in self.extents)
-        kernel = tuple(ensure_int(k, "kernel") for k in self.kernel)
+        # Each field is normalized once.  The per-axis views the properties
+        # return are kept beside the canonical fields; they take no part in
+        # equality or hashing.  (A frozen dataclass: the instance dict is
+        # written directly.)
+        extents = tuple([ensure_int(e, "extents") for e in self.extents])
+        kernel = tuple([ensure_int(k, "kernel") for k in self.kernel])
         if not extents:
             raise ValueError("extents must name at least one spatial dim")
-        if len(kernel) != len(extents):
+        ndim = len(extents)
+        if len(kernel) != ndim:
             raise ValueError(
                 f"kernel rank {len(kernel)} does not match input rank "
-                f"{len(extents)} (kernel {kernel} vs extents {extents})"
+                f"{ndim} (kernel {kernel} vs extents {extents})"
             )
-        ndim = len(extents)
-        stride = normalize_tuple(self.stride, ndim, "stride")
-        dilation = normalize_tuple(self.dilation, ndim, "dilation")
-        if min(stride) < 1:
-            raise ValueError(f"stride must be >= 1 per axis, got {stride}")
-        if min(dilation) < 1:
+        padding, stride, dilation = canonical_params(
+            self.padding, self.stride, self.dilation, ndim)
+        stride_nd = (stride,) * ndim if type(stride) is int else stride
+        dilation_nd = ((dilation,) * ndim if type(dilation) is int
+                       else dilation)
+        if min(stride_nd) < 1:
+            raise ValueError(f"stride must be >= 1 per axis, got {stride_nd}")
+        if min(dilation_nd) < 1:
             raise ValueError(
-                f"dilation must be >= 1 per axis, got {dilation}"
+                f"dilation must be >= 1 per axis, got {dilation_nd}"
             )
-        pairs = normalize_padding_nd(self.padding, extents, kernel,
-                                     stride, dilation)
-        if min(p for pair in pairs for p in pair) < 0:
-            raise ValueError(f"padding must be non-negative, got {pairs}")
-        object.__setattr__(self, "extents", extents)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "stride", _canonical_nd(stride))
-        object.__setattr__(self, "dilation", _canonical_nd(dilation))
-        flat = tuple(p for pair in pairs for p in pair)
-        object.__setattr__(self, "padding", _canonical_nd(flat))
-        object.__setattr__(self, "groups", ensure_int(self.groups, "groups"))
-        if self.groups < 1:
-            raise ValueError(f"groups must be positive, got {self.groups}")
-        if self.c % self.groups or self.f % self.groups:
+        if isinstance(padding, str):
+            pairs = normalize_padding_nd(padding, extents, kernel, stride_nd,
+                                         dilation_nd)
+            padding = _uniform(tuple([p for pair in pairs for p in pair]))
+        pad_pairs = _pad_pairs(padding, ndim)
+        if (padding if type(padding) is int else min(padding)) < 0:
+            raise ValueError(f"padding must be non-negative, got {pad_pairs}")
+        groups = ensure_int(self.groups, "groups")
+        if groups < 1:
+            raise ValueError(f"groups must be positive, got {groups}")
+        if self.c % groups or self.f % groups:
             raise ValueError(
                 f"channels ({self.c}) and filters ({self.f}) must both be "
-                f"divisible by groups ({self.groups})"
+                f"divisible by groups ({groups})"
             )
-        # Trigger derived-extent validation at construction time.
-        _ = self.out_extents
+        # Computing the output extents validates the geometry.
+        out_extents = tuple([
+            conv_output_size(e, k, pair, s, d)
+            for e, k, pair, s, d in zip(extents, kernel, pad_pairs,
+                                        stride_nd, dilation_nd)
+        ])
+        self.__dict__.update(
+            extents=extents, kernel=kernel, padding=padding, stride=stride,
+            dilation=dilation, groups=groups, _stride_nd=stride_nd,
+            _dilation_nd=dilation_nd, _pad_pairs=pad_pairs,
+            _out_extents=out_extents)
 
-    # -- normalized parameter views -----------------------------------------
+    # -- per-axis parameter views -------------------------------------------
 
     @property
     def ndim(self) -> int:
@@ -571,72 +295,97 @@ class ConvShapeNd:
 
     @property
     def stride_nd(self) -> tuple[int, ...]:
-        return normalize_tuple(self.stride, self.ndim, "stride")
+        """One stride per axis, however stride was spelled."""
+        return self._stride_nd
 
     @property
     def dilation_nd(self) -> tuple[int, ...]:
-        return normalize_tuple(self.dilation, self.ndim, "dilation")
+        """One dilation per axis, however dilation was spelled."""
+        return self._dilation_nd
 
     @property
     def pad_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Per-axis ``(lo, hi)`` pairs regardless of padding spelling."""
-        p = self.padding
-        if isinstance(p, int):
-            return ((p, p),) * self.ndim
-        return tuple((p[2 * i], p[2 * i + 1]) for i in range(self.ndim))
+        """Per-axis ``(lo, hi)`` pairs, however padding was spelled."""
+        return self._pad_pairs
 
     @property
     def eff_kernel(self) -> tuple[int, ...]:
         """Dilated (effective) kernel extents ``d*(k-1) + 1`` per axis."""
         return tuple(d * (k - 1) + 1
-                     for d, k in zip(self.dilation_nd, self.kernel))
+                     for d, k in zip(self._dilation_nd, self.kernel))
 
     @property
     def group_channels(self) -> int:
+        """Input channels seen by one filter: ``c // groups``."""
         return self.c // self.groups
 
     @property
     def group_filters(self) -> int:
+        """Filters per group: ``f // groups``."""
         return self.f // self.groups
 
-    # -- derived spatial extents -------------------------------------------
+    # -- spatial extents ------------------------------------------------------
 
     @property
     def padded_extents(self) -> tuple[int, ...]:
         return tuple(e + lo + hi
-                     for e, (lo, hi) in zip(self.extents, self.pad_pairs))
+                     for e, (lo, hi) in zip(self.extents, self._pad_pairs))
 
     @property
     def out_extents(self) -> tuple[int, ...]:
-        return tuple(
-            conv_output_size(e, k, pair, s, d)
-            for e, k, pair, s, d in zip(self.extents, self.kernel,
-                                        self.pad_pairs, self.stride_nd,
-                                        self.dilation_nd)
-        )
+        return self._out_extents
 
-    # -- element counts -----------------------------------------------------
+    # The paper's Table 1 names, for rank-2 problems.
+
+    def _plane(self, values: tuple) -> tuple:
+        if len(values) != 2:
+            raise ValueError(
+                "ih, iw, kh, kw, oh and ow name a rank-2 problem; this one "
+                f"has rank {len(values)}"
+            )
+        return values
+
+    @property
+    def ih(self) -> int:
+        return self._plane(self.extents)[0]
+
+    @property
+    def iw(self) -> int:
+        return self._plane(self.extents)[1]
+
+    @property
+    def kh(self) -> int:
+        return self._plane(self.kernel)[0]
+
+    @property
+    def kw(self) -> int:
+        return self._plane(self.kernel)[1]
+
+    @property
+    def oh(self) -> int:
+        return self._plane(self._out_extents)[0]
+
+    @property
+    def ow(self) -> int:
+        return self._plane(self._out_extents)[1]
+
+    # -- element and operation counts ---------------------------------------
 
     @property
     def kernel_elems(self) -> int:
-        out = 1
-        for k in self.kernel:
-            out *= k
-        return out
+        return math.prod(self.kernel)
 
     @property
     def output_elems(self) -> int:
-        out = 1
-        for o in self.out_extents:
-            out *= o
-        return out
+        return math.prod(self._out_extents)
 
     @property
     def macs(self) -> int:
+        """Multiply-accumulate count of the direct algorithm."""
         return (self.n * self.f * self.group_channels
                 * self.output_elems * self.kernel_elems)
 
-    # -- PolyHankel degree-map extents --------------------------------------
+    # -- PolyHankel degree map (Sec. 2.2 / 3.2 of the paper) ----------------
 
     @property
     def poly_strides(self) -> tuple[int, ...]:
@@ -649,18 +398,19 @@ class ConvShapeNd:
     @property
     def poly_input_len(self) -> int:
         """Length of the flattened (padded) input polynomial A(t)."""
-        out = 1
-        for e in self.padded_extents:
-            out *= e
-        return out
+        return math.prod(self.padded_extents)
 
     @property
     def poly_kernel_len(self) -> int:
-        """Combined kernel polynomial length ``M + 1`` with the stretched
-        degree map: ``M = sum_l s_l * d_l * (K_l - 1)``."""
+        """Combined kernel polynomial length ``M + 1`` (Sec. 3.2).
+
+        With the stretched (dilated) degree map,
+        ``M = sum_l s_l * d_l * (K_l - 1)``; at rank 2 with ``dilation=1``
+        this is the paper's ``(Kh-1)*Iw + Kw``.
+        """
         return 1 + sum(
             s * d * (k - 1)
-            for s, d, k in zip(self.poly_strides, self.dilation_nd,
+            for s, d, k in zip(self.poly_strides, self._dilation_nd,
                                self.kernel)
         )
 
@@ -671,53 +421,50 @@ class ConvShapeNd:
 
     # -- convenience ---------------------------------------------------------
 
-    def with_(self, **kwargs) -> "ConvShapeNd":
+    def with_(self, **kwargs) -> "ConvShape":
+        """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)
 
-    def group_view(self) -> "ConvShapeNd":
+    def group_view(self) -> "ConvShape":
+        """The per-group sub-problem: ``c/groups`` channels, ``f/groups``
+        filters, ``groups=1``, same spatial geometry."""
         return replace(self, c=self.group_channels, f=self.group_filters,
                        groups=1)
 
     def input_shape(self) -> tuple:
+        """``(n, c, *extents)`` shape of the input tensor."""
         return (self.n, self.c, *self.extents)
 
     def weight_shape(self) -> tuple:
+        """``(f, c/groups, *kernel)`` shape of the weight tensor."""
         return (self.f, self.group_channels, *self.kernel)
 
     def output_shape(self) -> tuple:
-        return (self.n, self.f, *self.out_extents)
-
-    def to_2d(self) -> ConvShape:
-        """The equivalent :class:`ConvShape` of a rank-2 problem."""
-        if self.ndim != 2:
-            raise ValueError(
-                f"to_2d needs a rank-2 problem, got rank {self.ndim}"
-            )
-        flat = tuple(p for pair in self.pad_pairs for p in pair)
-        return ConvShape(ih=self.extents[0], iw=self.extents[1],
-                         kh=self.kernel[0], kw=self.kernel[1], n=self.n,
-                         c=self.c, f=self.f, padding=flat,
-                         stride=self.stride_nd, dilation=self.dilation_nd,
-                         groups=self.groups)
+        """``(n, f, *out_extents)`` shape of the output tensor."""
+        return (self.n, self.f, *self._out_extents)
 
     @classmethod
     def from_tensors(cls, x_shape, w_shape, padding: int | tuple | str = 0,
                      stride: int | tuple = 1, dilation: int | tuple = 1,
-                     groups: int = 1) -> "ConvShapeNd":
-        """Build a ConvShapeNd from ``(n, c, *spatial)`` / ``(f, c_per,
-        *kernel)`` shapes, rejecting rank mismatches explicitly."""
-        x_shape, w_shape = tuple(x_shape), tuple(w_shape)
+                     groups: int = 1) -> "ConvShape":
+        """Build a ConvShape from ``(n, c, *spatial)`` input and ``(f,
+        c/groups, *kernel)`` weight shapes (NCHW / FCKhKw at rank 2).
+
+        A rank mismatch between the two is rejected explicitly instead of
+        broadcasting into a different problem.
+        """
         if len(x_shape) < 3:
             raise ValueError(
                 f"input must be (n, c, *spatial) with at least one spatial "
-                f"dim, got shape {x_shape}"
+                f"dim, got shape {tuple(x_shape)}"
             )
         if len(w_shape) != len(x_shape):
             raise ValueError(
                 f"kernel rank {len(w_shape)} does not match input rank "
-                f"{len(x_shape)} (shapes {w_shape} vs {x_shape}); weight "
-                "must be (f, c/groups, *kernel) with one kernel extent per "
-                "input spatial dimension"
+                f"{len(x_shape)} (shapes {tuple(w_shape)} vs "
+                f"{tuple(x_shape)}): the input is (n, c, *spatial) — NCL, "
+                "NCHW or NCDHW — and the weight (f, c/groups, *kernel) — "
+                "FCK, FCKhKw or FCKdKhKw"
             )
         n, c = x_shape[:2]
         f, wc = w_shape[:2]
@@ -733,6 +480,5 @@ class ConvShapeNd:
                 f"channel mismatch: weight expects C/groups = "
                 f"{c // groups} input channels per group, got {wc}"
             )
-        return cls(extents=x_shape[2:], kernel=w_shape[2:], n=n, c=c, f=f,
-                   padding=padding, stride=stride, dilation=dilation,
-                   groups=groups)
+        return cls(tuple(x_shape[2:]), tuple(w_shape[2:]), n, c, f, padding,
+                   stride, dilation, groups)

@@ -31,8 +31,11 @@ def check_conv_inputs(x: np.ndarray, w: np.ndarray, padding, stride,
     *dilation* an int or ``(h, w)`` pair.  Every rejection carries an
     actionable message naming the offending value.
     """
-    from repro.utils.shapes import ensure_int, normalize_padding, \
-        normalize_pair
+    from repro.utils.shapes import (
+        ensure_int,
+        normalize_padding_nd,
+        normalize_tuple,
+    )
 
     if x.ndim != 4:
         raise ValueError(f"input must be 4D NCHW, got {x.ndim}D")
@@ -55,13 +58,13 @@ def check_conv_inputs(x: np.ndarray, w: np.ndarray, padding, stride,
             f"channel mismatch: weight expects C/groups = {c // groups} "
             f"input channels per group, got {w.shape[1]}"
         )
-    sh, sw = normalize_pair(stride, "stride")
+    sh, sw = normalize_tuple(stride, 2, "stride")
     if sh < 1 or sw < 1:
         raise ValueError(
             f"stride must be >= 1 in both axes, got ({sh}, {sw}); "
             "zero or negative strides are not a convolution"
         )
-    dh, dw = normalize_pair(dilation, "dilation")
+    dh, dw = normalize_tuple(dilation, 2, "dilation")
     if dh < 1 or dw < 1:
         raise ValueError(
             f"dilation must be >= 1 in both axes, got ({dh}, {dw}); "
@@ -69,8 +72,8 @@ def check_conv_inputs(x: np.ndarray, w: np.ndarray, padding, stride,
         )
     ih, iw = x.shape[2], x.shape[3]
     kh, kw = w.shape[2], w.shape[3]
-    pt, pb, pl, pr = normalize_padding(padding, ih, iw, kh, kw,
-                                       (sh, sw), (dh, dw))
+    (pt, pb), (pl, pr) = normalize_padding_nd(padding, (ih, iw), (kh, kw),
+                                              (sh, sw), (dh, dw))
     if min(pt, pb, pl, pr) < 0:
         raise ValueError(
             f"padding must be non-negative, got (pt={pt}, pb={pb}, "

@@ -39,7 +39,7 @@ def test_matches_naive(rng, case, impl):
 
 class TestWorkspace:
     def test_im2col_workspace_formula(self):
-        shape = ConvShape(ih=5, iw=5, kh=3, kw=3, n=2, c=3)
+        shape = ConvShape((5, 5), (3, 3), n=2, c=3)
         # Table 3 row 1: Kh*Kw*Oh*Ow per (image, channel).
         assert im2col_workspace_elems(shape) == 2 * 3 * 9 * 9
 
@@ -49,13 +49,13 @@ class TestOffsetCache:
         clear_offset_cache()
 
     def test_offsets_cached_per_shape(self):
-        shape = ConvShape(ih=8, iw=8, kh=3, kw=3)
+        shape = ConvShape((8, 8), (3, 3))
         rows1, _ = precomputed_offsets(shape)
         rows2, _ = precomputed_offsets(shape)
         assert rows1 is rows2
 
     def test_offsets_content(self):
-        shape = ConvShape(ih=5, iw=5, kh=2, kw=2, stride=2)
+        shape = ConvShape((5, 5), (2, 2), stride=2)
         rows, cols = precomputed_offsets(shape)
         assert rows.shape == (shape.oh, shape.ow, 2, 2)
         # Output (1, 0), tap (1, 1) reads padded input row 2*1+1 = 3.
@@ -63,8 +63,8 @@ class TestOffsetCache:
         assert cols[0, 1, 0, 1] == 3
 
     def test_cache_key_includes_stride(self):
-        a = precomputed_offsets(ConvShape(ih=8, iw=8, kh=3, kw=3, stride=1))
-        b = precomputed_offsets(ConvShape(ih=9, iw=9, kh=3, kw=3, stride=2))
+        a = precomputed_offsets(ConvShape((8, 8), (3, 3), stride=1))
+        b = precomputed_offsets(ConvShape((9, 9), (3, 3), stride=2))
         assert a[0].shape != b[0].shape
 
 

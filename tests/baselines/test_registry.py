@@ -39,16 +39,16 @@ class TestResolution:
 
 class TestCapabilities:
     def test_winograd_rejects_stride(self):
-        shape = ConvShape(ih=9, iw=9, kh=3, kw=3, stride=2)
+        shape = ConvShape((9, 9), (3, 3), stride=2)
         assert not supports(ConvAlgorithm.WINOGRAD, shape)
         assert not supports(ConvAlgorithm.WINOGRAD_NONFUSED, shape)
 
     def test_winograd_rejects_huge_kernels(self):
-        shape = ConvShape(ih=30, iw=30, kh=12, kw=12)
+        shape = ConvShape((30, 30), (12, 12))
         assert not supports(ConvAlgorithm.WINOGRAD, shape)
 
     def test_everything_else_supports_strides(self):
-        shape = ConvShape(ih=9, iw=9, kh=3, kw=3, stride=2)
+        shape = ConvShape((9, 9), (3, 3), stride=2)
         for algo in (ConvAlgorithm.GEMM, ConvAlgorithm.FFT,
                      ConvAlgorithm.POLYHANKEL, ConvAlgorithm.FINEGRAIN_FFT):
             assert supports(algo, shape)

@@ -17,7 +17,7 @@ from tests.conftest import assert_conv_close, naive_conv2d_reference
 
 
 def _shape(**overrides):
-    base = dict(ih=10, iw=9, kh=3, kw=3, n=1, c=4, f=4, padding=1)
+    base = dict(extents=(10, 9), kernel=(3, 3), n=1, c=4, f=4, padding=1)
     base.update(overrides)
     return ConvShape(**base)
 

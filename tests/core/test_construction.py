@@ -64,7 +64,7 @@ class TestPaperWorkedExample:
         pu = Polynomial(kernel_polynomial(u, 5))
         product = pa * pu
 
-        shape = ConvShape(ih=5, iw=5, kh=3, kw=3)
+        shape = ConvShape((5, 5), (3, 3))
         gather = output_gather_indices(shape)
         d = np.array([[product.coeff(int(k)) for k in row] for row in gather])
 
@@ -75,7 +75,7 @@ class TestPaperWorkedExample:
         np.testing.assert_allclose(d, expected, atol=1e-9)
 
     def test_gather_degrees_match_eq12(self):
-        shape = ConvShape(ih=5, iw=5, kh=3, kw=3)
+        shape = ConvShape((5, 5), (3, 3))
         np.testing.assert_array_equal(
             output_gather_indices(shape).reshape(-1),
             [12, 13, 14, 17, 18, 19, 22, 23, 24],
@@ -110,7 +110,7 @@ class TestMergedLayout:
         assert residues == {0, 1, 2}
 
     def test_merged_gather_positions(self):
-        shape = ConvShape(ih=5, iw=5, kh=3, kw=3, c=2)
+        shape = ConvShape((5, 5), (3, 3), c=2)
         single = output_gather_indices(shape)
         merged = merged_output_gather_indices(shape)
         np.testing.assert_array_equal(merged, 2 * single + 1)
@@ -132,7 +132,7 @@ class TestMergedLayout:
 
 class TestPolynomialLengths:
     def test_matches_shape_properties(self):
-        shape = ConvShape(ih=6, iw=7, kh=3, kw=2, padding=1)
+        shape = ConvShape((6, 7), (3, 2), padding=1)
         len_a, len_u, transform_len = polynomial_lengths(shape)
         assert len_a == shape.poly_input_len
         assert len_u == shape.poly_kernel_len
@@ -153,12 +153,12 @@ class TestRankGenericDegrees:
 
         for p, s, d in itertools.product([0, 1, (0, 1, 2, 1)],
                                          [1, 2, (2, 1)], [1, (1, 2)]):
-            shape = ConvShape(ih=7, iw=9, kh=3, kw=2, padding=p, stride=s,
-                              dilation=d)
+            shape = ConvShape((7, 9), (3, 2), padding=p, stride=s, dilation=d)
+            padded_iw = shape.padded_extents[1]
             np.testing.assert_array_equal(
                 tap_degrees(shape),
-                kernel_degrees(3, 2, shape.padded_iw, shape.dilation_hw))
+                kernel_degrees(3, 2, padded_iw, shape.dilation_nd))
             np.testing.assert_array_equal(
                 output_gather_indices(shape),
-                output_degrees(shape.oh, shape.ow, shape.padded_iw, 3, 2,
-                               shape.stride_hw, shape.dilation_hw))
+                output_degrees(shape.oh, shape.ow, padded_iw, 3, 2,
+                               shape.stride_nd, shape.dilation_nd))

@@ -11,7 +11,6 @@ import numpy as np
 from repro.core.multichannel import (
     clear_plan_cache,
     clear_spectrum_cache,
-    get_plan,
     plan_cache_info,
     set_plan_cache_limit,
 )
@@ -19,7 +18,7 @@ from repro.nn import functional as F
 from repro.observe import tracing
 from repro.observe.registry import counters, fft_call_totals
 from repro.perfmodel.engine import predict_fft_counters
-from repro.utils.shapes import ConvShapeNd
+from repro.utils.shapes import ConvShape
 
 
 def test_conv3d_plans_are_counted_and_bounded():
@@ -57,5 +56,5 @@ def test_warm_conv3d_follows_the_plan_counter_model():
         "fft_rows": sum(v["rows"] for v in totals.values()),
         "by_kind": {k: v["calls"] for k, v in sorted(totals.items())},
     }
-    shape = ConvShapeNd.from_tensors(x.shape, w.shape, padding=1)
+    shape = ConvShape.from_tensors(x.shape, w.shape, padding=1)
     assert got == predict_fft_counters(shape, "sum")

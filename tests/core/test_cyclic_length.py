@@ -17,7 +17,7 @@ import pytest
 from repro.baselines.registry import convolve
 from repro.core.construction import output_gather_indices, tap_degrees
 from repro.core.multichannel import get_plan
-from repro.utils.shapes import ConvShape, ConvShapeNd
+from repro.utils.shapes import ConvShape
 from tests.conftest import assert_conv_close, naive_convnd_reference
 
 #: Spatial extents and kernel per rank: small, odd-sized, with room for a
@@ -41,7 +41,7 @@ GRID = [
 
 
 def _shape_type(ndim):
-    return ConvShape if ndim == 2 else ConvShapeNd
+    return ConvShape if ndim == 2 else ConvShape
 
 
 def _exact_plan_output(x, w, padding, stride, dilation, groups):

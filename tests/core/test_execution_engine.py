@@ -35,7 +35,7 @@ def _fresh_caches():
     clear_spectrum_cache()
 
 
-SHAPE = ConvShape(ih=10, iw=9, kh=3, kw=3, n=4, c=2, f=3, padding=1)
+SHAPE = ConvShape((10, 9), (3, 3), n=4, c=2, f=3, padding=1)
 
 
 def _problem(rng):
@@ -119,13 +119,13 @@ class TestCacheBounds:
     def test_plan_cache_is_bounded(self):
         set_plan_cache_limit(2)
         for ih in (6, 7, 8, 9):
-            get_plan(ConvShape(ih=ih, iw=ih, kh=3, kw=3))
+            get_plan(ConvShape((ih, ih), (3, 3)))
         info = plan_cache_info()
         assert info.size <= 2
         assert info.maxsize == 2
 
     def test_plan_cache_stats(self):
-        shape = ConvShape(ih=6, iw=6, kh=3, kw=3)
+        shape = ConvShape((6, 6), (3, 3))
         get_plan(shape)
         get_plan(shape)
         info = plan_cache_info()

@@ -25,7 +25,7 @@ from repro.utils.shapes import ConvShape
 from tests.conftest import assert_conv_close, naive_conv2d_reference
 
 #: The bench suite's c16 preset shape (conv32_sum_numpy_c16).
-C16_SHAPE = ConvShape(ih=32, iw=32, kh=3, kw=3, n=4, c=16, f=16, padding=1)
+C16_SHAPE = ConvShape((32, 32), (3, 3), n=4, c=16, f=16, padding=1)
 
 
 def _problem(shape, seed=11):
@@ -109,8 +109,8 @@ class TestFusedParity:
         (which stages each chunk unpadded, like the sequential one) stays
         bit-identical — the depthwise multiply included."""
         for groups in (1, 6):
-            shape = ConvShape(ih=16, iw=16, kh=3, kw=3, n=6, c=6, f=6,
-                              padding=1, groups=groups)
+            shape = ConvShape((16, 16), (3, 3), n=6, c=6, f=6, padding=1,
+                              groups=groups)
             x, w = _problem(shape)
             # An uncached plan whose work floor is lifted, so workers=3
             # really splits the batch.
@@ -156,8 +156,7 @@ class TestFusedCounters:
     ])
     def test_predictor_matches_measurement(self, c, f, layout):
         n = {"planar": 1, "interleaved": 2}[layout]
-        shape = ConvShape(ih=12, iw=11, kh=3, kw=3, n=n, c=c, f=f,
-                          padding=1)
+        shape = ConvShape((12, 11), (3, 3), n=n, c=c, f=f, padding=1)
         x, w = _problem(shape)
         plan = get_plan(shape, backend="numpy")
         assert _measured_counters(plan, x, w) \

@@ -93,37 +93,37 @@ class TestPlan:
         clear_plan_cache()
 
     def test_plan_reuse_from_cache(self):
-        shape = ConvShape(ih=8, iw=8, kh=3, kw=3, n=2, c=2, f=2)
+        shape = ConvShape((8, 8), (3, 3), n=2, c=2, f=2)
         assert get_plan(shape) is get_plan(shape)
 
     def test_cache_distinguishes_options(self):
-        shape = ConvShape(ih=8, iw=8, kh=3, kw=3)
+        shape = ConvShape((8, 8), (3, 3))
         assert get_plan(shape, strategy="sum") is not get_plan(
             shape, strategy="merge"
         )
 
     def test_clear_cache(self):
-        shape = ConvShape(ih=8, iw=8, kh=3, kw=3)
+        shape = ConvShape((8, 8), (3, 3))
         first = get_plan(shape)
         clear_plan_cache()
         assert get_plan(shape) is not first
 
     def test_plan_execute_validates_input_shape(self, rng):
-        shape = ConvShape(ih=8, iw=8, kh=3, kw=3, n=1, c=1, f=1)
+        shape = ConvShape((8, 8), (3, 3), n=1, c=1, f=1)
         plan = PolyHankelPlan(shape)
         w_hat = plan.transform_weight(rng.standard_normal((1, 1, 3, 3)))
         with pytest.raises(ValueError, match="input shape"):
             plan.execute(rng.standard_normal((1, 1, 9, 9)), w_hat)
 
     def test_plan_validates_weight_shape(self, rng):
-        shape = ConvShape(ih=8, iw=8, kh=3, kw=3, n=1, c=1, f=1)
+        shape = ConvShape((8, 8), (3, 3), n=1, c=1, f=1)
         plan = PolyHankelPlan(shape)
         with pytest.raises(ValueError, match="weight shape"):
             plan.transform_weight(rng.standard_normal((2, 1, 3, 3)))
 
     def test_weight_reuse_across_inputs(self, rng):
         """A cached weight spectrum serves many inputs (inference case)."""
-        shape = ConvShape(ih=6, iw=6, kh=3, kw=3, n=1, c=2, f=2, padding=1)
+        shape = ConvShape((6, 6), (3, 3), n=1, c=2, f=2, padding=1)
         plan = PolyHankelPlan(shape)
         w = rng.standard_normal((2, 2, 3, 3))
         w_hat = plan.transform_weight(w)
@@ -134,6 +134,6 @@ class TestPlan:
                 naive_conv2d_reference(x, w, 1), atol=1e-8)
 
     def test_fft_size_covers_cyclic_length(self):
-        shape = ConvShape(ih=8, iw=8, kh=3, kw=3)
+        shape = ConvShape((8, 8), (3, 3))
         plan = PolyHankelPlan(shape)
         assert plan.nfft >= shape.poly_input_len

@@ -14,7 +14,7 @@ from repro.utils.shapes import ConvShape
 
 
 def _shape(**overrides) -> ConvShape:
-    params = dict(ih=8, iw=8, kh=3, kw=3, n=2, c=3, f=4, padding=1)
+    params = dict(extents=(8, 8), kernel=(3, 3), n=2, c=3, f=4, padding=1)
     params.update(overrides)
     return ConvShape(**params)
 

@@ -15,8 +15,8 @@ from repro.utils.shapes import ConvShape
 
 
 def shape(size: int, kernel: int = 3) -> ConvShape:
-    return ConvShape(ih=size, iw=size, kh=kernel, kw=kernel, n=1, c=1,
-                     f=1, padding=kernel // 2)
+    return ConvShape((size, size), (kernel, kernel), n=1, c=1, f=1,
+                     padding=kernel // 2)
 
 
 class TestExpressions:

@@ -29,7 +29,7 @@ def _clean_guard():
 
 @pytest.fixture
 def problem():
-    shape = ConvShape(ih=12, iw=12, kh=3, kw=3, n=2, c=3, f=4, padding=1)
+    shape = ConvShape((12, 12), (3, 3), n=2, c=3, f=4, padding=1)
     x, w = random_problem(shape, seed=0)
     ref = conv2d_naive(x, w, padding=1)
     return x, w, ref
@@ -37,7 +37,7 @@ def problem():
 
 class TestFallbackChain:
     def _shape(self):
-        return ConvShape(ih=12, iw=12, kh=3, kw=3, n=1, c=1, f=1, padding=1)
+        return ConvShape((12, 12), (3, 3), n=1, c=1, f=1, padding=1)
 
     def test_default_order_ends_in_naive(self):
         chain = fallback_chain(self._shape())

@@ -46,7 +46,7 @@ def test_disabled_guard_overhead_under_three_percent():
 
     site_s = _best_of(one_site, repeats=5, number=10_000)
 
-    shape = ConvShape(ih=32, iw=32, kh=3, kw=3, n=4, c=8, f=16, padding=1)
+    shape = ConvShape((32, 32), (3, 3), n=4, c=8, f=16, padding=1)
     x, w = random_problem(shape)
     plan = mc.get_plan(shape, strategy="sum", backend="numpy")
     w_hat = plan.transform_weight(w)

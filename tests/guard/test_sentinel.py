@@ -15,7 +15,7 @@ from repro.utils.shapes import ConvShape
 
 @pytest.fixture
 def problem():
-    shape = ConvShape(ih=12, iw=12, kh=3, kw=3, n=2, c=3, f=4, padding=1)
+    shape = ConvShape((12, 12), (3, 3), n=2, c=3, f=4, padding=1)
     x, w = random_problem(shape, seed=0)
     return shape, x, w
 

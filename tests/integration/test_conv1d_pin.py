@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.utils.shapes import ConvShapeNd
+from repro.utils.shapes import ConvShape
 
 #: The sum-strategy ids keep the names of the spectrum layouts the engine
 #: once offered; every sum case now runs the one pipeline, each under a
@@ -40,8 +40,8 @@ def test_conv1d_is_the_lifted_conv2d(engine, params):
     g = params["groups"]
     x = rng.standard_normal((3, 4, 19))
     w = rng.standard_normal((6, 4 // g, 3))
-    (lo, hi), = ConvShapeNd.from_tensors(x.shape, w.shape,
-                                         **params).pad_pairs
+    (lo, hi), = ConvShape.from_tensors(x.shape, w.shape,
+                                       **params).pad_pairs
     got = F.conv1d(x, w, algorithm="polyhankel", **engine, **params)
     want = F.conv2d(x[:, :, None, :], w[:, :, None, :],
                     algorithm="polyhankel", padding=(0, 0, lo, hi),

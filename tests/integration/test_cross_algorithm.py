@@ -15,12 +15,12 @@ from repro.utils.random import random_problem
 from repro.utils.shapes import ConvShape
 
 GRID = [
-    ConvShape(ih=6, iw=6, kh=3, kw=3, n=1, c=1, f=1),
-    ConvShape(ih=9, iw=7, kh=3, kw=2, n=2, c=3, f=4, padding=1),
-    ConvShape(ih=8, iw=8, kh=5, kw=5, n=1, c=2, f=2, padding=2),
-    ConvShape(ih=11, iw=11, kh=3, kw=3, n=2, c=2, f=3, stride=2),
-    ConvShape(ih=7, iw=12, kh=1, kw=1, n=3, c=2, f=2),
-    ConvShape(ih=10, iw=10, kh=7, kw=7, n=1, c=1, f=2, padding=3),
+    ConvShape((6, 6), (3, 3), n=1, c=1, f=1),
+    ConvShape((9, 7), (3, 2), n=2, c=3, f=4, padding=1),
+    ConvShape((8, 8), (5, 5), n=1, c=2, f=2, padding=2),
+    ConvShape((11, 11), (3, 3), n=2, c=2, f=3, stride=2),
+    ConvShape((7, 12), (1, 1), n=3, c=2, f=2),
+    ConvShape((10, 10), (7, 7), n=1, c=1, f=2, padding=3),
 ]
 
 
@@ -44,7 +44,7 @@ def test_all_capable_algorithms_agree(shape):
 
 def test_pairwise_consistency_transitive(rng):
     """Spot-check pairwise closeness directly (tighter than via naive)."""
-    shape = ConvShape(ih=8, iw=8, kh=3, kw=3, n=2, c=2, f=2, padding=1)
+    shape = ConvShape((8, 8), (3, 3), n=2, c=2, f=2, padding=1)
     x, w = random_problem(shape, seed=99)
     outs = [
         convolve(x, w, algorithm=a, padding=1)

@@ -139,9 +139,8 @@ class TestEveryAlgorithmExtended:
          for i, case in enumerate(CASES)])
     def test_matches_reference(self, algorithm, stride, dilation, groups,
                                padding):
-        shape = ConvShape(ih=IH, iw=IW, kh=K, kw=K, n=N, c=C, f=F,
-                          padding=padding, stride=stride,
-                          dilation=dilation, groups=groups)
+        shape = ConvShape((IH, IW), (K, K), n=N, c=C, f=F, padding=padding,
+                          stride=stride, dilation=dilation, groups=groups)
         if not supports(algorithm, shape):
             pytest.skip(f"{algorithm.value} rejects {shape}")
         x, w, ref = _problem(stride, dilation, groups, padding)
@@ -152,8 +151,7 @@ class TestEveryAlgorithmExtended:
     def test_unsupported_is_explicit(self):
         """A shape an algorithm cannot run must be rejected with a
         parameter-bearing error, never computed wrong silently."""
-        shape = ConvShape(ih=IH, iw=IW, kh=K, kw=K, n=N, c=C, f=F,
-                          stride=(2, 2))
+        shape = ConvShape((IH, IW), (K, K), n=N, c=C, f=F, stride=(2, 2))
         from repro.baselines.registry import ConvAlgorithm
         assert not supports(ConvAlgorithm.WINOGRAD, shape)
         x, w, _ = _problem((2, 2), (1, 1), 1, 0)

@@ -209,7 +209,7 @@ class TestAdjointIdentity:
                              [ConvAlgorithm.POLYHANKEL, ConvAlgorithm.GEMM],
                              ids=lambda a: a.value)
     def test_inner_product_identity(self, algorithm, params):
-        from repro.utils.shapes import ConvShapeNd
+        from repro.utils.shapes import ConvShape
 
         rng = np.random.default_rng(23)
         x = rng.standard_normal((2, 4, 7, 6))
@@ -222,7 +222,7 @@ class TestAdjointIdentity:
         w_t = w_fwd
         # output_padding recovering x's extent exactly: the remainder the
         # forward stride discarded per axis.
-        shape = ConvShapeNd.from_tensors(x.shape, w_fwd.shape, **params)
+        shape = ConvShape.from_tensors(x.shape, w_fwd.shape, **params)
         out_pad = tuple(
             (p - e) % s for p, e, s in zip(
                 shape.padded_extents, shape.eff_kernel, shape.stride_nd))

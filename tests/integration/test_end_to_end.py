@@ -24,13 +24,11 @@ class TestPublicApi:
         assert repro.ConvAlgorithm.POLYHANKEL in repro.list_algorithms()
 
     def test_simulate_exported(self):
-        shape = repro.ConvShape(ih=32, iw=32, kh=3, kw=3, n=8, c=3, f=8,
-                                padding=1)
+        shape = repro.ConvShape((32, 32), (3, 3), n=8, c=3, f=8, padding=1)
         assert repro.simulate_gpu_ms("polyhankel", shape, "v100") > 0
 
     def test_select_algorithm_exported(self):
-        shape = repro.ConvShape(ih=224, iw=224, kh=5, kw=5, n=64, c=3,
-                                f=16, padding=2)
+        shape = repro.ConvShape((224, 224), (5, 5), n=64, c=3, f=16, padding=2)
         result = repro.select_algorithm(shape, "v100")
         assert result.algorithm is repro.ConvAlgorithm.POLYHANKEL
 

@@ -53,9 +53,9 @@ class TestAutoFollowsRules:
 
         # Tiny input -> GEMM family; sweet spot -> PolyHankel;
         # huge kernel -> FFT family.
-        small = ConvShape(ih=12, iw=12, kh=3, kw=3, padding=1)
-        sweet = ConvShape(ih=112, iw=112, kh=5, kw=5, padding=2)
-        bigk = ConvShape(ih=64, iw=64, kh=20, kw=20)
+        small = ConvShape((12, 12), (3, 3), padding=1)
+        sweet = ConvShape((112, 112), (5, 5), padding=2)
+        bigk = ConvShape((64, 64), (20, 20))
         assert "gemm" in select_algorithm_rules(small).value
         assert select_algorithm_rules(sweet).value == "polyhankel"
         assert "fft" in select_algorithm_rules(bigk).value

@@ -60,6 +60,24 @@ class TestTensorBasics:
         ag.mean(total).backward()
         np.testing.assert_allclose(p.grad, [2.0])
 
+    @pytest.mark.parametrize("grad", [
+        np.array([[-0.0, 1.5, np.nan], [0.0, -2.0, -0.0]]),
+        np.array([-0.0, 3.0, np.inf]),        # broadcast over rows
+        np.array(-0.0),                       # broadcast scalar
+    ])
+    def test_first_gradient_matches_zeros_plus_grad(self, grad):
+        """The first gradient keeps the bits of ``zeros_like(data) += g``
+        (signed zeros and NaN included) and never aliases *grad*."""
+        data = np.ones((2, 3))
+        expected = np.zeros_like(data)
+        expected += grad
+        p = ag.parameter(data)
+        p._accumulate(grad)
+        assert p.grad.shape == data.shape and p.grad.dtype == data.dtype
+        assert np.array_equal(p.grad, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(p.grad), np.signbit(expected))
+        assert not np.shares_memory(p.grad, grad)
+
 
 class TestOps:
     def test_relu_gradient(self, rng):

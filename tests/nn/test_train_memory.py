@@ -129,7 +129,7 @@ def test_dropping_a_weight_drops_its_entry(rng, collector_off):
 def test_stale_reference_spares_the_newer_entry(rng):
     """A weight re-inserted after an in-place update holds a newer
     reference; the callback of its older one must leave the entry."""
-    plan = mc.get_plan(ConvShape(ih=8, iw=8, kh=3, kw=3, n=1, c=2, f=3))
+    plan = mc.get_plan(ConvShape((8, 8), (3, 3), n=1, c=2, f=3))
     w = rng.standard_normal((3, 2, 3, 3))
     plan.weight_spectrum(w)
     key = (id(w), id(plan))
@@ -143,7 +143,7 @@ def test_stale_reference_spares_the_newer_entry(rng):
 
 
 def test_unreferenceable_weight_is_transformed_uncached(rng):
-    plan = mc.get_plan(ConvShape(ih=8, iw=8, kh=3, kw=3, n=1, c=2, f=3))
+    plan = mc.get_plan(ConvShape((8, 8), (3, 3), n=1, c=2, f=3))
     w = rng.standard_normal((3, 2, 3, 3))
     spectrum = plan.weight_spectrum(w.tolist())
     assert np.array_equal(spectrum, plan.transform_weight(w))

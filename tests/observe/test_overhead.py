@@ -46,7 +46,7 @@ def test_disabled_span_overhead_under_two_percent():
     # smallest realistic shape.  Toy 16x16 single-image calls finish in
     # ~50 us where a dozen ~300 ns sites would read as several percent;
     # the instrument cost is fixed per call, not proportional.
-    shape = ConvShape(ih=32, iw=32, kh=3, kw=3, n=4, c=8, f=16, padding=1)
+    shape = ConvShape((32, 32), (3, 3), n=4, c=8, f=16, padding=1)
     x, w = random_problem(shape)
     plan = mc.get_plan(shape, strategy="sum", backend="numpy")
     w_hat = plan.transform_weight(w)

@@ -75,7 +75,7 @@ class TestCacheEvents:
 
     def test_plan_cache_feeds_the_registry(self):
         mc.clear_plan_cache()
-        shape = ConvShape(ih=10, iw=10, kh=3, kw=3, n=1, c=1, f=1)
+        shape = ConvShape((10, 10), (3, 3), n=1, c=1, f=1)
         mc.get_plan(shape)
         mc.get_plan(shape)
         hits, misses = cache_hits_misses("conv_plan")
@@ -93,8 +93,7 @@ class TestFftCallTotals:
 
     @pytest.fixture
     def plan_and_data(self):
-        shape = ConvShape(ih=16, iw=16, kh=3, kw=3, n=2, c=3, f=4,
-                          padding=1)
+        shape = ConvShape((16, 16), (3, 3), n=2, c=3, f=4, padding=1)
         x, w = random_problem(shape)
         plan = mc.get_plan(shape, strategy="sum", backend="numpy")
         w_hat = plan.transform_weight(w)

@@ -17,7 +17,7 @@ from repro.perfmodel.counters import (
 )
 from repro.utils.shapes import ConvShape
 
-SHAPE = ConvShape(ih=64, iw=64, kh=5, kw=5, n=8, c=3, f=16, padding=2)
+SHAPE = ConvShape((64, 64), (5, 5), n=8, c=3, f=16, padding=2)
 
 
 class TestBasicInvariants:
@@ -57,10 +57,10 @@ class TestTable2TimeComplexity:
     def test_polyhankel_flops_scale_n_log_n(self):
         """Table 2 row 4: (Ih*Iw + Kh*Iw) log(Ih*Iw + Kh*Iw) scaling."""
         small = count_polyhankel(SHAPE)
-        big = count_polyhankel(SHAPE.with_(ih=128, iw=128))
+        big = count_polyhankel(SHAPE.with_(extents=(128, 128)))
         work = lambda s: s.poly_product_len * math.log2(s.poly_product_len)
         ratio_model = big.flops / small.flops
-        ratio_formula = work(SHAPE.with_(ih=128, iw=128)) / work(SHAPE)
+        ratio_formula = work(SHAPE.with_(extents=(128, 128))) / work(SHAPE)
         # Same growth within the slack of block rounding.
         assert 0.5 * ratio_formula < ratio_model < 2.0 * ratio_formula
 
@@ -68,16 +68,14 @@ class TestTable2TimeComplexity:
         """Fig. 7a: the FFT method has the highest operation count (its
         power-of-two padded, two-pass transforms dominate at the common
         3x3-kernel shapes)."""
-        shape = ConvShape(ih=112, iw=112, kh=3, kw=3, n=32, c=3, f=16,
-                          padding=1)
+        shape = ConvShape((112, 112), (3, 3), n=32, c=3, f=16, padding=1)
         fft_flops = count(A.FFT, shape).flops
         for algo in (A.GEMM, A.WINOGRAD, A.POLYHANKEL, A.FINEGRAIN_FFT):
             assert fft_flops > count(algo, shape).flops, algo
 
     def test_polyhankel_lowest_flops(self):
         """Fig. 7a: PolyHankel typically has the lowest operation count."""
-        shape = ConvShape(ih=112, iw=112, kh=5, kw=5, n=32, c=3, f=16,
-                          padding=2)
+        shape = ConvShape((112, 112), (5, 5), n=32, c=3, f=16, padding=2)
         poly = count(A.POLYHANKEL, shape).flops
         for algo in (A.GEMM, A.FFT, A.WINOGRAD, A.FINEGRAIN_FFT):
             assert poly < count(algo, shape).flops, algo
@@ -93,16 +91,14 @@ class TestTable3SpaceComplexity:
 
     def test_gemm_has_most_transactions_at_large_sizes(self):
         """Fig. 7b: im2col+GEMM has the highest memory transactions."""
-        shape = ConvShape(ih=160, iw=160, kh=5, kw=5, n=32, c=3, f=16,
-                          padding=2)
+        shape = ConvShape((160, 160), (5, 5), n=32, c=3, f=16, padding=2)
         gemm_tx = count(A.GEMM, shape).transactions
         for algo in (A.FFT, A.POLYHANKEL, A.FINEGRAIN_FFT):
             assert gemm_tx > count(algo, shape).transactions, algo
 
     def test_polyhankel_lowest_transactions(self):
         """Fig. 7b: PolyHankel typically has the fewest transactions."""
-        shape = ConvShape(ih=112, iw=112, kh=5, kw=5, n=32, c=3, f=16,
-                          padding=2)
+        shape = ConvShape((112, 112), (5, 5), n=32, c=3, f=16, padding=2)
         poly = count(A.POLYHANKEL, shape).transactions
         for algo in (A.GEMM, A.FFT, A.WINOGRAD):
             assert poly < count(algo, shape).transactions, algo
@@ -114,9 +110,9 @@ class TestTable3SpaceComplexity:
         assert implicit.workspace_bytes == 0
 
     def test_nonfused_winograd_streams_workspaces(self):
-        fused = count(A.WINOGRAD, SHAPE.with_(kh=3, kw=3, padding=1))
+        fused = count(A.WINOGRAD, SHAPE.with_(kernel=(3, 3), padding=1))
         nonfused = count(A.WINOGRAD_NONFUSED,
-                         SHAPE.with_(kh=3, kw=3, padding=1))
+                         SHAPE.with_(kernel=(3, 3), padding=1))
         assert nonfused.bytes_moved > fused.bytes_moved
         assert np.isclose(nonfused.flops, fused.flops, rtol=0.05)
 
@@ -132,15 +128,14 @@ class TestPolyhankelBlocking:
 
     def test_block_grows_with_kernel_vector(self):
         """Sec. 4.1: FFT size is determined by the kernel vector size."""
-        small = polyhankel_block_size(ConvShape(ih=112, iw=112, kh=3, kw=3))
-        large = polyhankel_block_size(ConvShape(ih=112, iw=112, kh=21,
-                                                kw=21))
+        small = polyhankel_block_size(ConvShape((112, 112), (3, 3)))
+        large = polyhankel_block_size(ConvShape((112, 112), (21, 21)))
         assert large > small
 
     def test_cost_steps_up_with_kernel_size(self):
         """Fig. 4: PolyHankel cost grows (stepwise) with kernel size."""
         flops = [count_polyhankel(
-            ConvShape(ih=112, iw=112, kh=k, kw=k, n=16, c=3, f=16)).flops
+            ConvShape((112, 112), (k, k), n=16, c=3, f=16)).flops
             for k in (4, 10, 16, 22)]
         assert flops[-1] > flops[0]
 

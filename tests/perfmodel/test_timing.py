@@ -7,7 +7,7 @@ from repro.perfmodel.device import PAPER_DEVICES, RTX_3090TI, V100
 from repro.perfmodel.timing import compare, simulate, simulate_ms
 from repro.utils.shapes import ConvShape
 
-SHAPE = ConvShape(ih=64, iw=64, kh=5, kw=5, n=16, c=3, f=16, padding=2)
+SHAPE = ConvShape((64, 64), (5, 5), n=16, c=3, f=16, padding=2)
 
 
 class TestSimulate:
@@ -36,7 +36,7 @@ class TestSimulate:
     def test_monotone_in_input_size(self):
         for algo in (A.GEMM, A.FFT, A.POLYHANKEL):
             t_small = simulate_ms(algo, SHAPE, V100)
-            t_large = simulate_ms(algo, SHAPE.with_(ih=160, iw=160), V100)
+            t_large = simulate_ms(algo, SHAPE.with_(extents=(160, 160)), V100)
             assert t_large > t_small, algo
 
     def test_devices_differ(self):
@@ -54,22 +54,20 @@ class TestPaperShapes:
     """The headline orderings of Figs. 3-5, asserted at reference points."""
 
     def test_fig3_gemm_wins_small_inputs(self):
-        shape = ConvShape(ih=8, iw=8, kh=5, kw=5, n=128, c=3, f=16,
-                          padding=2)
+        shape = ConvShape((8, 8), (5, 5), n=128, c=3, f=16, padding=2)
         times = compare(shape, RTX_3090TI,
                         [A.GEMM, A.FFT, A.WINOGRAD, A.POLYHANKEL])
         assert min(times, key=times.get) is A.GEMM
 
     @pytest.mark.parametrize("device", ["3090ti", "a10g", "v100"])
     def test_fig3_polyhankel_wins_large_inputs(self, device):
-        shape = ConvShape(ih=224, iw=224, kh=5, kw=5, n=128, c=3, f=16,
-                          padding=2)
+        shape = ConvShape((224, 224), (5, 5), n=128, c=3, f=16, padding=2)
         times = compare(shape, device, [A.GEMM, A.FFT, A.WINOGRAD,
                                         A.FINEGRAIN_FFT, A.POLYHANKEL])
         assert min(times, key=times.get) is A.POLYHANKEL
 
     def test_fig4_polyhankel_wins_small_kernels(self):
-        shape = ConvShape(ih=112, iw=112, kh=5, kw=5, n=128, c=3, f=16)
+        shape = ConvShape((112, 112), (5, 5), n=128, c=3, f=16)
         times = compare(shape, RTX_3090TI,
                         [A.GEMM, A.FFT, A.FINEGRAIN_FFT, A.POLYHANKEL])
         assert min(times, key=times.get) is A.POLYHANKEL
@@ -78,7 +76,7 @@ class TestPaperShapes:
         """Fig. 4's right region: past the crossover an FFT-family method
         overtakes PolyHankel (our calibrated crossover sits near k=25 for
         96x96 inputs vs the paper's ~15; see EXPERIMENTS.md)."""
-        shape = ConvShape(ih=96, iw=96, kh=25, kw=25, n=128, c=3, f=16)
+        shape = ConvShape((96, 96), (25, 25), n=128, c=3, f=16)
         times = compare(shape, RTX_3090TI,
                         [A.GEMM, A.FFT, A.FINEGRAIN_FFT, A.POLYHANKEL])
         winner = min(times, key=times.get)
@@ -87,22 +85,21 @@ class TestPaperShapes:
 
     def test_fig4_gemm_degrades_quadratically(self):
         t = [simulate_ms(A.GEMM,
-                         ConvShape(ih=112, iw=112, kh=k, kw=k, n=128,
-                                   c=3, f=16), RTX_3090TI)
+                         ConvShape((112, 112), (k, k), n=128, c=3,
+                                   f=16), RTX_3090TI)
              for k in (5, 10, 20)]
         assert t[1] > 2.5 * t[0]
         assert t[2] > 2.5 * t[1]
 
     def test_fig4_fft_insensitive_to_kernel_size(self):
         t = [simulate_ms(A.FFT,
-                         ConvShape(ih=112, iw=112, kh=k, kw=k, n=128,
-                                   c=3, f=16), RTX_3090TI)
+                         ConvShape((112, 112), (k, k), n=128, c=3,
+                                   f=16), RTX_3090TI)
              for k in (5, 10, 15)]
         assert max(t) < 1.3 * min(t)
 
     def test_fig5_polyhankel_beats_cudnn_at_high_channels(self):
-        shape = ConvShape(ih=112, iw=112, kh=3, kw=3, n=128, c=128, f=128,
-                          padding=1)
+        shape = ConvShape((112, 112), (3, 3), n=128, c=128, f=128, padding=1)
         times = compare(shape, RTX_3090TI, [
             A.GEMM, A.IMPLICIT_GEMM, A.IMPLICIT_PRECOMP_GEMM, A.FFT,
             A.FFT_TILING, A.WINOGRAD, A.WINOGRAD_NONFUSED, A.POLYHANKEL,
@@ -112,8 +109,7 @@ class TestPaperShapes:
     def test_v100_speedup_reflects_low_compute_bandwidth_ratio(self):
         """The paper's largest input-sweep speedup is on V100; flop-heavy
         rivals suffer most where peak compute is lowest."""
-        shape = ConvShape(ih=160, iw=160, kh=5, kw=5, n=128, c=3, f=16,
-                          padding=2)
+        shape = ConvShape((160, 160), (5, 5), n=128, c=3, f=16, padding=2)
         gap = {}
         for dev in ("3090ti", "v100"):
             times = compare(shape, dev, [A.FFT, A.POLYHANKEL])

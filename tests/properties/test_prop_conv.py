@@ -23,8 +23,8 @@ def conv_problems(draw, max_size=12, max_kernel=5, channels=True):
     n = draw(st.integers(1, 3)) if channels else 1
     c = draw(st.integers(1, 3)) if channels else 1
     f = draw(st.integers(1, 3)) if channels else 1
-    shape = ConvShape(ih=ih, iw=iw, kh=kh, kw=kw, n=n, c=c, f=f,
-                      padding=padding, stride=stride)
+    shape = ConvShape((ih, iw), (kh, kw), n=n, c=c, f=f, padding=padding,
+                      stride=stride)
     seed = draw(st.integers(0, 2 ** 31 - 1))
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape.input_shape())
@@ -115,9 +115,8 @@ def full_conv_problems(draw):
     c = groups * draw(st.integers(1, 2))
     f = groups * draw(st.integers(1, 2))
     n = draw(st.integers(1, 2))
-    shape = ConvShape(ih=ih, iw=iw, kh=kh, kw=kw, n=n, c=c, f=f,
-                      padding=padding, stride=stride, dilation=(dh, dw),
-                      groups=groups)
+    shape = ConvShape((ih, iw), (kh, kw), n=n, c=c, f=f, padding=padding,
+                      stride=stride, dilation=(dh, dw), groups=groups)
     seed = draw(st.integers(0, 2 ** 31 - 1))
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape.input_shape())
@@ -157,8 +156,8 @@ def test_grouped_equals_per_group_convolutions(problem):
     pieces = [
         conv2d_polyhankel(x[:, g * c_per:(g + 1) * c_per],
                           w[g * f_per:(g + 1) * f_per],
-                          padding=shape.pad_tblr, stride=shape.stride,
-                          dilation=shape.dilation)
+                          padding=sum(shape.pad_pairs, ()),
+                          stride=shape.stride, dilation=shape.dilation)
         for g in range(shape.groups)
     ]
     assert_conv_close(got, np.concatenate(pieces, axis=1))

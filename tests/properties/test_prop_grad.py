@@ -30,8 +30,8 @@ def grad_problems(draw):
     n = draw(st.integers(1, 2))
     c = draw(st.integers(1, 2))
     f = draw(st.integers(1, 2))
-    shape = ConvShape(ih=ih, iw=iw, kh=kh, kw=kw, n=n, c=c, f=f,
-                      padding=padding, stride=stride)
+    shape = ConvShape((ih, iw), (kh, kw), n=n, c=c, f=f, padding=padding,
+                      stride=stride)
     seed = draw(st.integers(0, 2 ** 31 - 1))
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape.input_shape())

@@ -42,9 +42,8 @@ def adversarial_problems(draw):
     kh = draw(st.integers(1, 3))
     kw = draw(st.integers(1, 3))
     padding = draw(st.integers(0, 1))
-    shape = ConvShape(ih=ih, iw=iw, kh=kh, kw=kw, n=1,
-                      c=draw(st.integers(1, 2)), f=draw(st.integers(1, 2)),
-                      padding=padding)
+    shape = ConvShape((ih, iw), (kh, kw), n=1, c=draw(st.integers(1, 2)),
+                      f=draw(st.integers(1, 2)), padding=padding)
     x_scale = draw(st.sampled_from(ADVERSARIAL_SCALES + (NEAR_OVERFLOW,)))
     # Keep the product of scales below overflow: the near-overflow scale
     # only ever pairs with a unit-scale partner.

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 from repro.baselines.ndops import conv_transpose2d_output_shape
 from repro.baselines.registry import ConvOp, convolve
 from repro.core.ndim import convnd_naive, convnd_polyhankel
-from repro.utils.shapes import ConvShapeNd
+from repro.utils.shapes import ConvShape
 
 
 @st.composite
@@ -91,7 +91,7 @@ def test_transpose_is_the_adjoint(problem):
     x, w, params, seed = problem
     y = convolve(x, w, op=ConvOp.CONV2D, **params)
     y_coeff = np.random.default_rng(seed ^ 0x5EED).standard_normal(y.shape)
-    shape = ConvShapeNd.from_tensors(x.shape, w.shape, **params)
+    shape = ConvShape.from_tensors(x.shape, w.shape, **params)
     out_pad = tuple(
         (p - e) % s for p, e, s in zip(
             shape.padded_extents, shape.eff_kernel, shape.stride_nd))
@@ -109,7 +109,7 @@ def test_shape_formula_roundtrip(problem):
     """The tconv output-shape formula with the remainder as
     ``output_padding`` recovers the forward input extent exactly."""
     x, w, params, _ = problem
-    shape = ConvShapeNd.from_tensors(x.shape, w.shape, **params)
+    shape = ConvShape.from_tensors(x.shape, w.shape, **params)
     out_pad = tuple(
         (p - e) % s for p, e, s in zip(
             shape.padded_extents, shape.eff_kernel, shape.stride_nd))

@@ -5,6 +5,7 @@ budget, convergence, arm poisoning, and the cluster replica-row merge —
 the pieces the CI ``selection-drill`` exercises end to end.
 """
 
+import numpy as np
 import pytest
 
 from repro.observe.registry import counters
@@ -16,9 +17,10 @@ from repro.selection.bandit import (
     SelectionBandit,
     key_digest,
 )
+from repro.serve.coalescer import coalesce_key
 from repro.utils.shapes import ConvShape
 
-SHAPE = ConvShape(ih=16, iw=16, kh=3, kw=3, n=2, c=3, f=4, padding=1)
+SHAPE = ConvShape((16, 16), (3, 3), n=2, c=3, f=4, padding=1)
 
 
 def digest_for(shape: ConvShape = SHAPE) -> str:
@@ -27,6 +29,64 @@ def digest_for(shape: ConvShape = SHAPE) -> str:
                       dtype="float64", padding=shape.padding,
                       stride=shape.stride, dilation=shape.dilation,
                       groups=shape.groups, strategy="sum", backend="numpy")
+
+
+#: conv2d ``key_digest`` strings as persisted tables spell them, one per
+#: parameter spelling (8x16x16 input, 8 3x3 filters unless overridden).
+GOLDEN_CONV2D_DIGESTS = [
+    (dict(), "conv2d|chw=8x16x16|w=8x8x3x3|dt=float64|p=0|s=1|d=1|g=1"
+             "|st=sum|be=numpy|op=0"),
+    (dict(padding=1), "conv2d|chw=8x16x16|w=8x8x3x3|dt=float64|p=1|s=1"
+                      "|d=1|g=1|st=sum|be=numpy|op=0"),
+    (dict(padding=(1, 1)), "conv2d|chw=8x16x16|w=8x8x3x3|dt=float64|p=1"
+                           "|s=1|d=1|g=1|st=sum|be=numpy|op=0"),
+    (dict(padding=(1, 2)), "conv2d|chw=8x16x16|w=8x8x3x3|dt=float64"
+                           "|p=(1, 1, 2, 2)|s=1|d=1|g=1|st=sum|be=numpy"
+                           "|op=0"),
+    (dict(padding=[2, 0]), "conv2d|chw=8x16x16|w=8x8x3x3|dt=float64"
+                           "|p=(2, 2, 0, 0)|s=1|d=1|g=1|st=sum|be=numpy"
+                           "|op=0"),
+    (dict(padding=(1, 1, 1, 1)), "conv2d|chw=8x16x16|w=8x8x3x3|dt=float64"
+                                 "|p=1|s=1|d=1|g=1|st=sum|be=numpy|op=0"),
+    (dict(padding=(0, 1, 2, 3)), "conv2d|chw=8x16x16|w=8x8x3x3|dt=float64"
+                                 "|p=(0, 1, 2, 3)|s=1|d=1|g=1|st=sum"
+                                 "|be=numpy|op=0"),
+    (dict(padding=(1, 1, 2, 2)), "conv2d|chw=8x16x16|w=8x8x3x3|dt=float64"
+                                 "|p=(1, 1, 2, 2)|s=1|d=1|g=1|st=sum"
+                                 "|be=numpy|op=0"),
+    (dict(padding="same", strategy="merge"),
+     "conv2d|chw=8x16x16|w=8x8x3x3|dt=float64|p=same|s=1|d=1|g=1"
+     "|st=merge|be=numpy|op=0"),
+    (dict(padding=1, stride=(2, 2)),
+     "conv2d|chw=8x16x16|w=8x8x3x3|dt=float64|p=1|s=2|d=1|g=1|st=sum"
+     "|be=numpy|op=0"),
+    (dict(padding=1, stride=(2, 1)),
+     "conv2d|chw=8x16x16|w=8x8x3x3|dt=float64|p=1|s=(2, 1)|d=1|g=1"
+     "|st=sum|be=numpy|op=0"),
+    (dict(padding=1, stride=2, dilation=(2, 2)),
+     "conv2d|chw=8x16x16|w=8x8x3x3|dt=float64|p=1|s=2|d=2|g=1|st=sum"
+     "|be=numpy|op=0"),
+    (dict(padding=1, dilation=(1, 3)),
+     "conv2d|chw=8x16x16|w=8x8x3x3|dt=float64|p=1|s=1|d=(1, 3)|g=1"
+     "|st=sum|be=numpy|op=0"),
+    (dict(padding=1, groups=4),
+     "conv2d|chw=8x16x16|w=8x2x3x3|dt=float64|p=1|s=1|d=1|g=4|st=sum"
+     "|be=numpy|op=0"),
+    (dict(padding=(1, 0, 2, 1), stride=(2, 3), dilation=2, groups=2),
+     "conv2d|chw=8x16x16|w=8x4x3x3|dt=float64|p=(1, 0, 2, 1)|s=(2, 3)"
+     "|d=2|g=2|st=sum|be=numpy|op=0"),
+    (dict(padding=1, backend="builtin"),
+     "conv2d|chw=8x16x16|w=8x8x3x3|dt=float64|p=1|s=1|d=1|g=1|st=sum"
+     "|be=builtin|op=0"),
+    (dict(padding=1, backend=None),
+     "conv2d|chw=8x16x16|w=8x8x3x3|dt=float64|p=1|s=1|d=1|g=1|st=sum"
+     "|be=None|op=0"),
+    (dict(input_chw=(3, 9, 7), weight_shape=(6, 3, 3, 2), dtype="float32",
+          padding=(0, 2), stride=(1, 2), dilation=(2, 1),
+          backend="builtin"),
+     "conv2d|chw=3x9x7|w=6x3x3x2|dt=float32|p=(0, 0, 2, 2)|s=(1, 2)"
+     "|d=(2, 1)|g=1|st=sum|be=builtin|op=0"),
+]
 
 
 @pytest.fixture(autouse=True)
@@ -92,11 +152,54 @@ class TestKeyDigest:
 
     def test_distinct_geometry_distinct_digest(self):
         a = digest_for(SHAPE)
-        b = digest_for(SHAPE.with_(ih=32, iw=32))
+        b = digest_for(SHAPE.with_(extents=(32, 32)))
         assert a != b
 
     def test_batch_size_excluded(self):
         assert digest_for(SHAPE) == digest_for(SHAPE.with_(n=64))
+
+    @pytest.mark.parametrize("params, digest", GOLDEN_CONV2D_DIGESTS)
+    def test_conv2d_digests_are_byte_stable(self, params, digest):
+        """Digests are persisted table keys: every conv2d spelling must keep
+        rendering exactly as the tables on disk spell it."""
+        groups = params.get("groups", 1)
+        args = dict(op="conv2d", input_chw=(8, 16, 16),
+                    weight_shape=(8, 8 // groups, 3, 3), dtype="float64",
+                    padding=0, stride=1, dilation=1, groups=1,
+                    strategy="sum", backend="numpy")
+        args.update(params)
+        assert key_digest(**args) == digest
+
+    @pytest.mark.parametrize("x_shape, w_shape, spellings", [
+        ((2, 3, 16), (4, 3, 3),
+         [dict(padding=(1, 2)), dict(padding=[1, 2])]),
+        ((2, 3, 16), (4, 3, 3),
+         [dict(padding=3, stride=2), dict(padding=(3,), stride=(2,)),
+          dict(padding=(3, 3), stride=[2])]),
+        ((1, 2, 6, 7, 8), (4, 2, 3, 3, 3),
+         [dict(padding=(1, 2, 3)), dict(padding=(1, 1, 2, 2, 3, 3))]),
+        ((1, 2, 6, 7, 8), (4, 2, 3, 3, 3),
+         [dict(padding=1, dilation=2),
+          dict(padding=(1, 1, 1), dilation=(2, 2, 2)),
+          dict(padding=(1,) * 6, dilation=[2, 2, 2])]),
+    ])
+    def test_equal_coalesce_keys_give_equal_digests(self, x_shape, w_shape,
+                                                    spellings):
+        x, w = np.zeros(x_shape), np.zeros(w_shape)
+        op = {3: "conv1d", 5: "conv3d"}[len(x_shape)]
+        keys, digests = [], []
+        for params in spellings:
+            keys.append(coalesce_key(x, w, op=op, **params))
+            args = dict(padding=0, stride=1, dilation=1) | params
+            digests.append(key_digest(
+                op=op, input_chw=x_shape[1:], weight_shape=w_shape,
+                dtype=str(x.dtype), groups=1, strategy="sum", backend=None,
+                **args))
+        assert len(set(keys)) == 1
+        assert len(set(digests)) == 1
+        key = keys[0]
+        assert (f"|p={key.padding}|s={key.stride}|d={key.dilation}|"
+                in digests[0])
 
 
 class TestExplorationBudget:

@@ -21,7 +21,7 @@ from repro.selection.bandit import (
 )
 from repro.utils.shapes import ConvShape
 
-SHAPE = ConvShape(ih=16, iw=16, kh=3, kw=3, n=1, c=3, f=4, padding=1)
+SHAPE = ConvShape((16, 16), (3, 3), n=1, c=3, f=4, padding=1)
 
 
 def digest_for(shape: ConvShape = SHAPE) -> str:

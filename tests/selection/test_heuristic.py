@@ -16,41 +16,37 @@ FFT_FAMILY = {A.FFT, A.FFT_TILING}
 
 class TestModelDriven:
     def test_ranking_sorted(self):
-        shape = ConvShape(ih=64, iw=64, kh=3, kw=3, n=16, c=3, f=8,
-                          padding=1)
+        shape = ConvShape((64, 64), (3, 3), n=16, c=3, f=8, padding=1)
         result = select_algorithm(shape, "3090ti")
         times = [t for _, t in result.ranking]
         assert times == sorted(times)
         assert result.predicted_ms == times[0]
 
     def test_small_inputs_pick_gemm_family(self):
-        shape = ConvShape(ih=12, iw=12, kh=3, kw=3, n=32, c=3, f=8,
-                          padding=1)
+        shape = ConvShape((12, 12), (3, 3), n=32, c=3, f=8, padding=1)
         assert select_algorithm(shape, "3090ti").algorithm in GEMM_FAMILY
 
     def test_large_inputs_small_kernels_pick_polyhankel(self):
-        shape = ConvShape(ih=224, iw=224, kh=5, kw=5, n=128, c=3, f=16,
-                          padding=2)
+        shape = ConvShape((224, 224), (5, 5), n=128, c=3, f=16, padding=2)
         assert select_algorithm(shape, "3090ti").algorithm is A.POLYHANKEL
 
     def test_very_large_kernels_pick_fft_family(self):
-        shape = ConvShape(ih=112, iw=112, kh=20, kw=20, n=128, c=3, f=16)
+        shape = ConvShape((112, 112), (20, 20), n=128, c=3, f=16)
         assert select_algorithm(shape, "3090ti").algorithm in FFT_FAMILY
 
     def test_incapable_algorithms_excluded(self):
-        shape = ConvShape(ih=33, iw=33, kh=3, kw=3, n=16, c=3, f=8,
-                          stride=2)
+        shape = ConvShape((33, 33), (3, 3), n=16, c=3, f=8, stride=2)
         result = select_algorithm(shape, "v100")
         ranked = {algo for algo, _ in result.ranking}
         assert A.WINOGRAD not in ranked
 
     def test_custom_candidates(self):
-        shape = ConvShape(ih=16, iw=16, kh=3, kw=3)
+        shape = ConvShape((16, 16), (3, 3))
         result = select_algorithm(shape, "v100", candidates=(A.FFT,))
         assert result.algorithm is A.FFT
 
     def test_no_capable_algorithm(self):
-        shape = ConvShape(ih=33, iw=33, kh=3, kw=3, stride=2)
+        shape = ConvShape((33, 33), (3, 3), stride=2)
         with pytest.raises(ValueError, match="no capable algorithm"):
             select_algorithm(shape, "v100", candidates=(A.WINOGRAD,))
 
@@ -64,25 +60,24 @@ class TestModelDriven:
 
 class TestRuleBased:
     def test_small_input(self):
-        shape = ConvShape(ih=16, iw=16, kh=3, kw=3)
+        shape = ConvShape((16, 16), (3, 3))
         assert select_algorithm_rules(shape) in GEMM_FAMILY
 
     def test_large_kernel(self):
-        shape = ConvShape(ih=112, iw=112, kh=17, kw=17)
+        shape = ConvShape((112, 112), (17, 17))
         assert select_algorithm_rules(shape) in FFT_FAMILY
 
     def test_sweet_spot_is_polyhankel(self):
-        shape = ConvShape(ih=112, iw=112, kh=5, kw=5, padding=2)
+        shape = ConvShape((112, 112), (5, 5), padding=2)
         assert select_algorithm_rules(shape) is A.POLYHANKEL
 
     def test_rules_agree_with_model_in_core_regions(self):
         """The distilled rules match the model-driven oracle on the paper's
         three characteristic regions."""
         regions = [
-            ConvShape(ih=12, iw=12, kh=3, kw=3, n=64, c=3, f=16, padding=1),
-            ConvShape(ih=224, iw=224, kh=5, kw=5, n=128, c=3, f=16,
-                      padding=2),
-            ConvShape(ih=112, iw=112, kh=20, kw=20, n=128, c=3, f=16),
+            ConvShape((12, 12), (3, 3), n=64, c=3, f=16, padding=1),
+            ConvShape((224, 224), (5, 5), n=128, c=3, f=16, padding=2),
+            ConvShape((112, 112), (20, 20), n=128, c=3, f=16),
         ]
         for shape in regions:
             rule = select_algorithm_rules(shape)
@@ -98,7 +93,7 @@ class TestRuleBased:
 class TestWorkspaceLimit:
     """cuDNN-style memoryLimitInBytes filtering."""
 
-    SHAPE = ConvShape(ih=64, iw=64, kh=5, kw=5, n=32, c=3, f=16, padding=2)
+    SHAPE = ConvShape((64, 64), (5, 5), n=32, c=3, f=16, padding=2)
 
     def test_unlimited_keeps_all(self):
         full = select_algorithm(self.SHAPE, "3090ti")
@@ -133,7 +128,7 @@ class TestDeterministicTieBreak:
     """The PolyHankel pair shares one cost model: ties must resolve
     explicitly, never by which dict-iteration order dropped a variant."""
 
-    SHAPE = ConvShape(ih=64, iw=64, kh=5, kw=5, n=8, c=3, f=8, padding=2)
+    SHAPE = ConvShape((64, 64), (5, 5), n=8, c=3, f=8, padding=2)
 
     def test_both_variants_ranked(self):
         ranked = [a for a, _ in
@@ -170,7 +165,7 @@ class TestRankedFallbackOrder:
 
         # GEMM territory: the ranked chain must try GEMM before the
         # static favorite when the primary degrades.
-        shape = ConvShape(ih=8, iw=8, kh=3, kw=3, n=1, c=4, f=8, padding=1)
+        shape = ConvShape((8, 8), (3, 3), n=1, c=4, f=8, padding=1)
         order = ranked_fallback_order(shape)
         assert order[0] is A.GEMM
         chain = fallback_chain(shape, primary="polyhankel", order="ranked")
@@ -180,7 +175,7 @@ class TestRankedFallbackOrder:
     def test_unmodeled_tail_preserved(self):
         from repro.selection.heuristic import ranked_fallback_order
 
-        shape = ConvShape(ih=16, iw=16, kh=3, kw=3)
+        shape = ConvShape((16, 16), (3, 3))
         order = ranked_fallback_order(shape)
         assert set(order) == set(
             __import__("repro.baselines.registry",
@@ -190,7 +185,7 @@ class TestRankedFallbackOrder:
     def test_unknown_order_string_rejected(self):
         from repro.baselines.registry import fallback_chain
 
-        shape = ConvShape(ih=16, iw=16, kh=3, kw=3)
+        shape = ConvShape((16, 16), (3, 3))
         with pytest.raises(ValueError, match="unknown chain order"):
             fallback_chain(shape, order="fastest")
 

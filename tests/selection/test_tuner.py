@@ -6,7 +6,7 @@ from repro.baselines.registry import ConvAlgorithm
 from repro.selection.tuner import DEFAULT_CANDIDATES, ConvTuner
 from repro.utils.shapes import ConvShape
 
-SMALL = ConvShape(ih=10, iw=10, kh=3, kw=3, n=1, c=1, f=1, padding=1)
+SMALL = ConvShape((10, 10), (3, 3), n=1, c=1, f=1, padding=1)
 
 
 @pytest.fixture
@@ -37,7 +37,7 @@ class TestTuning:
         assert ConvAlgorithm.NAIVE not in tuner.tune(SMALL).timings_s
 
     def test_capability_respected(self, tuner):
-        strided = SMALL.with_(stride=2, ih=11, iw=11)
+        strided = SMALL.with_(stride=2, extents=(11, 11))
         result = tuner.tune(strided)
         assert ConvAlgorithm.WINOGRAD not in result.timings_s
 
@@ -96,7 +96,7 @@ class TestValidation:
     def test_no_capable_candidate(self):
         tuner = ConvTuner(candidates=(ConvAlgorithm.WINOGRAD,), repeats=1)
         with pytest.raises(ValueError, match="no capable algorithm"):
-            tuner.tune(SMALL.with_(stride=2, ih=11, iw=11))
+            tuner.tune(SMALL.with_(stride=2, extents=(11, 11)))
 
     def test_restricted_candidates(self):
         tuner = ConvTuner(candidates=(ConvAlgorithm.GEMM,), repeats=1,

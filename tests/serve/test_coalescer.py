@@ -119,6 +119,16 @@ class TestConvRequest:
         with pytest.raises(ValueError, match="weight"):
             make_request(x, np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("params, name", [
+        (dict(stride=(1, 2, 3)), "stride"),
+        (dict(dilation=1.5), "dilation"),
+        (dict(padding=(1, 2, 3)), "padding"),
+    ])
+    def test_rejects_malformed_parameters(self, problem, params, name):
+        x, w = problem
+        with pytest.raises(ValueError, match=name):
+            make_request(x, w, **params)
+
 
 class TestStackSplit:
     def test_round_trip_bit_exact(self, rng):

@@ -16,7 +16,7 @@ from repro.core.ndim import conv1d_polyhankel, conv3d_polyhankel
 from repro.observe import tracing
 from repro.observe.registry import counters, fft_call_totals
 from repro.perfmodel.engine import predict_fft_counters
-from repro.utils.shapes import ConvShapeNd
+from repro.utils.shapes import ConvShape
 
 
 def _trace_counters(call):
@@ -50,8 +50,8 @@ def test_conv1d_rows_match_packed_expression(layout):
     got = _trace_counters(
         lambda: conv1d_polyhankel(x, w, **params))
 
-    lifted = lift_1d_shape(ConvShapeNd.from_tensors(x.shape, w.shape,
-                                                    **params))
+    lifted = lift_1d_shape(ConvShape.from_tensors(x.shape, w.shape,
+                                                  **params))
     assert got == predict_fft_counters(lifted, "sum")
 
 
@@ -65,8 +65,8 @@ def test_conv1d_strided_grouped_rows_match():
     mc.clear_spectrum_cache()
     got = _trace_counters(lambda: conv1d_polyhankel(x, w, **params))
 
-    lifted = lift_1d_shape(ConvShapeNd.from_tensors(x.shape, w.shape,
-                                                    **params))
+    lifted = lift_1d_shape(ConvShape.from_tensors(x.shape, w.shape,
+                                                  **params))
     assert got == predict_fft_counters(lifted, "sum")
 
 
@@ -83,5 +83,5 @@ def test_conv3d_call_structure_matches_nd_predictor():
     mc.clear_spectrum_cache()
     got = _trace_counters(lambda: conv3d_polyhankel(x, w, **params))
 
-    shape = ConvShapeNd.from_tensors(x.shape, w.shape, **params)
+    shape = ConvShape.from_tensors(x.shape, w.shape, **params)
     assert got == predict_fft_counters(shape, "sum")

@@ -10,7 +10,7 @@ from repro.utils.random import (
 )
 from repro.utils.shapes import ConvShape
 
-SHAPE = ConvShape(ih=8, iw=6, kh=3, kw=3, n=2, c=3, f=4)
+SHAPE = ConvShape((8, 6), (3, 3), n=2, c=3, f=4)
 
 
 def test_rng_default_seed_is_deterministic():
