@@ -3,9 +3,9 @@ PolyHankel.
 
 A three-class shape classifier (squares vs discs vs crosses on noisy
 backgrounds), trained from scratch with the library's tape-based autograd.
-Both convolution backward passes are themselves convolutions and are
-computed with the PolyHankel algorithm, demonstrating that the method is a
-complete drop-in for training, not only inference.
+Both convolution gradients are computed from PolyHankel's own spectra,
+as the adjoint of the forward's cyclic polynomial product, demonstrating
+that the method is a complete drop-in for training, not only inference.
 
 Run:  python examples/train_cnn.py
 """

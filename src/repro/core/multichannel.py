@@ -24,6 +24,7 @@ sequential path because every pipeline stage is row-independent.
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from collections import OrderedDict
@@ -52,14 +53,9 @@ from repro.core.planning import (
 )
 from repro.fft.plan import CacheInfo
 from repro.guard import faults as _faults
-from repro.guard.checksum import array_checksum, verify_checksum
-from repro.guard.state import guard_enabled
+from repro.guard.checksum import guard_stamp, servable
 from repro.observe import record_cache_event, span
-from repro.observe.registry import (
-    cache_hits_misses,
-    counters,
-    reset_cache_stats,
-)
+from repro.observe.registry import cache_hits_misses, reset_cache_stats
 from repro.utils.shapes import ConvShape
 from repro.utils.validation import check_conv_inputs, ensure_array
 
@@ -232,17 +228,19 @@ class PolyHankelPlan:
         Consults the module-level spectrum cache keyed by ``(id(weight),
         id(plan))``.  An entry dies with its weight array: it holds a weak
         reference whose callback drops the entry once the weight is
-        collected, so the spectra of throwaway operands (a gradient
-        convolution's per-call arrays) are freed with them instead of
-        filling the LRU bound.  A weight that cannot be weakly referenced
-        is transformed uncached.  A hit is only served after an exact
+        collected, so the spectra of throwaway operands (the per-call
+        arrays of a non-PolyHankel gradient's convolutions) are freed with
+        them instead of filling the LRU bound.  A weight that cannot be
+        weakly referenced is transformed uncached.  A hit is only served after an exact
         content check against the stored snapshot, so mutating a weight
         array (in place or by rebinding) always yields fresh spectra — the
-        cache can return stale results **never**, only miss.  While the
-        guard is enabled, entries additionally carry a content checksum of
-        the *spectrum* itself: a hit whose spectrum no longer matches its
-        insert-time stamp (in-memory rot, a doctored entry) is treated as a
-        miss and recomputed, reported through ``guard.cache_corrupt``.
+        cache can return stale results **never**, only miss.  Entries
+        inserted while the guard is enabled additionally carry a content
+        checksum of the *spectrum* itself, and while it is enabled a hit
+        is served only if that stamp still matches: an unstamped entry is
+        recomputed and stamped, and a mismatched one (in-memory rot, a
+        doctored entry) is recomputed and reported through
+        ``guard.cache_corrupt`` (see :func:`repro.guard.checksum.servable`).
         """
         if not _spectrum_cache_enabled():
             return self.transform_weight(weight)
@@ -262,12 +260,11 @@ class PolyHankelPlan:
                 _SPECTRUM_CACHE.move_to_end(key)
                 hit = entry
         if hit is not None:
-            spectrum, stamp = hit[3], hit[4]
+            spectrum = hit[3]
             if _faults._STACK:
                 _faults.maybe_corrupt_spectrum(spectrum)
-            if not guard_enabled() or verify_checksum(spectrum, stamp):
+            if servable(spectrum, hit[4], "spectrum"):
                 return spectrum
-            counters.add("guard.cache_corrupt", cache="spectrum")
         else:
             record_cache_event("spectrum", hit=False)
         try:
@@ -275,13 +272,9 @@ class PolyHankelPlan:
         except TypeError:
             return self.transform_weight(weight)
         spectrum = self.transform_weight(weight)
-        # Stamp unconditionally: inserts are rare (one per weight transform)
-        # and a crc32 is microseconds, so entries born while the guard was
-        # off are still verifiable once it turns on.
-        stamp = array_checksum(spectrum)
         with _spectrum_lock:
             _SPECTRUM_CACHE[key] = (ref, arr.astype(float, copy=True), self,
-                                    spectrum, stamp)
+                                    spectrum, guard_stamp(spectrum))
             _SPECTRUM_CACHE.move_to_end(key)
             while len(_SPECTRUM_CACHE) > _SPECTRUM_LIMIT[0]:
                 _SPECTRUM_CACHE.popitem(last=False)
@@ -481,6 +474,176 @@ class PolyHankelPlan:
                     product.shape[:-1] + out)
             gather_span.add_attrs(out_bytes=result.nbytes)
         return result
+
+    # -- adjoint ---------------------------------------------------------------
+
+    def adjoint(self, grad_out: np.ndarray, x: np.ndarray | None = None,
+                weight: np.ndarray | None = None
+                ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The forward's gradients ``(dx, dw)`` for the output gradient
+        *grad_out*, through the plan's own cyclic product.
+
+        The sum-strategy forward is ``y = G C(u) S x``: ``S`` stages *x*
+        into the ``nfft`` rows, ``C(u)`` multiplies cyclically by the
+        kernel polynomial ``u``, ``G`` reads the gather degrees.  The
+        adjoint ``S^T C(u)^T G^T`` is a cyclic *correlation* at the same
+        ``nfft``, a product with the conjugate spectrum per bin.  So
+        *grad_out* is scattered onto the gather degrees of a zeroed
+        ``(n, f, nfft)`` block and transformed once (``P``); then
+
+        - ``dx`` (only if *weight* is given): per group and bin ``dA[n, c]
+          = sum_f P[n, f] conj(W[c, f])``, with ``W`` from
+          :meth:`weight_spectrum` (a hit right after the forward), one
+          row-vector product per image as in :meth:`_execute_sum` — so
+          row ``i`` of a batch is bit-identical to the single-image call
+          — one batched irfft, read back through the staging window;
+        - ``dw`` (only if *x* is given): ``dU[f, c] = sum_n conj(X[n, c])
+          P[n, f]``, with ``X`` the rfft of *x* staged as the forward
+          stages it, one batched irfft of the ``f * c/g`` rows, read at
+          the tap degrees.
+
+        Both are exact gradients of the convolution: input and tap
+        degrees lie below ``nfft`` and the forward reads only alias-free
+        degrees, so the cyclic product *is* the convolution.  The
+        conjugations ride on the bins-major copies: the rows hold
+        ``conj(P)``, and the products are conjugated on their way back.
+        """
+        if self.strategy != "sum":
+            raise ValueError("the adjoint runs on sum-strategy plans only")
+        shape = self.shape
+        grad_out = ensure_array(grad_out, "grad_out", dtype=float)
+        if grad_out.shape != shape.output_shape():
+            raise ValueError(f"grad_out shape {grad_out.shape} does not "
+                             f"match plan {shape.output_shape()}")
+        if x is not None:
+            x = ensure_array(x, "x", dtype=float)
+            if x.shape != shape.input_shape():
+                raise ValueError(f"input shape {x.shape} does not match "
+                                 f"plan {shape.input_shape()}")
+        if _faults._STACK:
+            # The transposed conv's PolyHankel forward is this adjoint, so
+            # it carries execute's fault-injection hooks.
+            grad_out = _faults.poison_intermediate(grad_out)
+        weight_hat = None if weight is None else self.weight_spectrum(weight)
+        fft = _fft.get_backend(self.backend)
+        reuse = self._scratch_lock.acquire(blocking=False)
+        try:
+            rows = self._output_spectra(grad_out, fft, reuse)
+            dx = None if weight_hat is None \
+                else self._adjoint_input(rows, weight_hat, fft, reuse)
+            dw = None if x is None else self._adjoint_weight(rows, x, fft,
+                                                              reuse)
+        finally:
+            if reuse:
+                self._scratch_lock.release()
+        if dx is not None and _faults._STACK:
+            dx = _faults.maybe_blowup(dx)
+        return dx, dw
+
+    def _staging_view(self, block: np.ndarray) -> np.ndarray:
+        """The head of each row of a C-contiguous ``(n, c, nfft)`` block,
+        viewed as the padded input (the forward's staging layout)."""
+        step = block.strides[-1]
+        return np.lib.stride_tricks.as_strided(
+            block, block.shape[:-1] + self._padded_extents,
+            block.strides[:-1] + tuple(s * step for s in self._poly_strides))
+
+    def _work(self, reuse: bool, name: str, shape: tuple) -> np.ndarray:
+        """A complex *shape* view of the adjoint's flat work buffer
+        *name*, sized for the largest operand it holds."""
+        s = self.shape
+        size = self.bins * max(s.n * s.c, s.f * s.group_channels)
+        buf = self._buffer(reuse, name, (size,), complex)
+        return buf[:math.prod(shape)].reshape(shape)
+
+    def _output_spectra(self, grad_out: np.ndarray, fft,
+                        reuse: bool) -> np.ndarray:
+        """``conj(P)`` bins-major as ``(g, bins, n, 1, f/g)``: *grad_out*
+        scattered onto the gather degrees (the transpose of
+        :meth:`_gather_output`), one batched rfft."""
+        shape = self.shape
+        n, g, f_per = shape.n, shape.groups, shape.group_filters
+        nfft = self.nfft
+        with span("grad.output_fft", n=nfft, rows=n * shape.f,
+                  bytes=grad_out.nbytes):
+            # Only the gather degrees are written, every call, so the
+            # rest of a reused block keeps its zero state.
+            block = self._buffer(reuse, "grad", (n, shape.f, nfft), float,
+                                 zero=True)
+            if self.gather_grid is None:
+                block[..., self.gather] = grad_out
+            else:
+                base, steps = self.gather_grid
+                flat = block.reshape(-1, nfft)
+                s0, s1 = flat.strides
+                view = np.lib.stride_tricks.as_strided(
+                    flat[:, base:], shape=(flat.shape[0],) + self.gather.shape,
+                    strides=(s0,) + tuple(step * s1 for step in steps))
+                view[...] = grad_out.reshape(view.shape)
+            p_hat = fft.rfft(block, nfft)                # (n, f, bins)
+            # The forward's product block has this very shape, and the
+            # two never run at once on one plan's scratch.
+            rows = self._buffer(reuse, "products",
+                                (g, self.bins, n, 1, f_per), complex)
+            np.conjugate(p_hat.reshape(n, g, f_per, self.bins)
+                         .transpose(1, 3, 0, 2), out=rows[:, :, :, 0])
+        return rows
+
+    def _adjoint_input(self, rows: np.ndarray, weight_hat: np.ndarray,
+                       fft, reuse: bool) -> np.ndarray:
+        """``dx`` from the ``conj(P)`` rows and the ``(g, bins, c/g, f/g)``
+        weight spectra: per image ``conj(conj(P) W^T)``, one irfft, the
+        staging window read back."""
+        shape = self.shape
+        n, g, c_per = shape.n, shape.groups, shape.group_channels
+        bins, nfft = self.bins, self.nfft
+        with span("grad.pointwise", operand="input",
+                  bytes=rows.nbytes + weight_hat.nbytes):
+            w = weight_hat.swapaxes(-1, -2)[:, :, None]  # (g, bins, 1, f, c)
+            products = self._work(reuse, "grad_a", (g, bins, n, 1, c_per))
+            if shape.group_filters == 1:
+                np.multiply(rows, w, out=products)
+            else:
+                np.matmul(rows, w, out=products)
+        with span("grad.inverse_fft", n=nfft, rows=n * shape.c,
+                  bytes=products.nbytes):
+            spec = self._work(reuse, "grad_b", (n, g, c_per, bins))
+            np.conjugate(products[:, :, :, 0].transpose(2, 0, 3, 1),
+                         out=spec)
+            # irfft may return a non-C-contiguous array; the staging view
+            # is built from the strides of a C-contiguous block.
+            block = np.ascontiguousarray(
+                fft.irfft(spec, nfft).reshape(n, shape.c, nfft))
+            return np.ascontiguousarray(
+                self._staging_view(block)[self._interior])
+
+    def _adjoint_weight(self, rows: np.ndarray, x: np.ndarray, fft,
+                        reuse: bool) -> np.ndarray:
+        """``dw`` from the ``conj(P)`` rows and the forward input: per
+        group and bin ``conj(X^T conj(P))`` summed over the batch, one
+        irfft of the ``f * c/g`` rows, read at the tap degrees."""
+        shape = self.shape
+        n, g, c_per = shape.n, shape.groups, shape.group_channels
+        f_per = shape.group_filters
+        bins, nfft = self.bins, self.nfft
+        with span("grad.input_fft", n=nfft, rows=n * shape.c,
+                  bytes=x.nbytes):
+            block = self._buffer(reuse, "x", (n, shape.c, nfft), float,
+                                 zero=True)
+            self._staging_view(block)[self._interior] = x
+            x_hat = fft.rfft(block, nfft)                # (n, c, bins)
+            cols = self._work(reuse, "grad_a", (g, bins, c_per, n))
+            cols[...] = x_hat.reshape(n, g, c_per, bins).transpose(1, 3, 2, 0)
+        with span("grad.pointwise", operand="weight",
+                  bytes=cols.nbytes + rows.nbytes):
+            products = self._work(reuse, "grad_b", (g, bins, c_per, f_per))
+            np.matmul(cols, rows[:, :, :, 0], out=products)
+        with span("grad.inverse_fft", n=nfft, rows=shape.f * c_per,
+                  bytes=products.nbytes):
+            spec = self._work(reuse, "grad_a", (g, f_per, c_per, bins))
+            np.conjugate(products.transpose(0, 3, 2, 1), out=spec)
+            du = fft.irfft(spec, nfft).reshape(shape.f, c_per, nfft)
+            return du[..., self._taps]                   # (f, c/g, *kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Enough machinery to *train* networks whose convolutions run through any of
 the registered algorithms (PolyHankel included): a :class:`Tensor` records
 the operations applied to it; ``backward()`` replays the tape in reverse.
-The convolution backward passes are themselves computed with the library's
-convolution algorithms (:mod:`repro.nn.grad`).
+The convolution backward passes run through the forward's algorithm
+(:mod:`repro.nn.grad`): PolyHankel through its forward plan's adjoint,
+every other algorithm as convolutions.
 
 This is intentionally minimal — single-threaded, NumPy-backed, no graphs
 across ``backward()`` calls — but it is numerically verified against finite
@@ -22,9 +23,8 @@ from repro.nn import functional as F
 from repro.nn.grad import (
     conv_transpose2d_backward_input,
     conv_transpose2d_backward_weight,
+    convnd_backward,
     convnd_backward_bias,
-    convnd_backward_input,
-    convnd_backward_weight,
 )
 from repro.utils.validation import ensure_array
 
@@ -103,7 +103,8 @@ def parameter(data) -> Tensor:
 def _conv(op_fn, x: Tensor, weight: Tensor, bias: Tensor | None,
           padding, stride, dilation, groups, algorithm) -> Tensor:
     """Differentiable conv1d/conv2d/conv3d: *op_fn* runs the forward,
-    the rank-generic backwards run through the same algorithm."""
+    and one rank-generic backward call computes both gradients through
+    the same algorithm."""
     out_data = op_fn(x.data, weight.data,
                      None if bias is None else bias.data,
                      padding, stride, dilation, groups,
@@ -111,16 +112,16 @@ def _conv(op_fn, x: Tensor, weight: Tensor, bias: Tensor | None,
     parents = (x, weight) + (() if bias is None else (bias,))
 
     def backward_fn(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(convnd_backward_input(
-                grad, weight.data, x.data.shape, padding=padding,
-                stride=stride, dilation=dilation, groups=groups,
-                algorithm=algorithm))
-        if weight.requires_grad:
-            weight._accumulate(convnd_backward_weight(
-                grad, x.data, weight.data.shape[2:], padding=padding,
-                stride=stride, dilation=dilation, groups=groups,
-                algorithm=algorithm))
+        if x.requires_grad or weight.requires_grad:
+            dx, dw = convnd_backward(
+                grad, x.data, weight.data, padding=padding, stride=stride,
+                dilation=dilation, groups=groups, algorithm=algorithm,
+                input_grad=x.requires_grad,
+                weight_grad=weight.requires_grad)
+            if dx is not None:
+                x._accumulate(dx)
+            if dw is not None:
+                weight._accumulate(dw)
         if bias is not None and bias.requires_grad:
             bias._accumulate(convnd_backward_bias(grad))
 

@@ -176,9 +176,10 @@ def conv_transpose2d(x: np.ndarray, weight: np.ndarray,
     forward convolution leaves about its input extent).  *stride*,
     *dilation*, *padding* and *output_padding* accept ints or ``(h, w)``
     pairs (padding also a flat 4-tuple).  The operation is the adjoint of
-    :func:`conv2d`, computed with the convolution-based backward-input
-    machinery — through any registered algorithm — and routes through the
-    guard fallback chain while the guard is enabled.
+    :func:`conv2d`, computed by the backward-input machinery
+    (:func:`repro.nn.grad.convnd_backward_input`: PolyHankel's spectral
+    adjoint, or a convolution for any other registered algorithm) — and
+    routes through the guard fallback chain while the guard is enabled.
     """
     return run_conv(x, weight, bias, padding, stride, dilation, groups,
                     algorithm, op="conv_transpose2d",

@@ -1,8 +1,17 @@
-"""Convolution gradients, computed with the library's own algorithms.
+"""Convolution gradients.
 
 The paper evaluates the forward operator, but a drop-in convolution
-implementation must also serve training.  Both backward passes reduce to
-convolutions, so PolyHankel (or any registered algorithm) computes them:
+implementation must also serve training.
+
+**PolyHankel** differentiates through its own spectra: the forward is a
+cyclic product of length ``nfft`` read at alias-free degrees, so both
+gradients are cyclic correlations at that same length, computed by
+:meth:`repro.core.multichannel.PolyHankelPlan.adjoint` on the forward's
+plan — one transform of the output gradient shared by both, and the
+forward's cached weight spectrum for the input gradient.
+
+**Every other algorithm** reduces both backward passes to convolutions
+run through :func:`repro.baselines.registry.convolve`:
 
 - **input gradient**: correlate the (stride-dilated, fully padded) output
   gradient with the spatially flipped, channel-transposed weights;
@@ -11,16 +20,24 @@ convolutions, so PolyHankel (or any registered algorithm) computes them:
 
 One rank-generic body per gradient serves conv1d, conv2d and conv3d.
 Gradient correctness is established against finite differences in
-``tests/nn/test_grad.py`` and ``tests/nn/test_grad_ndim.py``.
+``tests/nn/test_grad.py`` and ``tests/nn/test_grad_ndim.py``, and the
+spectral adjoint against the naive algorithm's gradients in
+``tests/nn/test_spectral_grad.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.registry import ConvAlgorithm, convolve
+from repro.baselines.registry import ConvAlgorithm, convolve, get_entry
+from repro.core.multichannel import get_plan
 from repro.utils.shapes import ConvShape, normalize_tuple
 from repro.utils.validation import ensure_array
+
+
+def _spectral(algorithm: ConvAlgorithm | str) -> bool:
+    """Whether *algorithm* differentiates through the PolyHankel adjoint."""
+    return get_entry(algorithm).algorithm is ConvAlgorithm.POLYHANKEL
 
 
 def dilate_spatial(x: np.ndarray, stride) -> np.ndarray:
@@ -41,6 +58,35 @@ def dilate_spatial(x: np.ndarray, stride) -> np.ndarray:
     return out
 
 
+def convnd_backward(grad_out: np.ndarray, x: np.ndarray,
+                    weight: np.ndarray, padding=0, stride: int | tuple = 1,
+                    dilation: int | tuple = 1, groups: int = 1,
+                    algorithm: ConvAlgorithm | str =
+                    ConvAlgorithm.POLYHANKEL, input_grad: bool = True,
+                    weight_grad: bool = True
+                    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Input and weight gradients ``(dx, dw)`` of one 1D/2D/3D
+    convolution, ``None`` for a gradient not asked for.
+
+    PolyHankel computes both in one adjoint call, so the output gradient
+    is transformed once; every other algorithm runs
+    :func:`convnd_backward_input` and :func:`convnd_backward_weight`.
+    """
+    if not _spectral(algorithm):
+        params = dict(padding=padding, stride=stride, dilation=dilation,
+                      groups=groups, algorithm=algorithm)
+        return (convnd_backward_input(grad_out, weight, np.shape(x),
+                                      **params) if input_grad else None,
+                convnd_backward_weight(grad_out, x, np.shape(weight)[2:],
+                                       **params) if weight_grad else None)
+    x = ensure_array(x, "x", dtype=float)
+    weight = ensure_array(weight, "weight", dtype=float)
+    shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride,
+                                   dilation, groups)
+    return get_plan(shape).adjoint(grad_out, x=x if weight_grad else None,
+                                   weight=weight if input_grad else None)
+
+
 def convnd_backward_input(grad_out: np.ndarray, weight: np.ndarray,
                           input_shape: tuple, padding=0,
                           stride: int | tuple = 1,
@@ -50,10 +96,12 @@ def convnd_backward_input(grad_out: np.ndarray, weight: np.ndarray,
     """Gradient of a 1D/2D/3D convolution output w.r.t. its input.
 
     *grad_out* is ``(n, f, *out)``; returns ``(n, c, *spatial)`` matching
-    *input_shape* (whose rank picks the op).  The computation is itself a
-    convolution: the stride-dilated, fully padded gradient correlated
-    with the spatially flipped, per-group channel-transposed weights at
-    the *forward* dilation — run through any registered algorithm.
+    *input_shape* (whose rank picks the op).  PolyHankel runs the
+    forward plan's adjoint against the cached weight spectrum.  For every
+    other algorithm the computation is itself a convolution: the
+    stride-dilated, fully padded gradient correlated with the spatially
+    flipped, per-group channel-transposed weights at the *forward*
+    dilation.
     """
     grad_out = ensure_array(grad_out, "grad_out", dtype=float)
     weight = ensure_array(weight, "weight", dtype=float)
@@ -65,6 +113,8 @@ def convnd_backward_input(grad_out: np.ndarray, weight: np.ndarray,
             f"grad_out shape {grad_out.shape} does not match "
             f"{shape.output_shape()}"
         )
+    if _spectral(algorithm):
+        return get_plan(shape).adjoint(grad_out, weight=weight)[0]
     f_per, c_per = shape.group_filters, shape.group_channels
     # Stride-dilate the gradient, then full-pad by (eff_k - 1) for the
     # transposed correlation.
@@ -106,10 +156,11 @@ def convnd_backward_weight(grad_out: np.ndarray, x: np.ndarray,
     """Gradient of a 1D/2D/3D convolution output w.r.t. the weights.
 
     *x* is the forward input ``(n, c, *spatial)`` (whose rank picks the
-    op); returns ``(f, c // groups, *kernel_size)``.  Per group this is a
-    correlation of the padded input with the stride-dilated gradient,
-    sampled at the forward dilation (the dilation becomes the *stride* of
-    the backward convolution).
+    op); returns ``(f, c // groups, *kernel_size)``.  PolyHankel runs the
+    forward plan's adjoint, which needs no weight.  For every other
+    algorithm, per group, this is a correlation of the padded input with
+    the stride-dilated gradient, sampled at the forward dilation (the
+    dilation becomes the *stride* of the backward convolution).
     """
     grad_out = ensure_array(grad_out, "grad_out", dtype=float)
     x = ensure_array(x, "x", dtype=float)
@@ -118,6 +169,8 @@ def convnd_backward_weight(grad_out: np.ndarray, x: np.ndarray,
                       n=x.shape[0], c=x.shape[1], f=grad_out.shape[1],
                       padding=padding, stride=stride, dilation=dilation,
                       groups=groups)
+    if _spectral(algorithm):
+        return get_plan(shape).adjoint(grad_out, x=x)[1]
     f_per, c_per = shape.group_filters, shape.group_channels
     xp = np.pad(x, [(0, 0), (0, 0)] + list(shape.pad_pairs))
     g = dilate_spatial(grad_out, shape.stride_nd)

@@ -12,7 +12,7 @@ import numpy as np
 from repro.baselines.ndops import conv_transpose2d_output_shape
 from repro.baselines.registry import ConvAlgorithm, add_bias, op_shape
 from repro.guard import faults as _faults
-from repro.guard.checksum import array_checksum, verify_checksum
+from repro.guard.checksum import guard_stamp, servable
 from repro.guard.state import guard_enabled
 from repro.nn import functional as F
 from repro.observe import record_cache_event, span
@@ -203,10 +203,10 @@ class Conv2d(_ConvBase):
         different parameters never aliases a cached spectrum.
 
         While the guard is enabled, cached spectra are checksum-verified on
-        every hit (a corrupted entry is recomputed, never served) and the
-        result is sentinel-classified before the bias is applied; a tripped
-        sentinel or a raised engine error re-executes the forward through
-        the supervised fallback chain."""
+        every hit (an unstamped or corrupted entry is recomputed, never
+        served) and the result is sentinel-classified before the bias is
+        applied; a tripped sentinel or a raised engine error re-executes
+        the forward through the supervised fallback chain."""
         from repro.core.multichannel import get_plan
         from repro.utils.validation import check_conv_inputs
 
@@ -221,9 +221,7 @@ class Conv2d(_ConvBase):
             w_hat = entry[1]
             if _faults._STACK:
                 _faults.maybe_corrupt_spectrum(w_hat)
-            if guard_enabled() and not verify_checksum(w_hat, entry[2]):
-                counters.add("guard.cache_corrupt", cache="layer_spectrum")
-                hit = False
+            hit = servable(w_hat, entry[2], "layer_spectrum")
         if hit:
             self._cache_hits += 1
             record_cache_event("layer_spectrum", hit=True)
@@ -231,9 +229,9 @@ class Conv2d(_ConvBase):
             self._cache_misses += 1
             record_cache_event("layer_spectrum", hit=False)
             w_hat = plan.transform_weight(self._weight)
-            stamp = array_checksum(w_hat)
             self._spectrum_cache[key] = (
-                np.array(self._weight, dtype=float, copy=True), w_hat, stamp)
+                np.array(self._weight, dtype=float, copy=True), w_hat,
+                guard_stamp(w_hat))
         try:
             out = plan.execute(x, w_hat, workers=self.workers)
         except Exception:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.naive import conv2d_naive
-from repro.baselines.registry import ConvAlgorithm, fallback_chain
+from repro.baselines.registry import ConvAlgorithm, convolve, fallback_chain
 from repro.guard import faults
 from repro.guard.chain import (
     GuardExhaustedError, breaker, guarded_conv2d, reset_guard,
@@ -103,6 +103,22 @@ class TestRecovery:
         with guarded(), faults.inject(kind, seed=11) as state, \
                 np.errstate(invalid="ignore", over="ignore"):
             out = guarded_conv2d(x, w, padding=1)
+        assert_conv_close(out, ref)
+        assert sum(state.counts.values()) >= 1, "fault must actually fire"
+
+    @pytest.mark.parametrize("kind", faults.ENGINE_FAULT_KINDS)
+    def test_transposed_conv_recovers_under_fault(self, rng, kind):
+        # PolyHankel runs conv_transpose2d as its plan's adjoint, which
+        # carries the engine's fault hooks too.
+        x = rng.standard_normal((2, 4, 5, 5))
+        w = rng.standard_normal((4, 3, 3, 3))
+        params = dict(padding=1, stride=2, op="conv_transpose2d")
+        ref = convolve(x, w, ConvAlgorithm.NAIVE, **params)
+        guarded_conv2d(x, w, **params)
+        reset_guard()
+        with guarded(), faults.inject(kind, seed=11) as state, \
+                np.errstate(invalid="ignore", over="ignore"):
+            out = guarded_conv2d(x, w, **params)
         assert_conv_close(out, ref)
         assert sum(state.counts.values()) >= 1, "fault must actually fire"
 

@@ -1,11 +1,13 @@
-"""A training step holds only the memory that is still live.
+"""A training step holds only the memory that is still live, and runs
+exactly the transforms its spectral backward needs.
 
 Two things could keep a step's arrays past their last use: a tape whose
 Tensors sit in reference cycles, freed only when the cyclic collector
-runs, and weight-spectrum cache entries that outlive the gradient
-convolutions' throwaway operands until the LRU bound pushes them out.
-The tests that need it switch the collector off, so only reference
-counting can free anything.
+runs, and weight-spectrum cache entries that outlive a gradient's
+throwaway operands until the LRU bound pushes them out.  The tests that
+need it switch the collector off, so only reference counting can free
+anything.  The transform counts of one step are pinned exactly, so a
+backward that falls back to gradient convolutions fails by name.
 """
 
 import gc
@@ -16,6 +18,8 @@ import pytest
 
 from repro.core import multichannel as mc
 from repro.nn import autograd as ag
+from repro.observe import tracing
+from repro.observe.registry import counters
 from repro.utils.shapes import ConvShape
 
 # The benchmark's training CNN: (in, out, kernel, padding) per conv, each
@@ -50,9 +54,9 @@ def _params(rng):
     return params
 
 
-def _batch(rng):
-    return (rng.standard_normal((BATCH, CONVS[0][0], SIZE, SIZE)),
-            rng.integers(0, CLASSES, BATCH))
+def _batch(rng, batch=BATCH):
+    return (rng.standard_normal((batch, CONVS[0][0], SIZE, SIZE)),
+            rng.integers(0, CLASSES, batch))
 
 
 def _loss(params, x, labels):
@@ -104,11 +108,54 @@ def test_training_keeps_only_live_weight_spectra(rng):
         loss.backward()
         optimizer.step()
     assert np.isfinite(float(loss.data))
-    # Only the three forward conv weights are still alive; the gradient
-    # convolutions' operands died with their backward call.
+    # Only the three forward conv weights have entries: the spectral
+    # backward inserts none.
     assert mc.spectrum_cache_info().size <= len(CONVS)
     entries = list(mc._SPECTRUM_CACHE.values())
     assert all(entry[0]() is not None for entry in entries)
+
+
+def _step_transforms(n):
+    """``(fft.calls, fft.rows)`` of one step at batch *n*.
+
+    Per conv, the forward transforms the input (``n·c`` rows) and the
+    weight (``f·c``) and inverts the products (``n·f``); the adjoint
+    transforms the output gradient (``n·f``) and the input (``n·c``),
+    inverts the weight gradient (``f·c``) and, where the input needs a
+    gradient, the input gradient (``n·c``).  The data needs none.  At
+    the benchmark's batch 16 that is 20 calls and 6,016 rows.
+    """
+    calls = rows = 0
+    for i, (c, f, _, _) in enumerate(CONVS):
+        calls += 6
+        rows += (n * c + f * c + n * f) + (n * f + n * c + f * c)
+        if i:
+            calls += 1
+            rows += n * c
+    return calls, rows
+
+
+@pytest.mark.parametrize("batch", [BATCH, 16])
+def test_one_step_runs_exactly_the_spectral_transforms(rng, batch):
+    params = _params(rng)
+    optimizer = ag.SGD(params, lr=0.01, momentum=0.9)
+    x, labels = _batch(rng, batch)
+    names = ("fft.calls", "fft.rows", "cache.spectrum.hits",
+             "cache.spectrum.misses")
+    for _ in range(2):                  # the second step is measured
+        optimizer.zero_grad()
+        before = {name: counters.total(name) for name in names}
+        with tracing() as spans:
+            _loss(params, x, labels).backward()
+        delta = {name: counters.total(name) - before[name]
+                 for name in names}
+        optimizer.step()
+    assert (delta["fft.calls"], delta["fft.rows"]) == _step_transforms(batch)
+    # One weight transform per conv, in its forward: each step's update
+    # misses the cache there, and the two input gradients hit it.
+    assert sum(s.name == "weight.transform" for s in spans) == len(CONVS)
+    assert delta["cache.spectrum.misses"] == len(CONVS)
+    assert delta["cache.spectrum.hits"] == len(CONVS) - 1
 
 
 def test_dropping_a_weight_drops_its_entry(rng, collector_off):
