@@ -248,7 +248,6 @@ class ServePreset(RequestPreset):
     max_batch: int = 8
     max_wait_ms: float = 5.0
     workers: int = 1
-    mode: str = "thread"
     min_speedup: float | None = None
 
 
@@ -298,7 +297,7 @@ def run_serve_case(preset: ServePreset, repeats: int = 5) -> dict:
 
     with ConvServer(max_batch=preset.max_batch,
                     max_wait_ms=preset.max_wait_ms,
-                    workers=preset.workers, mode=preset.mode) as server:
+                    workers=preset.workers) as server:
         server.conv2d(xs[0], weight, bias, padding=preset.padding,
                       groups=preset.groups, timeout=30)
         served_s = float("inf")
@@ -337,7 +336,6 @@ def run_serve_case(preset: ServePreset, repeats: int = 5) -> dict:
         "max_batch": preset.max_batch,
         "max_wait_ms": preset.max_wait_ms,
         "workers": preset.workers,
-        "mode": preset.mode,
         "sequential_ms": round(seq_s * 1e3, 4),
         "served_ms": round(served_s * 1e3, 4),
         "sequential_rps": round(preset.requests / seq_s, 1),

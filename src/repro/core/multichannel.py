@@ -181,8 +181,7 @@ class PolyHankelPlan:
     def __reduce__(self):
         # Plans hold locks and scratch buffers, so they pickle as their
         # spec and re-resolve against the destination process's warm plan
-        # cache (serving-layer process workers depend on this: plans
-        # travel as cache keys, never as payloads).
+        # cache: plans travel as cache keys, never as payloads.
         return PlanSpec.resolve, (self.spec,)
 
     # -- weight handling -----------------------------------------------------

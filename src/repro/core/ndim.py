@@ -129,8 +129,10 @@ def convnd_naive(x: np.ndarray, weight: np.ndarray, padding=0,
             flat_patch = patch[:, g * c_per:(g + 1) * c_per].reshape(
                 shape.n, -1)
             filters = slice(g * f_per, (g + 1) * f_per)
-            out[(slice(None), filters) + idx] = \
-                flat_patch @ flat_weight[filters].T
+            # einsum, not a BLAS product: its sum for one image does not
+            # depend on how many images ride along (batch invariance).
+            out[(slice(None), filters) + idx] = np.einsum(
+                "nk,fk->nf", flat_patch, flat_weight[filters])
     return out
 
 

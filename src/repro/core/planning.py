@@ -39,8 +39,8 @@ class PlanSpec:
     boundary by value.  Its *spec* — shape, resolved FFT policy, channel
     strategy, backend name — is a plain frozen value that pickles in a
     few bytes and re-resolves against the receiving process's warm plan
-    cache, which is exactly what the serving layer's process workers
-    need: plans travel as cache keys, never as payloads.
+    cache, which is how a cluster replica warms a family's plan: plans
+    travel as cache keys, never as payloads.
     """
 
     shape: object  # ConvShape (untyped to stay import-light)

@@ -16,12 +16,11 @@ package closes that gap with the standard serving architecture:
   most ``max_wait_ms`` for compatible companions; a group is dispatched
   the moment it holds ``max_batch`` stacked rows or its oldest request's
   deadline expires.
-- :mod:`repro.serve.pool` — the persistent :class:`WorkerPool` (threads
-  by default, a ``ProcessPoolExecutor`` with per-worker warm plan and
-  spectrum caches as an opt-in) and the batch/group shard splitter for
-  oversized requests.
-- :mod:`repro.serve.api` — :class:`ConvServer`, the user-facing object,
-  and the process-wide default server used by
+- :mod:`repro.serve.pool` — the persistent thread :class:`WorkerPool`
+  and the batch/group shard splitter for oversized requests.
+- :mod:`repro.serve.api` — the front door both servers share
+  (admission, ``submit``, the sync ``conv2d``), :class:`ConvServer`, the
+  user-facing object, and the process-wide default server used by
   :func:`repro.nn.functional.conv2d_async` and ``Conv2d.submit``.
 - :mod:`repro.serve.shm` / :mod:`repro.serve.cluster` /
   :mod:`repro.serve.router` — the multi-process scale-out tier:

@@ -1,7 +1,9 @@
-"""The user-facing serving object and the process-wide default server.
+"""The serving front door, the in-process server and the default server.
 
-:class:`ConvServer` composes the batching queue and the worker pool into
-one front door:
+:class:`_FrontDoor` is the front door :class:`ConvServer` and
+:class:`~repro.serve.router.ClusterServer` share: admission, ``submit``,
+the sync wrapper and the lifecycle.  :class:`ConvServer` composes it with
+the worker pool:
 
 - ``submit(...)`` returns a ``concurrent.futures.Future`` immediately;
 - requests whose own batch fits under ``max_batch`` wait (at most
@@ -49,8 +51,14 @@ DEFAULT_MAX_BATCH = 8
 DEFAULT_MAX_WAIT_MS = 2.0
 
 
-class ConvServer:
-    """Async dynamic-batching front door to the convolution engine.
+class _FrontDoor:
+    """The front door both servers share: admission, submit, sync wrapper.
+
+    It owns the config, the in-flight budget and the batching queue.  A
+    server adds how a request runs alone (``_run_alone``, for one whose
+    own batch exceeds ``max_batch``), how a coalesced batch runs
+    (``_execute_batch``, the queue's executor) and how execution shuts
+    down (``_shutdown``).
 
     Admission is bounded: at most ``config.max_inflight`` requests may be
     in flight; past the budget the configured ``shed_policy`` either
@@ -61,15 +69,12 @@ class ConvServer:
     of executing it.
     """
 
-    def __init__(self, max_batch: int = DEFAULT_MAX_BATCH,
-                 max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
-                 workers: int | None = None, mode: str = "thread",
-                 config: ServeConfig | None = None):
+    def __init__(self, max_batch: int, max_wait_ms: float,
+                 config: ServeConfig | None):
         self.max_batch = int(max_batch)
         self.config = config if config is not None \
             else ServeConfig.from_env()
         self._budget = InflightBudget(self.config.max_inflight)
-        self._pool = WorkerPool(workers=workers, mode=mode)
         self._queue = BatchingQueue(self._execute_batch,
                                     max_batch=max_batch,
                                     max_wait_ms=max_wait_ms)
@@ -119,7 +124,8 @@ class ConvServer:
         the future raises :class:`~repro.serve.overload.DeadlineExceeded`
         instead of executing stale work.  Raises
         :class:`~repro.serve.overload.Overloaded` when admission control
-        refuses the request.
+        refuses the request, and :class:`RuntimeError` once
+        :meth:`close` has begun.
         """
         if self._closed:
             raise RuntimeError("server is closed")
@@ -134,11 +140,17 @@ class ConvServer:
         counters.add("serve.requests")
         self._admit(request)
         if request.batch > self.max_batch:
-            # Oversized: no companion could ride along anyway — shard it
-            # across the pool instead of clogging the queue.
-            self._pool.resolve(request)
-        else:
+            # Oversized: no companion could ride along anyway.
+            self._run_alone(request)
+            return request.future
+        try:
             self._queue.submit(request)
+        except RuntimeError:
+            # close() shut the queue after the check above.  Resolve the
+            # admitted request so its unit returns and its outcome is
+            # counted, then refuse the call as a closed server does.
+            request.future.set_exception(RuntimeError("server is closed"))
+            raise RuntimeError("server is closed") from None
         return request.future
 
     def conv2d(self, x: np.ndarray, weight: np.ndarray,
@@ -155,9 +167,9 @@ class ConvServer:
         future is **cancelled** — any stage that has not started the work
         sheds it, a stage mid-execution discards the result — and the
         call raises :class:`~repro.serve.overload.DeadlineExceeded`.
-        The pre-fix behavior (abandon the future, let the engine run
-        dead work to completion) leaked exactly the capacity an
-        overloaded server needs back.
+        Abandoning the future instead would let the engine run dead work
+        to completion, holding exactly the capacity an overloaded server
+        needs back.
         """
         future = self.submit(x, weight, bias, padding, stride, dilation,
                              groups, algorithm, strategy, backend,
@@ -175,7 +187,52 @@ class ConvServer:
                 f"conv2d timed out after {timeout:g}s; request "
                 f"cancelled") from None
 
-    # -- dispatch ------------------------------------------------------------
+    # -- lifecycle -----------------------------------------------------------
+
+    def pending_count(self) -> int:
+        """Requests waiting in the batching queue."""
+        return self._queue.pending_count()
+
+    def close(self, timeout: float | None = 10.0) -> None:
+        """Refuse new submits, drain the queue, shut execution down."""
+        if self._closed:
+            return
+        self._closed = True
+        self._queue.close(timeout)
+        self._shutdown(timeout)
+        # Persist the learned selection table (no-op unless a table path
+        # is configured) so the next server warm-starts from measurement.
+        from repro.selection.bandit import active_bandit
+
+        bandit = active_bandit()
+        if bandit is not None:
+            bandit.save()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class ConvServer(_FrontDoor):
+    """Async dynamic-batching front door to the convolution engine.
+
+    Coalesced batches run as one stacked engine call on the dispatching
+    thread; oversized requests are sharded across the persistent
+    :class:`~repro.serve.pool.WorkerPool`.
+    """
+
+    def __init__(self, max_batch: int = DEFAULT_MAX_BATCH,
+                 max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
+                 workers: int | None = None,
+                 config: ServeConfig | None = None):
+        self._pool = WorkerPool(workers=workers)
+        super().__init__(max_batch, max_wait_ms, config)
+
+    def _run_alone(self, request: ConvRequest) -> None:
+        # Shard it across the pool instead of clogging the queue.
+        self._pool.resolve(request)
 
     def _execute_batch(self, batch: list[ConvRequest]) -> None:
         """Run one coalesced batch and resolve every rider's future."""
@@ -199,37 +256,14 @@ class ConvServer:
             except InvalidStateError:
                 pass  # cancelled mid-execution; result is discarded
 
-    # -- introspection and lifecycle ----------------------------------------
-
     def stats(self) -> dict:
         """Serving counters from the unified registry (process-wide)."""
         from repro.observe.registry import serve_stats
 
         return serve_stats()
 
-    def pending_count(self) -> int:
-        return self._queue.pending_count()
-
-    def close(self, timeout: float | None = 10.0) -> None:
-        """Drain the queue, stop the dispatcher, shut the pool down."""
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.close(timeout)
+    def _shutdown(self, timeout: float | None) -> None:
         self._pool.close()
-        # Persist the learned selection table (no-op unless a table path
-        # is configured) so the next server warm-starts from measurement.
-        from repro.selection.bandit import active_bandit
-
-        bandit = active_bandit()
-        if bandit is not None:
-            bandit.save()
-
-    def __enter__(self) -> "ConvServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 # ---------------------------------------------------------------------------

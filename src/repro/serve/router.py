@@ -35,13 +35,14 @@ read one source of truth.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import signal
 import threading
 import time
-from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
+import weakref
+from concurrent.futures import Future, wait
 
 import numpy as np
 
@@ -49,27 +50,22 @@ from repro.guard import faults
 from repro.guard.breaker import CircuitBreaker
 from repro.guard.state import guard_enabled
 from repro.observe.registry import counters
+from repro.serve.api import _FrontDoor
 from repro.serve.cluster import get_cluster_context, spawn_worker
 from repro.serve.coalescer import (
     CoalesceKey,
     ConvRequest,
-    make_request,
     split_result,
     stack_requests,
 )
 from repro.serve.overload import (
     DeadlineExceeded,
-    InflightBudget,
-    Overloaded,
     ServeConfig,
-    attach_accounting,
     backoff_delay,
     batch_deadline,
-    resolve_deadline,
     shed_expired,
     shed_request,
 )
-from repro.serve.queue import BatchingQueue
 from repro.serve.shm import (
     SlotAllocator,
     SlotTimeout,
@@ -143,8 +139,14 @@ class _Replica:
         return self.process.pid if self.process is not None else None
 
 
-class ClusterServer:
-    """Multi-process serving tier with shared-memory tensor transport."""
+class ClusterServer(_FrontDoor):
+    """Multi-process serving tier with shared-memory tensor transport.
+
+    A request whose batch fits under ``max_batch`` goes through the
+    batching queue; at ``max_batch=1`` each such request is a full group
+    and dispatches inline on the submitting thread.  A larger one is
+    routed alone.
+    """
 
     def __init__(self, workers: int | None = None, *,
                  slots: int = DEFAULT_SLOTS,
@@ -165,14 +167,12 @@ class ClusterServer:
             raise ValueError("slots must be >= 4 (a dispatch pins a "
                              "request and a response slot, plus weight "
                              "shipments)")
-        self.max_batch = int(max_batch)
+        # Before any worker spawns: the queue validates max_batch.
+        super().__init__(max_batch, max_wait_ms, config)
         self.max_retries = int(max_retries)
         self.breaker_ttl_s = float(breaker_ttl_s)
         self.imbalance_limit = int(imbalance_limit)
         self.slot_timeout_s = float(slot_timeout_s)
-        self.config = config if config is not None \
-            else ServeConfig.from_env()
-        self._budget = InflightBudget(self.config.max_inflight)
         self._supervised = guard_enabled() if supervised is None \
             else bool(supervised)
         self._ctx = get_cluster_context(start_method)
@@ -187,12 +187,15 @@ class ClusterServer:
         self._lock = threading.RLock()
         self._drained = threading.Condition(self._lock)
         self._req_ids = itertools.count(1)
-        self._stats_events: dict[int, threading.Event] = {}
-        self._ping_events: dict[int, threading.Event] = {}
-        self._fault_events: dict[int, threading.Event] = {}
-        self._fault_errors: dict[int, str] = {}
+        #: token -> future of a control order's reply (ping, stats pull,
+        #: fault order); the reader resolves it with the reply message.
+        self._replies: dict[int, Future] = {}
         self._token_ids = itertools.count(1)
-        self._closed = False
+        #: fingerprint -> weakref of each shipped array (see
+        #: _forget_tensor).
+        self._watched: dict[tuple, weakref.ref] = {}
+        #: Set once close() has drained: replicas are being stopped.
+        self._stopped = False
         self._respawn_wanted = threading.Event()
         self._watchdog_stop = threading.Event()
         self._replicas: dict[int, _Replica] = {}
@@ -201,11 +204,6 @@ class ClusterServer:
             replica = _Replica(i)
             self._replicas[i] = replica
             self._start_replica(replica)
-        self._queue = None
-        if self.max_batch > 1:
-            self._queue = BatchingQueue(self._execute_batch,
-                                        max_batch=self.max_batch,
-                                        max_wait_ms=max_wait_ms)
         self._supervisor = threading.Thread(
             target=self._supervise, name="cluster-supervisor", daemon=True)
         self._supervisor.start()
@@ -240,15 +238,15 @@ class ClusterServer:
 
     def _supervise(self) -> None:
         """Respawn dead replicas until the server closes."""
-        while not self._closed:
+        while not self._stopped:
             self._respawn_wanted.wait(timeout=self.config.respawn_poll_s)
             self._respawn_wanted.clear()
-            if self._closed:
+            if self._stopped:
                 return
             with self._lock:
                 dead = [r for r in self._replicas.values() if not r.alive]
             for replica in dead:
-                if self._closed:
+                if self._stopped:
                     return
                 try:
                     self._start_replica(replica)
@@ -259,7 +257,8 @@ class ClusterServer:
                 # The breaker stays open until the fresh process answers
                 # a ping — a replica that dies during startup never
                 # takes traffic.
-                if self._ping(replica, timeout=self.config.ping_timeout_s):
+                if self._ask([replica], {"kind": "ping"},
+                             self.config.ping_timeout_s):
                     self._breaker.record_success(("replica", replica.id))
 
     def _watch(self) -> None:
@@ -285,7 +284,7 @@ class ClusterServer:
         replica, the supervisor respawns a fresh generation.
         """
         while not self._watchdog_stop.wait(self.config.watchdog_interval_s):
-            if self._closed:
+            if self._stopped:
                 return
             now = time.monotonic()
             with self._lock:
@@ -333,24 +332,6 @@ class ClusterServer:
             except (ProcessLookupError, PermissionError):
                 pass  # already gone; EOF path will run regardless
 
-    def _ping(self, replica: _Replica,
-              timeout: float | None = None) -> bool:
-        timeout = self.config.ping_timeout_s if timeout is None \
-            else timeout
-        token = next(self._token_ids)
-        event = threading.Event()
-        self._ping_events[token] = event
-        try:
-            with replica.send_lock:
-                send_control(replica.conn, {"kind": "ping",
-                                            "token": token})
-        except (OSError, ValueError):
-            self._ping_events.pop(token, None)
-            return False
-        ok = event.wait(timeout)
-        self._ping_events.pop(token, None)
-        return ok
-
     def _on_replica_death(self, replica: _Replica,
                           generation: int | None = None) -> None:
         """Reroute a dead replica's in-flight work and queue a respawn.
@@ -380,7 +361,7 @@ class ClusterServer:
                 process.kill()
             except Exception:  # pragma: no cover - reaped concurrently
                 pass
-        if self._closed:
+        if self._stopped:
             for dispatch in pending:
                 dispatch.fail(ClusterUnavailableError(
                     "cluster server closed while request was in flight"))
@@ -399,91 +380,10 @@ class ClusterServer:
             self._route(dispatch, exclude=frozenset({replica.id}))
         self._respawn_wanted.set()
 
-    # -- request intake ------------------------------------------------------
+    # -- execution -----------------------------------------------------------
 
-    def _admit(self, request: ConvRequest) -> None:
-        """Claim an in-flight unit for *request* or raise Overloaded.
-
-        Mirrors :meth:`ConvServer._admit`: ``shed-oldest`` evicts the
-        oldest *queued* request to make room (only meaningful when
-        batching is on — with ``max_batch=1`` nothing queues, so the
-        policy degrades to ``reject-new``).
-        """
-        while not self._budget.try_acquire():
-            if self.config.shed_policy != "shed-oldest" \
-                    or self._queue is None \
-                    or self._queue.shed_oldest() is None:
-                counters.add("serve.rejected")
-                raise Overloaded(
-                    f"cluster server is at its in-flight budget "
-                    f"({self.config.max_inflight}); request rejected "
-                    f"({self.config.shed_policy})")
-        attach_accounting(request.future)
-        self._budget.attach(request.future)
-
-    def submit(self, x: np.ndarray, weight: np.ndarray,
-               bias: np.ndarray | None = None,
-               padding: int | tuple | str = 0, stride: int | tuple = 1,
-               dilation: int | tuple = 1, groups: int = 1,
-               algorithm: str = "polyhankel", strategy: str = "sum",
-               backend: str | None = None, op: str = "conv2d",
-               output_padding: int | tuple = 0,
-               deadline_s: float | None = None) -> Future:
-        """Enqueue one convolution on the cluster; returns its future.
-
-        *deadline_s* propagates to every stage — queue, router, and the
-        worker process itself sheds the order when the deadline passes
-        before execution (the future raises
-        :class:`~repro.serve.overload.DeadlineExceeded`).  Raises
-        :class:`~repro.serve.overload.Overloaded` when admission control
-        refuses the request.
-        """
-        if self._closed:
-            raise RuntimeError("cluster server is closed")
-        op = str(getattr(op, "value", op))
-        if getattr(x, "ndim", None) == 3 and op in ("conv2d",
-                                                    "conv_transpose2d"):
-            x = np.asarray(x, dtype=float)[None]
-        request = make_request(x, weight, bias, padding, stride, dilation,
-                               groups, algorithm, strategy, backend,
-                               op, output_padding,
-                               deadline=resolve_deadline(deadline_s))
-        counters.add("serve.requests")
-        counters.add("serve.cluster.requests")
-        self._admit(request)
-        if self._queue is not None and request.batch <= self.max_batch:
-            self._queue.submit(request)
-        else:
-            self._execute_batch([request])
-        return request.future
-
-    def conv2d(self, x: np.ndarray, weight: np.ndarray,
-               bias: np.ndarray | None = None,
-               padding: int | tuple | str = 0, stride: int | tuple = 1,
-               dilation: int | tuple = 1, groups: int = 1,
-               algorithm: str = "polyhankel", strategy: str = "sum",
-               backend: str | None = None,
-               timeout: float | None = None) -> np.ndarray:
-        """Synchronous convenience wrapper around :meth:`submit`.
-
-        *timeout* doubles as the request's deadline; a timed-out future
-        is cancelled so no stage keeps working for a caller that left
-        (see :meth:`ConvServer.conv2d` for the rationale).
-        """
-        future = self.submit(x, weight, bias, padding, stride, dilation,
-                             groups, algorithm, strategy, backend,
-                             deadline_s=timeout)
-        try:
-            return future.result(timeout)
-        except DeadlineExceeded:
-            # Shed by a stage; keep its typed error.  (Ordering matters:
-            # on 3.11+ DeadlineExceeded IS a futures TimeoutError.)
-            raise
-        except FutureTimeoutError:
-            future.cancel()
-            raise DeadlineExceeded(
-                f"cluster conv2d timed out after {timeout:g}s; request "
-                f"cancelled") from None
+    def _run_alone(self, request: ConvRequest) -> None:
+        self._execute_batch([request])
 
     def _execute_batch(self, batch: list[ConvRequest]) -> None:
         # No router lock here: _route can block on slot backpressure, and
@@ -588,9 +488,16 @@ class ClusterServer:
 
     def _tensor_fingerprint(self, kind: str, array: np.ndarray) -> tuple:
         # id() is stable while the request pins the array (ConvRequest
-        # holds strong references); shape/dtype disambiguate id reuse
-        # across differently-shaped tensors.
+        # holds strong references); once the array is collected,
+        # _forget_tensor drops the fingerprint so a later array at the
+        # same id is shipped afresh.
         return (kind, id(array), array.shape, str(array.dtype))
+
+    def _forget_tensor(self, fp: tuple, _ref=None) -> None:
+        """Weakref callback: the array behind *fp* was collected."""
+        self._watched.pop(fp, None)
+        for replica in self._replicas.values():
+            replica.shipped.discard(fp)
 
     def _ship_tensor(self, replica: _Replica, fp: tuple,
                      array: np.ndarray, spec=None) -> None:
@@ -616,6 +523,9 @@ class ClusterServer:
                 self._alloc.release(slot)
             raise
         replica.shipped.add(fp)
+        if fp not in self._watched:
+            self._watched[fp] = weakref.ref(
+                array, functools.partial(self._forget_tensor, fp))
         counters.add("serve.cluster.tensor_ships", replica=replica.id)
 
     def _plan_spec(self, key: CoalesceKey, x: np.ndarray,
@@ -768,22 +678,12 @@ class ClusterServer:
                     self._alloc.release(slot)
                 if kind == "tensor_err":
                     replica.shipped.discard(msg["fp"])
-            elif kind in ("fault_ok", "fault_err"):
-                if kind == "fault_err":
-                    self._fault_errors[msg["token"]] = \
-                        msg.get("error", "unknown error")
-                event = self._fault_events.pop(msg["token"], None)
-                if event is not None:
-                    event.set()
-            elif kind == "stats":
-                counters.merge_rows(f"replica{replica.id}", msg["rows"])
-                event = self._stats_events.pop(msg["token"], None)
-                if event is not None:
-                    event.set()
-            elif kind == "pong":
-                event = self._ping_events.get(msg["token"])
-                if event is not None:
-                    event.set()
+            elif kind in ("pong", "stats", "fault_ok", "fault_err"):
+                if kind == "stats":
+                    counters.merge_rows(f"replica{replica.id}", msg["rows"])
+                reply = self._replies.pop(msg["token"], None)
+                if reply is not None:
+                    reply.set_result(msg)
 
     def _complete(self, replica: _Replica, dispatch: _Dispatch,
                   out_seq: int) -> None:
@@ -821,33 +721,58 @@ class ClusterServer:
             return [r.pid for r in self._replicas.values()
                     if r.pid is not None]
 
-    # -- chaos drills --------------------------------------------------------
+    def _live_replicas(self, ids: list[int] | None = None) -> list[_Replica]:
+        """Live replicas, all of them or those whose id is in *ids*."""
+        with self._lock:
+            return [r for r in self._replicas.values()
+                    if r.alive and (ids is None or r.id in ids)]
 
-    def _fault_order(self, replica: _Replica, order: dict,
-                     timeout: float) -> bool:
-        """Ship one fault-control order and wait for its ack.
+    # -- control orders ------------------------------------------------------
+
+    def _ask(self, replicas: list[_Replica], order: dict,
+             timeout: float) -> dict[int, dict]:
+        """Send *order* to each replica, then wait for the replies.
+
+        Each send carries a fresh token whose future in ``_replies`` the
+        reader resolves with the reply message.  The wait is *timeout*
+        seconds for all replicas together.  Returns the replies by
+        replica id; a replica whose pipe is broken or that does not
+        answer in time is left out.
+        """
+        asked = []
+        for replica in replicas:
+            token = next(self._token_ids)
+            reply = self._replies[token] = Future()
+            try:
+                with replica.send_lock:
+                    send_control(replica.conn, dict(order, token=token))
+            except (OSError, ValueError):
+                self._replies.pop(token, None)
+                continue
+            asked.append((token, replica.id, reply))
+        wait([reply for _, _, reply in asked], timeout)
+        for token, _, _ in asked:
+            self._replies.pop(token, None)
+        return {replica_id: reply.result()
+                for _, replica_id, reply in asked if reply.done()}
+
+    def _fault_order(self, order: dict, replica_ids: list[int] | None,
+                     timeout: float) -> list[int]:
+        """Send one fault-control order; returns the ids that acked.
 
         A worker-side rejection (``fault_err`` — e.g. an unknown fault
         kind) raises :class:`ValueError` with the worker's message: a
         drill that thinks it armed a fault when the worker refused would
         assert recovery that never happened.
         """
-        token = next(self._token_ids)
-        event = threading.Event()
-        self._fault_events[token] = event
-        try:
-            with replica.send_lock:
-                send_control(replica.conn, dict(order, token=token))
-        except (OSError, ValueError):
-            self._fault_events.pop(token, None)
-            return False
-        ok = event.wait(timeout)
-        self._fault_events.pop(token, None)
-        error = self._fault_errors.pop(token, None)
-        if error is not None:
-            raise ValueError(
-                f"replica {replica.id} rejected fault order: {error}")
-        return ok
+        replicas = self._live_replicas(replica_ids)
+        replies = self._ask(replicas, order, timeout)
+        for replica_id, reply in replies.items():
+            if reply["kind"] == "fault_err":
+                raise ValueError(
+                    f"replica {replica_id} rejected fault order: "
+                    f"{reply.get('error', 'unknown error')}")
+        return [r.id for r in replicas if r.id in replies]
 
     def inject_worker_faults(self, *kinds: str,
                              replica_ids: list[int] | None = None,
@@ -868,42 +793,17 @@ class ClusterServer:
         order = {"kind": "inject", "kinds": list(kinds), "seed": seed,
                  "rate": rate, "max_fires": max_fires,
                  "params": params or {}}
-        with self._lock:
-            replicas = [r for r in self._replicas.values()
-                        if r.alive and (replica_ids is None
-                                        or r.id in replica_ids)]
-        return [r.id for r in replicas
-                if self._fault_order(r, order, timeout)]
+        return self._fault_order(order, replica_ids, timeout)
 
     def clear_worker_faults(self, replica_ids: list[int] | None = None,
                             timeout: float = 5.0) -> list[int]:
         """Disarm every control-plane fault on the chosen replicas."""
-        with self._lock:
-            replicas = [r for r in self._replicas.values()
-                        if r.alive and (replica_ids is None
-                                        or r.id in replica_ids)]
-        return [r.id for r in replicas
-                if self._fault_order(r, {"kind": "clear_faults"}, timeout)]
+        return self._fault_order({"kind": "clear_faults"}, replica_ids,
+                                 timeout)
 
     def refresh_worker_stats(self, timeout: float = 2.0) -> None:
         """Pull every live replica's counter snapshot into the registry."""
-        events = []
-        with self._lock:
-            replicas = [r for r in self._replicas.values() if r.alive]
-        for replica in replicas:
-            token = next(self._token_ids)
-            event = threading.Event()
-            self._stats_events[token] = event
-            try:
-                with replica.send_lock:
-                    send_control(replica.conn, {"kind": "stats",
-                                                "token": token})
-                events.append(event)
-            except (OSError, ValueError):
-                self._stats_events.pop(token, None)
-        deadline = time.monotonic() + timeout
-        for event in events:
-            event.wait(max(0.0, deadline - time.monotonic()))
+        self._ask(self._live_replicas(), {"kind": "stats"}, timeout)
         # Replica workers record per-arm selection timings as counters;
         # the merge above lands them proc-tagged in the registry.  Fold
         # their growth into the router's bandit so the whole cluster
@@ -918,7 +818,7 @@ class ClusterServer:
         """Aggregated router + per-replica view of the cluster."""
         from repro.observe.registry import replica_stats, serve_stats
 
-        if refresh and not self._closed:
+        if refresh and not self._stopped:
             self.refresh_worker_stats()
         breaker = self._breaker.snapshot()
         merged = replica_stats()
@@ -944,18 +844,10 @@ class ClusterServer:
         }
         return stats
 
-    def pending_count(self) -> int:
-        queued = self._queue.pending_count() if self._queue else 0
-        return queued + self._inflight_count()
-
     # -- lifecycle -----------------------------------------------------------
 
-    def close(self, timeout: float | None = 10.0) -> None:
+    def _shutdown(self, timeout: float | None) -> None:
         """Drain in-flight work, stop workers, unlink the arena."""
-        if self._closed:
-            return
-        if self._queue is not None:
-            self._queue.close(timeout)
         deadline = None if timeout is None \
             else time.monotonic() + timeout
         with self._drained:
@@ -966,16 +858,13 @@ class ClusterServer:
                     break
                 self._drained.wait(remaining if remaining is None
                                    else min(remaining, 0.5))
-        # Final pull of replica arm timings, then persist the learned
-        # selection table (no-op unless a table path is configured) so a
-        # restarted cluster warm-starts instead of re-exploring.
+        # Final pull of replica arm timings while the workers still run;
+        # close() then persists the learned selection table.
         from repro.selection.bandit import active_bandit
 
-        bandit = active_bandit()
-        if bandit is not None:
+        if active_bandit() is not None:
             self.refresh_worker_stats(timeout=1.0)
-            bandit.save()
-        self._closed = True
+        self._stopped = True
         self._respawn_wanted.set()
         self._watchdog_stop.set()
         # Join the supervisor before snapshotting: a respawn completing
@@ -1014,12 +903,6 @@ class ClusterServer:
                     pass
         self._alloc.close()
         self._arena.close()
-
-    def __enter__(self) -> "ClusterServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def recv_control_from(conn):

@@ -1,9 +1,8 @@
 """Zero-pickle tensor transport over ``multiprocessing.shared_memory``.
 
-The process mode of :mod:`repro.serve.pool` ships every shard's arrays by
-pickling them through the executor — serialization dominates exactly
-where the engine is fastest.  This module is the replacement transport
-for the cluster tier: tensors move through a **slot arena** in one shared
+Pickling arrays through a process executor makes serialization dominate
+exactly where the engine is fastest.  This module is the cluster tier's
+transport instead: tensors move through a **slot arena** in one shared
 memory segment, and only tiny plain-data control messages (slot indices,
 generation counters, conv parameters) cross the pipe.
 
@@ -281,12 +280,15 @@ class TensorArena:
         Single-writer by construction (each worker owns its own record),
         so no seqlock: a torn read can at worst delay or spuriously
         trigger one watchdog scan, and the generation check filters
-        stamps left by a previous incarnation of the worker slot.
+        stamps left by a previous incarnation of the worker slot.  The
+        generation is written last, so on a host that keeps store order
+        (x86-64) a reader that sees this incarnation's generation also
+        sees its stamp and pid, not the predecessor's or zeros.
         """
         record = self._heartbeat(index)
-        record["generation"] = int(generation)
         record["stamp"] = time.monotonic()
         record["pid"] = os.getpid()
+        record["generation"] = int(generation)
 
     def read_heartbeat(self, index: int) -> dict:
         """The last stamp of heartbeat *index* (all-zero before any)."""

@@ -4,7 +4,10 @@ One table of ``(op, algorithm)`` cases runs through each way into the
 library — the layer, the :mod:`repro.nn.functional` op, that op inside
 :func:`repro.guard.guarded`, :func:`repro.serve.pool.execute_conv` with the
 guard off and on, and the :mod:`repro.nn.autograd` forward — and every
-result must be ``np.array_equal`` to the layer's.  The module also pins
+result must be ``np.array_equal`` to the layer's.  The two servers,
+:class:`~repro.serve.ConvServer` and :class:`~repro.serve.ClusterServer`,
+must return the functional op's bits for every op under PolyHankel, GEMM
+and the naive reference.  The module also pins
 the calls that must keep raising ``ValueError``, the layers' seeded He
 initialization and the ``repro algorithms`` support matrix.
 """
@@ -17,6 +20,7 @@ from repro.guard.state import guarded
 from repro.nn import autograd as ag
 from repro.nn import functional as F
 from repro.nn.layers import Conv1d, Conv2d, Conv3d, ConvTranspose2d
+from repro.serve import ClusterServer, ConvServer
 from repro.serve.pool import execute_conv
 
 #: Per op: layer class, functional op, autograd op, input shape, layer
@@ -41,12 +45,23 @@ CASES = [("conv2d", algo) for algo in (
     for algo in ("polyhankel", "gemm", "naive")]
 
 
-def _doors(op, algorithm):
-    layer_cls, f_op, ag_op, x_shape, params = OPS[op]
+#: The served subset of CASES: every op under three algorithms.
+SERVED = [(op, algo) for op, algo in CASES
+          if algo in ("polyhankel", "gemm", "naive")]
+
+
+def _layer_problem(op, algorithm):
+    """A seeded layer of *op* with a bias, and an input for it."""
+    layer_cls, _, _, x_shape, params = OPS[op]
     rng = np.random.default_rng(7)
     layer = layer_cls(4, 6, 3, algorithm=algorithm, rng=rng, **params)
     layer.bias = rng.standard_normal(6)
-    x = rng.standard_normal(x_shape)
+    return layer, rng.standard_normal(x_shape)
+
+
+def _doors(op, algorithm):
+    _, f_op, ag_op, _, params = OPS[op]
+    layer, x = _layer_problem(op, algorithm)
     w, b = layer.weight, layer.bias
     serve_params = dict(params, op=op, algorithm=algorithm)
     doors = {"layer": layer(x),
@@ -68,6 +83,29 @@ def test_every_door_returns_the_same_bits(op, algorithm):
     doors = _doors(op, algorithm)
     want = doors.pop("layer")
     for door, got in doors.items():
+        assert got.shape == want.shape, door
+        assert np.array_equal(got, want), door
+
+
+@pytest.fixture(scope="module")
+def servers():
+    """Both servers, shared by every served case.  The ConvServer's two
+    pool workers shard a lone request along the batch axis."""
+    with ConvServer(workers=2) as conv, \
+            ClusterServer(workers=1, max_batch=8) as cluster:
+        yield {"ConvServer": conv, "ClusterServer": cluster}
+
+
+@pytest.mark.parametrize("op,algorithm", SERVED,
+                         ids=[f"{op}-{algo}" for op, algo in SERVED])
+def test_servers_return_the_functional_bits(servers, op, algorithm):
+    _, f_op, _, _, params = OPS[op]
+    layer, x = _layer_problem(op, algorithm)
+    w, b = layer.weight, layer.bias
+    want = f_op(x, w, b, algorithm=algorithm, **params)
+    for door, server in servers.items():
+        got = server.submit(x, w, b, op=op, algorithm=algorithm,
+                            **params).result(60)
         assert got.shape == want.shape, door
         assert np.array_equal(got, want), door
 

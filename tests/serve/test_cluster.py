@@ -223,6 +223,20 @@ class TestTensorShipAccounting:
         np.testing.assert_array_equal(out, F.conv2d(x, w, b, padding=1))
 
 
+    def test_fresh_weights_of_one_shape_are_each_shipped(self, rng):
+        """A weight collected after its request frees its id for the next
+        array of the same shape; the worker must not keep serving the
+        dead array's cached copy under that id."""
+        x = rng.standard_normal((1, 3, 8, 8))
+        with make_server(workers=1) as server:
+            for _ in range(16):
+                w = rng.standard_normal((2, 3, 3, 3))
+                b = rng.standard_normal(2)
+                out = server.conv2d(x, w, b, padding=1, timeout=60)
+                np.testing.assert_array_equal(
+                    out, F.conv2d(x, w, b, padding=1))
+
+
 class TestLifecycleAndStats:
     def test_close_is_idempotent(self, rng):
         server = make_server(workers=1)

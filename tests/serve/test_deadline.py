@@ -8,6 +8,7 @@ door) — never silence, never a late answer after a shed report, and
 never leaked capacity.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.serve.overload import (
     resolve_deadline,
     shed_expired,
 )
+from repro.serve.router import ClusterServer
 from repro.serve.shm import SlotAllocator, SlotTimeout, TensorArena
 
 
@@ -34,6 +36,15 @@ def tiny_problem(rng, n=1):
     x = rng.standard_normal((n, 1, 4, 4))
     w = rng.standard_normal((1, 1, 3, 3))
     return x, w
+
+
+@pytest.fixture(params=["ConvServer", "ClusterServer"])
+def door(request):
+    """A server factory for each of the two servers, which share one
+    front door: admission, submit and the sync wrapper."""
+    if request.param == "ConvServer":
+        return ConvServer
+    return functools.partial(ClusterServer, workers=1)
 
 
 class TestDeadlinePropagation:
@@ -142,7 +153,7 @@ class TestDeadlinePropagation:
 
 
 class TestAdmissionControl:
-    def test_reject_new_raises_typed_and_counts(self, rng):
+    def test_reject_new_raises_typed_and_counts(self, door, rng):
         """Past the budget, reject-new refuses the newcomer while the
         queued requests keep their place."""
         x, w = tiny_problem(rng)
@@ -150,8 +161,8 @@ class TestAdmissionControl:
         # max_batch > submissions: both admitted requests coalesce into
         # one waiting group and stay in flight for max_wait_ms, so the
         # third submit genuinely meets a full budget.
-        with ConvServer(max_batch=8, max_wait_ms=200.0,
-                        config=config) as server:
+        with door(max_batch=8, max_wait_ms=200.0,
+                  config=config) as server:
             before = int(counters.total("serve.rejected"))
             first = server.submit(x, w, padding=1)
             second = server.submit(x, w, padding=1)
@@ -162,26 +173,65 @@ class TestAdmissionControl:
             first.result(30)
             second.result(30)
 
-    def test_shed_oldest_evicts_in_favor_of_the_newcomer(self, rng):
+    def test_shed_oldest_evicts_in_favor_of_the_newcomer(self, door, rng):
         x, w = tiny_problem(rng)
         ref = F.conv2d(x, w, padding=1)
         config = ServeConfig(max_inflight=1, shed_policy="shed-oldest")
-        with ConvServer(max_batch=8, max_wait_ms=500.0,
-                        config=config) as server:
+        with door(max_batch=8, max_wait_ms=500.0,
+                  config=config) as server:
             victim = server.submit(x, w, padding=1)
             newcomer = server.submit(x, w, padding=1)
             with pytest.raises(Overloaded):
                 victim.result(30)
             np.testing.assert_array_equal(newcomer.result(30), ref)
 
-    def test_budget_frees_on_completion(self, rng):
+    def test_budget_frees_on_completion(self, door, rng):
         """Sequential traffic through a budget of one never rejects —
         the done-callback releases the unit."""
         x, w = tiny_problem(rng)
         config = ServeConfig(max_inflight=1)
-        with ConvServer(config=config) as server:
+        with door(max_batch=8, config=config) as server:
             for _ in range(5):
                 server.submit(x, w, padding=1).result(30)
+
+    def test_sync_timeout_cancels_the_future(self, door, rng):
+        """conv2d(timeout=) on a request still waiting in the queue
+        raises DeadlineExceeded, cancels the future and frees its unit."""
+        x, w = tiny_problem(rng)
+        with door(max_batch=8, max_wait_ms=500.0) as server:
+            futures = []
+            submit = server.submit
+
+            def spy(*args, **kwargs):
+                futures.append(submit(*args, **kwargs))
+                return futures[-1]
+
+            server.submit = spy
+            with pytest.raises(DeadlineExceeded, match="cancelled"):
+                server.conv2d(x, w, padding=1, timeout=0.05)
+            assert futures[0].cancelled()
+            assert server._budget.inflight() == 0
+
+
+class TestCloseRace:
+    def test_submit_racing_close_holds_nothing(self, door, rng):
+        """A submit that finds the queue already closed — the first step
+        close() takes — raises, keeps no in-flight unit and leaves every
+        counted request with exactly one outcome."""
+        x, w = tiny_problem(rng)
+        names = ("requests", "completed", "shed", "failed", "rejected")
+        before = {n: counters.total(f"serve.{n}") for n in names}
+        server = door(max_batch=8)
+        try:
+            server._queue.close()
+            with pytest.raises(RuntimeError, match="closed"):
+                server.submit(x, w, padding=1)
+            assert server._budget.inflight() == 0
+        finally:
+            server.close()
+        delta = {n: counters.total(f"serve.{n}") - before[n] for n in names}
+        assert delta["requests"] == (delta["completed"] + delta["shed"]
+                                     + delta["failed"] + delta["rejected"])
 
 
 # Outcome of one scripted request: its deadline (None = unbounded) —
