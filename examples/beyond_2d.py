@@ -13,11 +13,8 @@ Run:  python examples/beyond_2d.py
 
 import numpy as np
 
-from repro.core.ndim import (
-    conv1d_polyhankel,
-    conv3d_polyhankel,
-    convnd_naive,
-)
+from repro.baselines.naive import convnd_naive
+from repro.core.ndim import conv1d_polyhankel, conv3d_polyhankel
 
 rng = np.random.default_rng(3)
 

@@ -9,7 +9,7 @@ Run:  python examples/image_filtering.py
 
 import numpy as np
 
-from repro.baselines import conv2d_naive
+from repro.baselines import convnd_naive
 from repro.core import conv2d_single
 
 
@@ -64,7 +64,7 @@ def main() -> None:
     for name, kernel in filters.items():
         pad = kernel.shape[0] // 2
         out = conv2d_single(image, kernel, padding=pad)
-        ref = conv2d_naive(image[None, None], kernel[None, None],
+        ref = convnd_naive(image[None, None], kernel[None, None],
                            padding=pad)[0, 0]
         err = np.abs(out - ref).max()
         print(f"\n{name} (PolyHankel vs direct: max |diff| = {err:.2e}):")

@@ -3,12 +3,12 @@
 from repro.baselines.fft2d import conv2d_fft, irfft2, rfft2
 from repro.baselines.fft_tiling import conv2d_fft_tiling
 from repro.baselines.finegrain_fft import conv2d_finegrain_fft
-from repro.baselines.im2col_gemm import conv2d_im2col_gemm
+from repro.baselines.im2col_gemm import convnd_im2col_gemm
 from repro.baselines.implicit_gemm import (
     conv2d_implicit_gemm,
     conv2d_implicit_precomp_gemm,
 )
-from repro.baselines.naive import conv2d_naive
+from repro.baselines.naive import convnd_naive
 from repro.baselines.registry import (
     AlgorithmEntry,
     ConvAlgorithm,
@@ -31,8 +31,8 @@ __all__ = [
     "get_entry",
     "list_algorithms",
     "supports",
-    "conv2d_naive",
-    "conv2d_im2col_gemm",
+    "convnd_naive",
+    "convnd_im2col_gemm",
     "conv2d_implicit_gemm",
     "conv2d_implicit_precomp_gemm",
     "conv2d_fft",

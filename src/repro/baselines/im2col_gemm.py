@@ -3,41 +3,41 @@
 Materializes the unrolled patch matrix — the doubly blocked Hankel matrix of
 Sec. 2.1, with its full data redundancy — and hands the work to a dense
 matrix multiply.  This is the "high data redundancy, high operational
-efficiency" corner of the paper's design space.
+efficiency" corner of the paper's design space, and at ranks 1 and 3 the
+explicit lowered reference Vasudevan et al. describe.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.hankel.im2col_view import im2col_patches
+from repro.hankel.im2col_view import unroll_patches
 from repro.observe import span
 from repro.utils.shapes import ConvShape
-from repro.utils.validation import check_conv_inputs, ensure_array
+from repro.utils.validation import ensure_array
 
 
-def conv2d_im2col_gemm(x: np.ndarray, weight: np.ndarray, padding=0,
+def convnd_im2col_gemm(x: np.ndarray, weight: np.ndarray, padding=0,
                        stride: int | tuple = 1, dilation: int | tuple = 1,
                        groups: int = 1) -> np.ndarray:
-    """NCHW convolution via explicit im2col expansion and one GEMM.
+    """Convolution of an ``(n, c, *spatial)`` batch via explicit im2col
+    expansion and one GEMM.
 
     Patch columns are channel-major, so groups split them into contiguous
     blocks and the grouped product is one batched GEMM over the group axis.
     """
     x = ensure_array(x, "x", dtype=float)
     weight = ensure_array(weight, "weight", dtype=float)
-    check_conv_inputs(x, weight, padding, stride, dilation, groups)
     shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride,
                                    dilation, groups)
 
     with span("stage.im2col", bytes=x.nbytes) as im2col_span:
-        patches = im2col_patches(x, shape.kh, shape.kw, padding, stride,
-                                 dilation)               # (n, oh*ow, c*kh*kw)
+        patches = unroll_patches(x, shape)    # (n, prod(out), c*prod(k))
         im2col_span.add_attrs(workspace_bytes=patches.nbytes)
     with span("stage.gemm", bytes=patches.nbytes + weight.nbytes):
-        if groups == 1:
-            kernel_matrix = weight.reshape(shape.f, -1)  # (f, c*kh*kw)
-            out = patches @ kernel_matrix.T              # (n, oh*ow, f)
+        if shape.groups == 1:
+            kernel_matrix = weight.reshape(shape.f, -1)  # (f, c*prod(k))
+            out = patches @ kernel_matrix.T              # (n, prod(out), f)
             return out.transpose(0, 2, 1).reshape(shape.output_shape())
         g, f_per = shape.groups, shape.group_filters
         taps = shape.group_channels * shape.kernel_elems

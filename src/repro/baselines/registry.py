@@ -24,12 +24,12 @@ import numpy as np
 from repro.baselines.fft2d import conv2d_fft
 from repro.baselines.fft_tiling import conv2d_fft_tiling
 from repro.baselines.finegrain_fft import conv2d_finegrain_fft
-from repro.baselines.im2col_gemm import conv2d_im2col_gemm
+from repro.baselines.im2col_gemm import convnd_im2col_gemm
 from repro.baselines.implicit_gemm import (
     conv2d_implicit_gemm,
     conv2d_implicit_precomp_gemm,
 )
-from repro.baselines.naive import conv2d_naive
+from repro.baselines.naive import convnd_naive
 from repro.baselines.ndops import (
     conv_transpose2d_naive,
     conv_transpose2d_output_shape,
@@ -41,12 +41,7 @@ from repro.baselines.winograd import (
     conv2d_winograd,
     conv2d_winograd_nonfused,
 )
-from repro.core.multichannel import conv2d_polyhankel
-from repro.core.ndim import (
-    convnd_im2col_gemm,
-    convnd_naive,
-    convnd_polyhankel,
-)
+from repro.core.ndim import convnd_polyhankel
 from repro.core.overlap_save import conv2d_polyhankel_os
 from repro.hankel.im2col_view import pad2d
 from repro.utils.shapes import (
@@ -142,9 +137,10 @@ class AlgorithmEntry:
     subsample — so every registered algorithm either runs the extended
     space or rejects it explicitly through ``supports``.
 
-    ``fn_nd`` is the rank-generic implementation conv1d and conv3d run;
-    an algorithm without one runs conv1d lifted to a ``1 x L`` image and
-    cannot run conv3d.
+    ``any_rank=True`` means ``fn`` runs every spatial rank natively (and
+    is called directly for conv1d, conv2d and conv3d); any other
+    algorithm runs conv1d lifted to a ``1 x L`` image and cannot run
+    conv3d.
     """
 
     algorithm: ConvAlgorithm
@@ -152,7 +148,7 @@ class AlgorithmEntry:
     description: str
     supports: Callable[[ConvShape], bool]
     native: bool = False
-    fn_nd: Callable[..., np.ndarray] | None = None
+    any_rank: bool = False
 
 
 def _winograd_supported(shape: ConvShape) -> bool:
@@ -168,17 +164,16 @@ _ENTRIES: dict[ConvAlgorithm, AlgorithmEntry] = {}
 
 def _register(algorithm: ConvAlgorithm, fn, description: str,
               supports=lambda shape: True, native: bool = False,
-              fn_nd=None) -> None:
+              any_rank: bool = False) -> None:
     _ENTRIES[algorithm] = AlgorithmEntry(algorithm, fn, description,
-                                         supports, native, fn_nd)
+                                         supports, native, any_rank)
 
 
-_register(ConvAlgorithm.NAIVE, conv2d_naive,
+_register(ConvAlgorithm.NAIVE, convnd_naive,
           "direct definition-following convolution (reference)",
-          native=True, fn_nd=convnd_naive)
-_register(ConvAlgorithm.GEMM, conv2d_im2col_gemm,
-          "explicit im2col expansion + GEMM", native=True,
-          fn_nd=convnd_im2col_gemm)
+          native=True, any_rank=True)
+_register(ConvAlgorithm.GEMM, convnd_im2col_gemm,
+          "explicit im2col expansion + GEMM", native=True, any_rank=True)
 _register(ConvAlgorithm.IMPLICIT_GEMM, conv2d_implicit_gemm,
           "GEMM with the patch gather fused into the contraction",
           native=True)
@@ -196,9 +191,9 @@ _register(ConvAlgorithm.WINOGRAD_NONFUSED, conv2d_winograd_nonfused,
           _winograd_supported)
 _register(ConvAlgorithm.FINEGRAIN_FFT, conv2d_finegrain_fft,
           "Zhang & Li's per-row block-FFT method (PACT'20)")
-_register(ConvAlgorithm.POLYHANKEL, conv2d_polyhankel,
+_register(ConvAlgorithm.POLYHANKEL, convnd_polyhankel,
           "this paper: polynomial-multiplication convolution, one 1D FFT",
-          native=True, fn_nd=convnd_polyhankel)
+          native=True, any_rank=True)
 _register(ConvAlgorithm.POLYHANKEL_OS, conv2d_polyhankel_os,
           "PolyHankel executed with overlap-save batch streaming")
 
@@ -230,8 +225,7 @@ def _planar(shape: ConvShape) -> ConvShape | None:
 
 
 def _supported(entry: AlgorithmEntry, planar: ConvShape | None) -> bool:
-    return entry.fn_nd is not None if planar is None \
-        else entry.supports(planar)
+    return entry.any_rank if planar is None else entry.supports(planar)
 
 
 def supports(algorithm: ConvAlgorithm | str,
@@ -383,9 +377,9 @@ def convolve(x: np.ndarray, weight: np.ndarray,
     untouched; ``naive`` runs the scatter oracle instead).  Each op takes
     the full parameter space.  Native algorithms receive the parameters
     directly; legacy kernels are lowered (group split, explicit pre-pad,
-    kernel dilation, stride-1 + subsample).  conv1d and conv3d run the
-    algorithm's rank-generic engine; conv1d runs as a ``1 x L`` image on
-    an algorithm without one.  An
+    kernel dilation, stride-1 + subsample).  An any-rank algorithm runs
+    every forward op itself; any other runs conv2d planar and conv1d as a
+    ``1 x L`` image.  An
     algorithm whose ``supports`` predicate rejects the problem raises
     ``ValueError`` — mirroring cuDNN's NOT_SUPPORTED — e.g. Winograd with
     stride 2 or FFT on conv3d.  Engine *kwargs* (``workers``,
@@ -405,15 +399,15 @@ def convolve(x: np.ndarray, weight: np.ndarray,
             f"{tuple(w_shape)}, stride={stride}, dilation={dilation}, "
             f"groups={groups})"
         )
-    if op is ConvOp.CONV2D:
-        return _convolve_planar(entry, x, weight, planar, **kwargs)
-    if op is ConvOp.CONV1D and entry.fn_nd is None:
+    if op is not ConvOp.CONV_TRANSPOSE2D:
+        if entry.any_rank:
+            return entry.fn(x, weight, padding, stride, dilation, groups,
+                            **kwargs)
+        if op is ConvOp.CONV2D:
+            return _convolve_planar(entry, x, weight, planar, **kwargs)
         x4 = np.asarray(x, dtype=float)[:, :, None, :]
         w4 = np.asarray(weight, dtype=float)[:, :, None, :]
         return _convolve_planar(entry, x4, w4, planar, **kwargs)[:, :, 0]
-    if op is not ConvOp.CONV_TRANSPOSE2D:
-        return entry.fn_nd(x, weight, padding, stride, dilation, groups,
-                           **kwargs)
     if entry.algorithm is ConvAlgorithm.NAIVE:
         return conv_transpose2d_naive(x, weight, padding, stride, dilation,
                                       groups, output_padding, **kwargs)

@@ -170,7 +170,7 @@ def run_nd_case(case: NdBenchCase, repeats: int = 25) -> dict:
     """
     from repro.baselines.ndops import conv_transpose2d_naive
     from repro.baselines.registry import ConvOp, convolve, op_shape
-    from repro.core.ndim import convnd_naive
+    from repro.baselines.naive import convnd_naive
     from repro.nn import functional as F
     from repro.perfmodel.engine import predict_fft_counters, roofline_pct
 
@@ -349,7 +349,7 @@ def run_serve_case(preset: ServePreset, repeats: int = 5) -> dict:
 
 def _case_problem(case: BenchCase):
     """``(shape, x, w, naive reference output)`` of one suite case."""
-    from repro.baselines.naive import conv2d_naive
+    from repro.baselines.naive import convnd_naive
     from repro.utils.random import random_problem
     from repro.utils.shapes import ConvShape
 
@@ -358,7 +358,7 @@ def _case_problem(case: BenchCase):
                       padding=case.padding, stride=case.stride,
                       dilation=case.dilation, groups=case.groups)
     x, w = random_problem(shape)
-    want = conv2d_naive(x, w, padding=case.padding, stride=case.stride,
+    want = convnd_naive(x, w, padding=case.padding, stride=case.stride,
                         dilation=case.dilation, groups=case.groups)
     return shape, x, w, want
 

@@ -21,13 +21,11 @@ Because the degree map is rank-generic, so is the engine: every rank runs
 :class:`repro.core.multichannel.PolyHankelPlan` on a :class:`ConvShape`,
 with the same bounded plan cache, content-checked spectrum cache, FFT
 policy, spectrum pipeline and ``workers`` batch split as conv2d.  The
-functions here are thin rank checks over that one plan path, plus the
-direct N-D references the tests referee it with.
+functions here are thin rank checks over that one plan path; the direct
+references the tests referee it with live in :mod:`repro.baselines`.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -103,73 +101,3 @@ def conv3d_polyhankel(x: np.ndarray, weight: np.ndarray, padding=0,
     require(x.ndim == 5, "conv3d input must be (n, c, d, h, w)")
     return convnd_polyhankel(x, weight, padding, stride, dilation, groups,
                              **kwargs)
-
-
-def convnd_naive(x: np.ndarray, weight: np.ndarray, padding=0,
-                 stride=1, dilation=1, groups: int = 1) -> np.ndarray:
-    """Direct d-dimensional reference (for testing the fast path)."""
-    x = ensure_array(x, "x", dtype=float)
-    weight = ensure_array(weight, "weight", dtype=float)
-    shape = ConvShape.from_tensors(x.shape, weight.shape, padding,
-                                   stride, dilation, groups)
-    xp = np.pad(x, [(0, 0), (0, 0)] + list(shape.pad_pairs))
-    stride_nd, dilation_nd = shape.stride_nd, shape.dilation_nd
-    eff = shape.eff_kernel
-    out_extents = shape.out_extents
-    c_per, f_per = shape.group_channels, shape.group_filters
-    out = np.zeros((shape.n, shape.f, *out_extents))
-    flat_weight = weight.reshape(shape.f, -1)
-    for idx in itertools.product(*[range(o) for o in out_extents]):
-        window = tuple(
-            slice(i * s, i * s + e, d)
-            for i, s, e, d in zip(idx, stride_nd, eff, dilation_nd)
-        )
-        patch = xp[(slice(None), slice(None)) + window]
-        for g in range(shape.groups):
-            flat_patch = patch[:, g * c_per:(g + 1) * c_per].reshape(
-                shape.n, -1)
-            filters = slice(g * f_per, (g + 1) * f_per)
-            # einsum, not a BLAS product: its sum for one image does not
-            # depend on how many images ride along (batch invariance).
-            out[(slice(None), filters) + idx] = np.einsum(
-                "nk,fk->nf", flat_patch, flat_weight[filters])
-    return out
-
-
-def convnd_im2col_gemm(x: np.ndarray, weight: np.ndarray, padding=0,
-                       stride=1, dilation=1, groups: int = 1) -> np.ndarray:
-    """Explicit N-D im2col + GEMM (the Vasudevan-style lowered reference).
-
-    Patches are gathered with ``sliding_window_view`` (dilation becomes a
-    per-axis window step, stride a per-axis subsample), flattened to the
-    classic ``(patch, c_per * prod(K))`` matrix and contracted against the
-    flattened weights — one GEMM per group.
-    """
-    x = ensure_array(x, "x", dtype=float)
-    weight = ensure_array(weight, "weight", dtype=float)
-    shape = ConvShape.from_tensors(x.shape, weight.shape, padding,
-                                   stride, dilation, groups)
-    ndim = shape.ndim
-    xp = np.pad(x, [(0, 0), (0, 0)] + list(shape.pad_pairs))
-    windows = np.lib.stride_tricks.sliding_window_view(
-        xp, shape.eff_kernel, axis=tuple(range(2, 2 + ndim)))
-    # (n, c, *valid, *eff_k) -> subsample outputs by stride, taps by
-    # dilation.
-    sel = ((slice(None), slice(None))
-           + tuple(slice(None, None, s) for s in shape.stride_nd)
-           + tuple(slice(None, None, d) for d in shape.dilation_nd))
-    windows = windows[sel]                  # (n, c, *out, *k)
-    n = shape.n
-    c_per, f_per = shape.group_channels, shape.group_filters
-    out_extents = shape.out_extents
-    # Move channels next to the kernel taps: (n, *out, c, *k).
-    windows = np.moveaxis(windows, 1, 1 + ndim)
-    cols = windows.reshape(n, *out_extents, shape.c, shape.kernel_elems)
-    outs = []
-    for g in range(shape.groups):
-        block = cols[..., g * c_per:(g + 1) * c_per, :].reshape(
-            n, *out_extents, c_per * shape.kernel_elems)
-        w_flat = weight[g * f_per:(g + 1) * f_per].reshape(f_per, -1)
-        outs.append(block @ w_flat.T)       # (n, *out, f_per)
-    stacked = np.concatenate(outs, axis=-1)  # (n, *out, f)
-    return np.moveaxis(stacked, -1, 1)

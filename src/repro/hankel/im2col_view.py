@@ -1,6 +1,7 @@
 """im2col, both as a materialized matrix and as a structured Hankel view.
 
-``im2col_patches`` is the production routine the GEMM baselines use.
+``unroll_patches`` is the production routine the GEMM baseline uses, at
+every spatial rank; ``im2col_patches`` is its rank-2 spelling.
 ``im2col_hankel_view`` returns the same matrix as a
 :class:`~repro.hankel.matrix.DoublyBlockedHankel` without materializing it —
 the structure the paper's polynomial construction is derived from
@@ -12,8 +13,25 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hankel.matrix import DoublyBlockedHankel
-from repro.utils.shapes import conv_output_size
+from repro.utils.shapes import ConvShape, conv_output_size
 from repro.utils.validation import ensure_array, require
+
+
+def pad_spatial(x: np.ndarray, pad_pairs) -> np.ndarray:
+    """Zero-pad the trailing ``len(pad_pairs)`` (spatial) axes, each by its
+    ``(lo, hi)`` pair."""
+    if not any(lo or hi for lo, hi in pad_pairs):
+        return x
+    # Allocate-and-assign is several times faster than np.pad on the hot
+    # per-call path (np.pad builds its pad spec in Python per axis).
+    spatial = x.shape[x.ndim - len(pad_pairs):]
+    out = np.zeros(x.shape[:x.ndim - len(pad_pairs)]
+                   + tuple(e + lo + hi
+                           for e, (lo, hi) in zip(spatial, pad_pairs)),
+                   dtype=x.dtype)
+    out[(Ellipsis,) + tuple(slice(lo, lo + e)
+                            for e, (lo, _) in zip(spatial, pad_pairs))] = x
+    return out
 
 
 def pad2d(x: np.ndarray, padding) -> np.ndarray:
@@ -26,47 +44,44 @@ def pad2d(x: np.ndarray, padding) -> np.ndarray:
         pt = pb = pl = pr = padding
     else:
         pt, pb, pl, pr = padding
-    if not (pt or pb or pl or pr):
-        return x
-    # Allocate-and-assign is several times faster than np.pad on the hot
-    # per-call path (np.pad builds its pad spec in Python per axis).
-    h, w = x.shape[-2], x.shape[-1]
-    out = np.zeros(x.shape[:-2] + (h + pt + pb, w + pl + pr), dtype=x.dtype)
-    out[..., pt:pt + h, pl:pl + w] = x
-    return out
+    return pad_spatial(x, ((pt, pb), (pl, pr)))
+
+
+def unroll_patches(x: np.ndarray, shape: ConvShape) -> np.ndarray:
+    """Unroll the sliding patches of an ``(n, c, *spatial)`` tensor.
+
+    Returns an array of shape ``(n, prod(out_extents), c * prod(kernel))``:
+    one row per kernel position, matching the row layout of Eq. 1 / the
+    column layout of Fig. 1 in the paper (we keep patches as rows so the
+    GEMM is a plain ``patches @ weights.T``).  Columns are channel-major.
+    Dilation subsamples the taps inside each (effective-extent) window;
+    stride subsamples the window positions.
+    """
+    d = shape.ndim
+    xp = pad_spatial(x, shape.pad_pairs)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        xp, shape.eff_kernel, axis=tuple(range(2, 2 + d))
+    )  # (n, c, *valid, *eff_kernel)
+    windows = windows[(slice(None), slice(None))
+                      + tuple(slice(None, None, s) for s in shape.stride_nd)
+                      + tuple(slice(None, None, r) for r in shape.dilation_nd)]
+    # (n, *out, c, *kernel) -> (n, prod(out), c * prod(kernel))
+    patches = windows.transpose(0, *range(2, 2 + d), 1,
+                                *range(2 + d, 2 + 2 * d))
+    return patches.reshape(shape.n, shape.output_elems,
+                           shape.c * shape.kernel_elems)
 
 
 def im2col_patches(x: np.ndarray, kh: int, kw: int, padding=0,
                    stride: int | tuple = 1,
                    dilation: int | tuple = 1) -> np.ndarray:
-    """Unroll sliding patches of an NCHW tensor.
-
-    Returns an array of shape ``(n, oh * ow, c * kh * kw)``: one row per
-    kernel position, matching the row layout of Eq. 1 / the column layout of
-    Fig. 1 in the paper (we keep patches as rows so the GEMM is a plain
-    ``patches @ weights.T``).  Dilation subsamples the taps inside each
-    (effective-extent) window; stride subsamples the window positions.
-    """
-    from repro.utils.shapes import normalize_padding_nd, normalize_tuple
-
+    """:func:`unroll_patches` of an NCHW tensor: ``(n, oh * ow, c * kh *
+    kw)``."""
     x = ensure_array(x, "x", ndim=4)
     n, c, ih, iw = x.shape
-    sh, sw = normalize_tuple(stride, 2, "stride")
-    dh, dw = normalize_tuple(dilation, 2, "dilation")
-    (pt, pb), (pl, pr) = normalize_padding_nd(padding, (ih, iw), (kh, kw),
-                                              (sh, sw), (dh, dw))
-    oh = conv_output_size(ih, kh, (pt, pb), sh, dh)
-    ow = conv_output_size(iw, kw, (pl, pr), sw, dw)
-    eff_kh = dh * (kh - 1) + 1
-    eff_kw = dw * (kw - 1) + 1
-    xp = pad2d(x, (pt, pb, pl, pr))
-    windows = np.lib.stride_tricks.sliding_window_view(
-        xp, (eff_kh, eff_kw), axis=(2, 3)
-    )  # (n, c, ph-eff_kh+1, pw-eff_kw+1, eff_kh, eff_kw)
-    windows = windows[:, :, ::sh, ::sw, ::dh, ::dw]
-    # (n, oh, ow, c, kh, kw) -> (n, oh*ow, c*kh*kw)
-    patches = windows.transpose(0, 2, 3, 1, 4, 5)
-    return patches.reshape(n, oh * ow, c * kh * kw)
+    return unroll_patches(x, ConvShape((ih, iw), (kh, kw), n=n, c=c,
+                                       padding=padding, stride=stride,
+                                       dilation=dilation))
 
 
 def im2col_hankel_view(image: np.ndarray, kh: int, kw: int,

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.baselines.registry import ConvAlgorithm, convolve, get_entry
 from repro.core.multichannel import get_plan
+from repro.hankel.im2col_view import pad_spatial
 from repro.utils.shapes import ConvShape, normalize_tuple
 from repro.utils.validation import ensure_array
 
@@ -119,8 +120,7 @@ def convnd_backward_input(grad_out: np.ndarray, weight: np.ndarray,
     # Stride-dilate the gradient, then full-pad by (eff_k - 1) for the
     # transposed correlation.
     g = dilate_spatial(grad_out, shape.stride_nd)
-    g = np.pad(g, [(0, 0), (0, 0)]
-               + [(ek - 1, ek - 1) for ek in shape.eff_kernel])
+    g = pad_spatial(g, [(ek - 1, ek - 1) for ek in shape.eff_kernel])
     # Flip the kernel spatially and swap its filter/channel roles within
     # each group: backward group gi maps f_per gradient channels onto
     # c_per input channels.
@@ -172,7 +172,7 @@ def convnd_backward_weight(grad_out: np.ndarray, x: np.ndarray,
     if _spectral(algorithm):
         return get_plan(shape).adjoint(grad_out, x=x)[1]
     f_per, c_per = shape.group_filters, shape.group_channels
-    xp = np.pad(x, [(0, 0), (0, 0)] + list(shape.pad_pairs))
+    xp = pad_spatial(x, shape.pad_pairs)
     g = dilate_spatial(grad_out, shape.stride_nd)
     # The dilated gradient may be shorter than the padded input allows;
     # crop the input so the "valid" correlation yields exactly

@@ -67,10 +67,10 @@ def _runner(case, x, w):
         return (lambda: plan.execute(x, w_hat, check=False),
                 lambda: plan.transform_weight(w))
     if case.algorithm == "gemm":
-        from repro.baselines.im2col_gemm import conv2d_im2col_gemm
+        from repro.baselines.im2col_gemm import convnd_im2col_gemm
 
         def call():
-            return conv2d_im2col_gemm(
+            return convnd_im2col_gemm(
                 x, w, padding=case.padding, stride=case.stride,
                 dilation=case.dilation, groups=case.groups)
         return call, None

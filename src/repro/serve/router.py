@@ -191,9 +191,9 @@ class ClusterServer(_FrontDoor):
         #: fault order); the reader resolves it with the reply message.
         self._replies: dict[int, Future] = {}
         self._token_ids = itertools.count(1)
-        #: fingerprint -> weakref of each shipped array (see
-        #: _forget_tensor).
-        self._watched: dict[tuple, weakref.ref] = {}
+        #: fingerprint -> (weakref, content snapshot) of each shipped
+        #: array (see _tensor_fingerprint and _forget_tensor).
+        self._watched: dict[tuple, tuple] = {}
         #: Set once close() has drained: replicas are being stopped.
         self._stopped = False
         self._respawn_wanted = threading.Event()
@@ -490,8 +490,14 @@ class ClusterServer(_FrontDoor):
         # id() is stable while the request pins the array (ConvRequest
         # holds strong references); once the array is collected,
         # _forget_tensor drops the fingerprint so a later array at the
-        # same id is shipped afresh.
-        return (kind, id(array), array.shape, str(array.dtype))
+        # same id is shipped afresh.  An array whose content no longer
+        # matches what was shipped (an in-place update) is forgotten the
+        # same way, so every replica is sent the new content.
+        fp = (kind, id(array), array.shape, str(array.dtype))
+        watched = self._watched.get(fp)
+        if watched is not None and not np.array_equal(watched[1], array):
+            self._forget_tensor(fp)
+        return fp
 
     def _forget_tensor(self, fp: tuple, _ref=None) -> None:
         """Weakref callback: the array behind *fp* was collected."""
@@ -524,8 +530,10 @@ class ClusterServer(_FrontDoor):
             raise
         replica.shipped.add(fp)
         if fp not in self._watched:
-            self._watched[fp] = weakref.ref(
-                array, functools.partial(self._forget_tensor, fp))
+            self._watched[fp] = (
+                weakref.ref(array, functools.partial(self._forget_tensor,
+                                                     fp)),
+                np.array(array))
         counters.add("serve.cluster.tensor_ships", replica=replica.id)
 
     def _plan_spec(self, key: CoalesceKey, x: np.ndarray,
@@ -630,60 +638,63 @@ class ClusterServer(_FrontDoor):
             except (EOFError, OSError):
                 self._on_replica_death(replica, generation)
                 return
-            kind = msg["kind"]
-            if kind == "done":
-                with self._lock:
-                    dispatch = replica.inflight.pop(msg["req"], None)
-                if dispatch is None:
-                    continue  # answered by a retry on another replica
-                self._complete(replica, dispatch, msg["seq"])
-            elif kind == "error":
-                with self._lock:
-                    dispatch = replica.inflight.pop(msg["req"], None)
-                if dispatch is None:
-                    continue
-                counters.add("serve.cluster.worker_errors",
-                             replica=replica.id)
-                dispatch.attempts += 1
-                if dispatch.attempts > self.max_retries:
-                    dispatch.fail(RuntimeError(
-                        f"cluster worker {replica.id} failed: "
-                        f"{msg['error']}"))
-                    self._release_dispatch_slots(dispatch)
-                    self._notify_drained()
-                else:
-                    self._route(dispatch,
-                                exclude=frozenset({replica.id}))
-            elif kind == "shed":
-                # The worker found every rider's deadline already past
-                # and declined to execute; resolve the riders typed and
-                # free the slot pair.
-                with self._lock:
-                    dispatch = replica.inflight.pop(msg["req"], None)
-                if dispatch is None:
-                    continue
-                counters.add("serve.cluster.worker_sheds",
-                             replica=replica.id)
-                for request in dispatch.requests:
-                    shed_request(request, DeadlineExceeded(
-                        "request deadline exceeded before cluster "
-                        "execution (shed by the worker)"))
+            # One call per message: the dispatch a message completes
+            # must not outlive it as a local of this loop, which waits in
+            # recv until the replica next speaks.
+            self._on_message(replica, msg)
+
+    def _on_message(self, replica: _Replica, msg: dict) -> None:
+        """Act on one message from *replica*'s worker."""
+        kind = msg["kind"]
+        if kind == "done":
+            with self._lock:
+                dispatch = replica.inflight.pop(msg["req"], None)
+            if dispatch is None:
+                return  # answered by a retry on another replica
+            self._complete(replica, dispatch, msg["seq"])
+        elif kind == "error":
+            with self._lock:
+                dispatch = replica.inflight.pop(msg["req"], None)
+            if dispatch is None:
+                return
+            counters.add("serve.cluster.worker_errors", replica=replica.id)
+            dispatch.attempts += 1
+            if dispatch.attempts > self.max_retries:
+                dispatch.fail(RuntimeError(
+                    f"cluster worker {replica.id} failed: "
+                    f"{msg['error']}"))
                 self._release_dispatch_slots(dispatch)
                 self._notify_drained()
-            elif kind in ("tensor_ok", "tensor_err"):
-                with self._lock:
-                    slot = replica.pending_tensor_slots.pop(
-                        msg["slot"], None)
-                if slot is not None:
-                    self._alloc.release(slot)
-                if kind == "tensor_err":
-                    replica.shipped.discard(msg["fp"])
-            elif kind in ("pong", "stats", "fault_ok", "fault_err"):
-                if kind == "stats":
-                    counters.merge_rows(f"replica{replica.id}", msg["rows"])
-                reply = self._replies.pop(msg["token"], None)
-                if reply is not None:
-                    reply.set_result(msg)
+            else:
+                self._route(dispatch, exclude=frozenset({replica.id}))
+        elif kind == "shed":
+            # The worker found every rider's deadline already past and
+            # declined to execute; resolve the riders typed and free the
+            # slot pair.
+            with self._lock:
+                dispatch = replica.inflight.pop(msg["req"], None)
+            if dispatch is None:
+                return
+            counters.add("serve.cluster.worker_sheds", replica=replica.id)
+            for request in dispatch.requests:
+                shed_request(request, DeadlineExceeded(
+                    "request deadline exceeded before cluster "
+                    "execution (shed by the worker)"))
+            self._release_dispatch_slots(dispatch)
+            self._notify_drained()
+        elif kind in ("tensor_ok", "tensor_err"):
+            with self._lock:
+                slot = replica.pending_tensor_slots.pop(msg["slot"], None)
+            if slot is not None:
+                self._alloc.release(slot)
+            if kind == "tensor_err":
+                replica.shipped.discard(msg["fp"])
+        elif kind in ("pong", "stats", "fault_ok", "fault_err"):
+            if kind == "stats":
+                counters.merge_rows(f"replica{replica.id}", msg["rows"])
+            reply = self._replies.pop(msg["token"], None)
+            if reply is not None:
+                reply.set_result(msg)
 
     def _complete(self, replica: _Replica, dispatch: _Dispatch,
                   out_seq: int) -> None:

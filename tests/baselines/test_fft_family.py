@@ -6,7 +6,7 @@ import pytest
 from repro.baselines.fft2d import conv2d_fft, irfft2, rfft2
 from repro.baselines.fft_tiling import conv2d_fft_tiling
 from repro.baselines.finegrain_fft import conv2d_finegrain_fft
-from repro.baselines.naive import conv2d_naive
+from repro.baselines.naive import convnd_naive
 
 CASES = [
     (1, 1, 1, 5, 5, 3, 3, 0, 1),
@@ -41,7 +41,7 @@ def test_fft2d_matches_naive(rng, case):
     x = rng.standard_normal((n, c, ih, iw))
     w = rng.standard_normal((f, c, kh, kw))
     np.testing.assert_allclose(conv2d_fft(x, w, padding=p, stride=s),
-                               conv2d_naive(x, w, p, s), atol=1e-8)
+                               convnd_naive(x, w, p, s), atol=1e-8)
 
 
 @pytest.mark.parametrize("policy", ["pow2", "smooth7"])
@@ -49,7 +49,7 @@ def test_fft2d_policies(rng, policy):
     x = rng.standard_normal((1, 2, 9, 9))
     w = rng.standard_normal((2, 2, 3, 3))
     np.testing.assert_allclose(conv2d_fft(x, w, fft_policy=policy),
-                               conv2d_naive(x, w), atol=1e-8)
+                               convnd_naive(x, w), atol=1e-8)
 
 
 class TestFftTiling:
@@ -60,14 +60,14 @@ class TestFftTiling:
         w = rng.standard_normal((f, c, kh, kw))
         np.testing.assert_allclose(
             conv2d_fft_tiling(x, w, padding=p, stride=s),
-            conv2d_naive(x, w, p, s), atol=1e-8)
+            convnd_naive(x, w, p, s), atol=1e-8)
 
     @pytest.mark.parametrize("tile", [1, 3, 4, 7, 32])
     def test_tile_sizes_including_non_dividing(self, rng, tile):
         x = rng.standard_normal((1, 1, 10, 11))
         w = rng.standard_normal((1, 1, 3, 3))
         np.testing.assert_allclose(conv2d_fft_tiling(x, w, tile=tile),
-                                   conv2d_naive(x, w), atol=1e-8)
+                                   convnd_naive(x, w), atol=1e-8)
 
     def test_invalid_tile(self, rng):
         with pytest.raises(ValueError, match="tile"):
@@ -82,11 +82,11 @@ def test_finegrain_matches_naive(rng, case):
     w = rng.standard_normal((f, c, kh, kw))
     np.testing.assert_allclose(
         conv2d_finegrain_fft(x, w, padding=p, stride=s),
-        conv2d_naive(x, w, p, s), atol=1e-8)
+        convnd_naive(x, w, p, s), atol=1e-8)
 
 
 def test_finegrain_builtin_backend(rng):
     x = rng.standard_normal((1, 1, 6, 6))
     w = rng.standard_normal((1, 1, 3, 3))
     np.testing.assert_allclose(conv2d_finegrain_fft(x, w, backend="builtin"),
-                               conv2d_naive(x, w), atol=1e-8)
+                               convnd_naive(x, w), atol=1e-8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.im2col_gemm import (
-    conv2d_im2col_gemm,
+    convnd_im2col_gemm,
     im2col_workspace_elems,
 )
 from repro.baselines.implicit_gemm import (
@@ -13,7 +13,7 @@ from repro.baselines.implicit_gemm import (
     conv2d_implicit_precomp_gemm,
     precomputed_offsets,
 )
-from repro.baselines.naive import conv2d_naive
+from repro.baselines.naive import convnd_naive
 from repro.utils.shapes import ConvShape
 
 CASES = [
@@ -27,14 +27,16 @@ CASES = [
 
 
 @pytest.mark.parametrize("case", CASES)
-@pytest.mark.parametrize("impl", [conv2d_im2col_gemm, conv2d_implicit_gemm,
-                                  conv2d_implicit_precomp_gemm])
+@pytest.mark.parametrize("impl", [
+    # The GEMM runs every rank; this grid pins its conv2d.
+    pytest.param(convnd_im2col_gemm, id="conv2d_im2col_gemm"),
+    conv2d_implicit_gemm, conv2d_implicit_precomp_gemm])
 def test_matches_naive(rng, case, impl):
     n, c, f, ih, iw, kh, kw, p, s = case
     x = rng.standard_normal((n, c, ih, iw))
     w = rng.standard_normal((f, c, kh, kw))
     np.testing.assert_allclose(impl(x, w, padding=p, stride=s),
-                               conv2d_naive(x, w, p, s), atol=1e-9)
+                               convnd_naive(x, w, p, s), atol=1e-9)
 
 
 class TestWorkspace:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.naive import conv2d_naive
+from repro.baselines.naive import convnd_naive
 from tests.conftest import naive_conv2d_reference
 
 
@@ -17,7 +17,7 @@ def test_matches_independent_reference(rng, case):
     n, c, f, ih, iw, kh, kw, p, s = case
     x = rng.standard_normal((n, c, ih, iw))
     w = rng.standard_normal((f, c, kh, kw))
-    np.testing.assert_allclose(conv2d_naive(x, w, p, s),
+    np.testing.assert_allclose(convnd_naive(x, w, p, s),
                                naive_conv2d_reference(x, w, p, s),
                                atol=1e-10)
 
@@ -26,7 +26,7 @@ def test_identity_kernel(rng):
     x = rng.standard_normal((1, 1, 5, 5))
     w = np.zeros((1, 1, 3, 3))
     w[0, 0, 1, 1] = 1.0
-    np.testing.assert_allclose(conv2d_naive(x, w, padding=1), x, atol=1e-12)
+    np.testing.assert_allclose(convnd_naive(x, w, padding=1), x, atol=1e-12)
 
 
 def test_is_cross_correlation_not_flipped(rng):
@@ -34,11 +34,11 @@ def test_is_cross_correlation_not_flipped(rng):
     x = np.zeros((1, 1, 3, 3))
     x[0, 0, 0, 0] = 1.0
     w = np.arange(4.0).reshape(1, 1, 2, 2)
-    out = conv2d_naive(x, w)
+    out = convnd_naive(x, w)
     assert out[0, 0, 0, 0] == w[0, 0, 0, 0]
 
 
 def test_validates_inputs(rng):
     with pytest.raises(ValueError):
-        conv2d_naive(rng.standard_normal((1, 1, 3, 3)),
+        convnd_naive(rng.standard_normal((1, 1, 3, 3)),
                      rng.standard_normal((1, 2, 2, 2)))

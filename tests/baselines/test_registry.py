@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.naive import conv2d_naive
+from repro.baselines.naive import convnd_naive
 from repro.baselines.registry import (
     ConvAlgorithm,
     convolve,
@@ -59,7 +59,7 @@ class TestConvolve:
         x = rng.standard_normal((1, 2, 6, 6))
         w = rng.standard_normal((2, 2, 3, 3))
         got = convolve(x, w, algorithm="fft", padding=1)
-        np.testing.assert_allclose(got, conv2d_naive(x, w, 1), atol=1e-8)
+        np.testing.assert_allclose(got, convnd_naive(x, w, 1), atol=1e-8)
 
     def test_unsupported_shape_raises(self, rng):
         x = rng.standard_normal((1, 1, 9, 9))
@@ -71,13 +71,13 @@ class TestConvolve:
         x = rng.standard_normal((1, 1, 6, 6))
         w = rng.standard_normal((1, 1, 3, 3))
         got = convolve(x, w, algorithm="polyhankel", fft_policy="smooth7")
-        np.testing.assert_allclose(got, conv2d_naive(x, w), atol=1e-8)
+        np.testing.assert_allclose(got, convnd_naive(x, w), atol=1e-8)
 
     def test_every_capable_algorithm_agrees(self, rng):
         x = rng.standard_normal((2, 2, 8, 8))
         w = rng.standard_normal((3, 2, 3, 3))
         shape = ConvShape.from_tensors(x.shape, w.shape, 1, 1)
-        ref = conv2d_naive(x, w, 1)
+        ref = convnd_naive(x, w, 1)
         for algo in list_algorithms():
             if supports(algo, shape):
                 got = convolve(x, w, algorithm=algo, padding=1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.naive import conv2d_naive
+from repro.baselines.naive import convnd_naive
 from repro.baselines.winograd import (
     MAX_ALPHA,
     conv2d_winograd,
@@ -89,7 +89,7 @@ def test_conv2d_matches_naive(rng, case, variant):
     x = rng.standard_normal((n, c, ih, iw))
     w = rng.standard_normal((f, c, kh, kw))
     got = conv2d_winograd(x, w, padding=p, variant=variant)
-    np.testing.assert_allclose(got, conv2d_naive(x, w, p), atol=1e-7)
+    np.testing.assert_allclose(got, convnd_naive(x, w, p), atol=1e-7)
 
 
 def test_variants_identical(rng):
@@ -105,7 +105,7 @@ def test_tile_sizes(rng, m):
     x = rng.standard_normal((1, 1, 11, 11))
     w = rng.standard_normal((1, 1, 3, 3))
     np.testing.assert_allclose(conv2d_winograd(x, w, m=m),
-                               conv2d_naive(x, w), atol=1e-7)
+                               convnd_naive(x, w), atol=1e-7)
 
 
 def test_output_not_multiple_of_tile(rng):
@@ -113,7 +113,7 @@ def test_output_not_multiple_of_tile(rng):
     x = rng.standard_normal((1, 1, 7, 7))
     w = rng.standard_normal((1, 1, 3, 3))
     np.testing.assert_allclose(conv2d_winograd(x, w, m=2),
-                               conv2d_naive(x, w), atol=1e-8)
+                               convnd_naive(x, w), atol=1e-8)
 
 
 def test_stride_rejected(rng):

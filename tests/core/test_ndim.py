@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.baselines.naive import convnd_naive
 from repro.core.ndim import (
     conv1d_polyhankel,
     conv3d_polyhankel,
-    convnd_naive,
     convnd_polyhankel,
     kernel_polynomial_nd,
     max_kernel_degree_nd,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.naive import conv2d_naive
+from repro.baselines.naive import convnd_naive
 from repro.baselines.registry import ConvAlgorithm, convolve, fallback_chain
 from repro.guard import faults
 from repro.guard.chain import (
@@ -31,7 +31,7 @@ def _clean_guard():
 def problem():
     shape = ConvShape((12, 12), (3, 3), n=2, c=3, f=4, padding=1)
     x, w = random_problem(shape, seed=0)
-    ref = conv2d_naive(x, w, padding=1)
+    ref = convnd_naive(x, w, padding=1)
     return x, w, ref
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.naive import conv2d_naive
+from repro.baselines.naive import convnd_naive
 from repro.guard.sentinel import (
     DEGRADED, FAILED, HEALTHY, SUSPECT, calibrate_ulp_constant, classify,
     output_magnitude_bound, predicted_error_bound,
@@ -29,7 +29,7 @@ class TestMagnitudeBound:
 
     def test_is_a_hard_bound_on_exact_outputs(self, problem):
         shape, x, w = problem
-        out = conv2d_naive(x, w, padding=shape.padding)
+        out = convnd_naive(x, w, padding=shape.padding)
         assert float(np.max(np.abs(out))) <= output_magnitude_bound(x, w)
 
     def test_empty_inputs(self):
@@ -59,7 +59,7 @@ class TestPredictedErrorBound:
 class TestClassify:
     def test_healthy_on_real_engine_output(self, problem):
         shape, x, w = problem
-        out = conv2d_naive(x, w, padding=shape.padding)
+        out = convnd_naive(x, w, padding=shape.padding)
         verdict = classify(out, x, w, shape.poly_product_len)
         assert verdict.status == HEALTHY
         assert verdict.healthy and verdict.ok
@@ -67,7 +67,7 @@ class TestClassify:
 
     def test_suspect_on_magnitude_blowup(self, problem):
         shape, x, w = problem
-        out = conv2d_naive(x, w, padding=shape.padding) * 1e12
+        out = convnd_naive(x, w, padding=shape.padding) * 1e12
         verdict = classify(out, x, w, shape.poly_product_len)
         assert verdict.status == SUSPECT
         assert not verdict.ok
@@ -75,7 +75,7 @@ class TestClassify:
 
     def test_failed_on_nonfinite_output_from_finite_inputs(self, problem):
         shape, x, w = problem
-        out = conv2d_naive(x, w, padding=shape.padding)
+        out = convnd_naive(x, w, padding=shape.padding)
         out[0, 0, 0, 0] = np.nan
         verdict = classify(out, x, w, shape.poly_product_len)
         assert verdict.status == FAILED
@@ -96,7 +96,7 @@ class TestClassify:
         # to B, so any excess must trip.
         x = np.ones((1, 2, 6, 6))
         w = np.ones((3, 2, 3, 3))
-        out = conv2d_naive(x, w, padding=0)
+        out = convnd_naive(x, w, padding=0)
         cfg = GuardConfig(ulp_constant=0.0, magnitude_slack=0.0)
         assert classify(out, x, w, 64, cfg).status == HEALTHY
         verdict = classify(out * (1.0 + 1e-9), x, w, 64, cfg)

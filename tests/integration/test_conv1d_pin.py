@@ -3,7 +3,9 @@
 A length-L sequence is a ``1 x L`` image: the degree map, FFT size,
 spectrum pipeline and gather are the same numbers either way, so the
 PolyHankel conv1d must be ``np.array_equal`` to the conv2d call on the
-singleton-height lift — for every channel strategy and FFT policy.
+singleton-height lift — for every channel strategy and FFT policy.  The
+other any-rank algorithms, naive and GEMM, unroll the same taps in the
+same order at either rank, so they are pinned the same way.
 """
 
 import itertools
@@ -14,15 +16,21 @@ import pytest
 from repro.nn import functional as F
 from repro.utils.shapes import ConvShape
 
-#: The sum-strategy ids keep the names of the spectrum layouts the engine
-#: once offered; every sum case now runs the one pipeline, each under a
-#: different FFT policy.
+#: One entry per algorithm route: PolyHankel under each channel strategy
+#: and FFT policy, then naive and GEMM.  The sum-strategy ids keep the
+#: names of the spectrum layouts the engine once offered; every sum case
+#: now runs the one pipeline, each under a different FFT policy.
 ENGINE = [
-    pytest.param(dict(strategy="sum", fft_policy="pow2"), id="sum-planar"),
-    pytest.param(dict(strategy="sum", fft_policy="exact"),
-                 id="sum-interleaved"),
-    pytest.param(dict(strategy="sum", fft_policy="auto"), id="sum-auto"),
-    pytest.param(dict(strategy="merge"), id="merge"),
+    pytest.param(dict(algorithm="polyhankel", strategy="sum",
+                      fft_policy="pow2"), id="sum-planar"),
+    pytest.param(dict(algorithm="polyhankel", strategy="sum",
+                      fft_policy="exact"), id="sum-interleaved"),
+    pytest.param(dict(algorithm="polyhankel", strategy="sum",
+                      fft_policy="auto"), id="sum-auto"),
+    pytest.param(dict(algorithm="polyhankel", strategy="merge"),
+                 id="merge"),
+    pytest.param(dict(algorithm="naive"), id="naive"),
+    pytest.param(dict(algorithm="gemm"), id="gemm"),
 ]
 
 PARAMS = [
@@ -42,9 +50,9 @@ def test_conv1d_is_the_lifted_conv2d(engine, params):
     w = rng.standard_normal((6, 4 // g, 3))
     (lo, hi), = ConvShape.from_tensors(x.shape, w.shape,
                                        **params).pad_pairs
-    got = F.conv1d(x, w, algorithm="polyhankel", **engine, **params)
+    got = F.conv1d(x, w, **engine, **params)
     want = F.conv2d(x[:, :, None, :], w[:, :, None, :],
-                    algorithm="polyhankel", padding=(0, 0, lo, hi),
+                    padding=(0, 0, lo, hi),
                     stride=(1, params["stride"]),
                     dilation=(1, params["dilation"]), groups=g,
                     **engine)[:, :, 0]

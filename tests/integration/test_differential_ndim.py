@@ -82,7 +82,7 @@ GRID_T2D = [
 GRID_BUDGET = 120
 
 #: The algorithms registered with a rank-generic engine (conv3d's table).
-CONV3D_ALGORITHMS = [a for a in list_algorithms() if get_entry(a).fn_nd]
+CONV3D_ALGORITHMS = [a for a in list_algorithms() if get_entry(a).any_rank]
 
 
 def _skip_unsupported(op, algorithm, x_shape, w_shape, **params):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.naive import conv2d_naive
+from repro.baselines.naive import convnd_naive
 from repro.baselines.registry import ConvAlgorithm
 from repro.nn.grad import (
     convnd_backward_bias,
@@ -43,10 +43,10 @@ class TestAgainstFiniteDifferences:
         n, c, f, ih, iw, kh, kw, p, s = case
         x = rng.standard_normal((n, c, ih, iw))
         w = rng.standard_normal((f, c, kh, kw))
-        go = rng.standard_normal(conv2d_naive(x, w, p, s).shape)
+        go = rng.standard_normal(convnd_naive(x, w, p, s).shape)
         dx = convnd_backward_input(go, w, x.shape, p, s)
         expected = numerical_gradient(
-            lambda: np.sum(conv2d_naive(x, w, p, s) * go), x)
+            lambda: np.sum(convnd_naive(x, w, p, s) * go), x)
         np.testing.assert_allclose(dx, expected, atol=1e-4)
 
     @pytest.mark.parametrize("case", CASES)
@@ -54,10 +54,10 @@ class TestAgainstFiniteDifferences:
         n, c, f, ih, iw, kh, kw, p, s = case
         x = rng.standard_normal((n, c, ih, iw))
         w = rng.standard_normal((f, c, kh, kw))
-        go = rng.standard_normal(conv2d_naive(x, w, p, s).shape)
+        go = rng.standard_normal(convnd_naive(x, w, p, s).shape)
         dw = convnd_backward_weight(go, x, (kh, kw), p, s)
         expected = numerical_gradient(
-            lambda: np.sum(conv2d_naive(x, w, p, s) * go), w)
+            lambda: np.sum(convnd_naive(x, w, p, s) * go), w)
         np.testing.assert_allclose(dw, expected, atol=1e-4)
 
     def test_bias_gradient(self, rng):
@@ -86,10 +86,10 @@ class TestExtendedParamsAgainstFiniteDifferences:
         x = rng.standard_normal((1, c, ih, iw))
         w = rng.standard_normal((f, c // g, 3, 3))
         kwargs = dict(padding=p, stride=s, dilation=d, groups=g)
-        go = rng.standard_normal(conv2d_naive(x, w, **kwargs).shape)
+        go = rng.standard_normal(convnd_naive(x, w, **kwargs).shape)
         dx = convnd_backward_input(go, w, x.shape, **kwargs)
         expected = numerical_gradient(
-            lambda: np.sum(conv2d_naive(x, w, **kwargs) * go), x)
+            lambda: np.sum(convnd_naive(x, w, **kwargs) * go), x)
         np.testing.assert_allclose(dx, expected, atol=1e-4)
 
     @pytest.mark.parametrize("c,f,ih,iw,p,s,d,g", EXTENDED_CASES)
@@ -97,10 +97,10 @@ class TestExtendedParamsAgainstFiniteDifferences:
         x = rng.standard_normal((1, c, ih, iw))
         w = rng.standard_normal((f, c // g, 3, 3))
         kwargs = dict(padding=p, stride=s, dilation=d, groups=g)
-        go = rng.standard_normal(conv2d_naive(x, w, **kwargs).shape)
+        go = rng.standard_normal(convnd_naive(x, w, **kwargs).shape)
         dw = convnd_backward_weight(go, x, (3, 3), **kwargs)
         expected = numerical_gradient(
-            lambda: np.sum(conv2d_naive(x, w, **kwargs) * go), w)
+            lambda: np.sum(convnd_naive(x, w, **kwargs) * go), w)
         np.testing.assert_allclose(dw, expected, atol=1e-4)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.baselines.naive import conv2d_naive
+from repro.baselines.naive import convnd_naive
 from repro.baselines.registry import ConvAlgorithm, convolve, supports
 from repro.core.multichannel import conv2d_polyhankel
 from repro.core.polyhankel import conv2d_single
@@ -37,7 +37,7 @@ def test_polyhankel_single_matches_naive(problem):
     shape, x, w = problem
     got = conv2d_single(x[0, 0], w[0, 0], padding=shape.padding,
                         stride=shape.stride)
-    ref = conv2d_naive(x, w, shape.padding, shape.stride)[0, 0]
+    ref = convnd_naive(x, w, shape.padding, shape.stride)[0, 0]
     np.testing.assert_allclose(got, ref, atol=1e-7)
 
 
@@ -46,7 +46,7 @@ def test_polyhankel_batched_matches_naive(problem):
     shape, x, w = problem
     got = conv2d_polyhankel(x, w, padding=shape.padding,
                             stride=shape.stride)
-    ref = conv2d_naive(x, w, shape.padding, shape.stride)
+    ref = convnd_naive(x, w, shape.padding, shape.stride)
     np.testing.assert_allclose(got, ref, atol=1e-7)
 
 
@@ -71,7 +71,7 @@ def test_every_algorithm_matches_naive(problem, algorithm):
         return
     got = convolve(x, w, algorithm=algorithm, padding=shape.padding,
                    stride=shape.stride)
-    ref = conv2d_naive(x, w, shape.padding, shape.stride)
+    ref = convnd_naive(x, w, shape.padding, shape.stride)
     np.testing.assert_allclose(got, ref, atol=1e-6)
 
 

@@ -10,7 +10,7 @@ spot finite differences.
 import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.baselines.naive import conv2d_naive
+from repro.baselines.naive import convnd_naive
 from repro.nn.grad import (
     convnd_backward_input,
     convnd_backward_weight,
@@ -43,7 +43,7 @@ def grad_problems(draw):
 @given(grad_problems())
 def test_backward_input_is_adjoint(problem):
     shape, x, w, g = problem
-    forward = conv2d_naive(x, w, shape.padding, shape.stride)
+    forward = convnd_naive(x, w, shape.padding, shape.stride)
     dx = convnd_backward_input(g, w, x.shape, shape.padding, shape.stride)
     np.testing.assert_allclose(np.sum(forward * g), np.sum(x * dx),
                                rtol=1e-7, atol=1e-7)
@@ -52,7 +52,7 @@ def test_backward_input_is_adjoint(problem):
 @given(grad_problems())
 def test_backward_weight_is_adjoint(problem):
     shape, x, w, g = problem
-    forward = conv2d_naive(x, w, shape.padding, shape.stride)
+    forward = convnd_naive(x, w, shape.padding, shape.stride)
     dw = convnd_backward_weight(g, x, (shape.kh, shape.kw), shape.padding,
                                 shape.stride)
     np.testing.assert_allclose(np.sum(forward * g), np.sum(w * dw),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.naive import conv2d_naive
+from repro.baselines.naive import convnd_naive
 from repro.guard import faults
 from repro.guard.chain import guarded_conv2d, reset_guard
 from repro.guard.sentinel import HEALTHY, SUSPECT, classify
@@ -62,7 +62,7 @@ def test_sentinel_accepts_exact_results_at_any_scale(problem):
     so the sentinel must classify it healthy at every dynamic range —
     subnormal outputs included."""
     shape, x, w = problem
-    out = conv2d_naive(x, w, padding=shape.padding)
+    out = convnd_naive(x, w, padding=shape.padding)
     verdict = classify(out, x, w, shape.poly_product_len)
     assert verdict.status == HEALTHY, verdict.reason
 
@@ -73,7 +73,7 @@ def test_sentinel_flags_blowups_whose_scale_it_can_see(problem):
     the predicted-error allowance (for vanishing outputs the allowance's
     max(B, 1) floor legitimately absorbs it)."""
     shape, x, w = problem
-    out = conv2d_naive(x, w, padding=shape.padding)
+    out = convnd_naive(x, w, padding=shape.padding)
     blown = out * 1e12
     verdict = classify(blown, x, w, shape.poly_product_len)
     healthy_verdict = classify(out, x, w, shape.poly_product_len)
@@ -93,7 +93,7 @@ def test_chain_recovers_reference_under_fault(problem, seed, kind):
     """Whatever the dynamic range, an injected fault must never reach the
     caller: the guarded forward matches the naive reference."""
     shape, x, w = problem
-    ref = conv2d_naive(x, w, padding=shape.padding)
+    ref = convnd_naive(x, w, padding=shape.padding)
     reset_guard()
     with guarded(), faults.inject(kind, seed=seed), \
             np.errstate(invalid="ignore", over="ignore"):

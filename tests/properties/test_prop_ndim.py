@@ -13,9 +13,10 @@ Two layers of properties:
 import numpy as np
 from hypothesis import given, strategies as st
 
+from repro.baselines.naive import convnd_naive
 from repro.baselines.ndops import conv_transpose2d_output_shape
 from repro.baselines.registry import ConvOp, convolve
-from repro.core.ndim import convnd_naive, convnd_polyhankel
+from repro.core.ndim import convnd_polyhankel
 from repro.utils.shapes import ConvShape
 
 

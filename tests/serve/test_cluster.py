@@ -5,10 +5,12 @@ arena — parity is asserted bit-exactly against the in-process engine, so
 a transport bug that perturbs a single byte fails loudly.
 """
 
+import gc
 import os
 import signal
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -235,6 +237,37 @@ class TestTensorShipAccounting:
                 out = server.conv2d(x, w, b, padding=1, timeout=60)
                 np.testing.assert_array_equal(
                     out, F.conv2d(x, w, b, padding=1))
+
+    def test_in_place_weight_update_ships_the_new_content(self, rng):
+        """A weight and bias updated in place keep their id, shape and
+        dtype; the worker must not keep serving the copies shipped before
+        the update."""
+        x = rng.standard_normal((1, 3, 8, 8))
+        w = rng.standard_normal((2, 3, 3, 3))
+        b = rng.standard_normal(2)
+        with make_server(workers=1, max_batch=1) as server:
+            server.conv2d(x, w, b, padding=1, timeout=60)
+            w *= 2
+            b += 1
+            out = server.conv2d(x, w, b, padding=1, timeout=60)
+        np.testing.assert_array_equal(out, F.conv2d(x, w, b, padding=1))
+
+    def test_completed_dispatch_keeps_no_weight_alive(self, rng):
+        """Once a request returns, nothing the router holds pins its
+        weight: the caller's ``del`` frees it."""
+        x = rng.standard_normal((1, 3, 8, 8))
+        with make_server(workers=1, max_batch=1) as server:
+            w = rng.standard_normal((2, 3, 3, 3))
+            server.conv2d(x, w, padding=1, timeout=60)
+            ref = weakref.ref(w)
+            del w
+            # The reader thread may still be finishing the completion it
+            # just delivered; give it a moment, not another message.
+            deadline = time.monotonic() + 5
+            while ref() is not None and time.monotonic() < deadline:
+                gc.collect()
+                time.sleep(0.01)
+            assert ref() is None
 
 
 class TestLifecycleAndStats:

@@ -68,7 +68,7 @@ def test_smoke_suite_schema(tmp_path, monkeypatch):
 def test_divergence_from_naive_raises(monkeypatch):
     import repro.baselines.naive as naive
 
-    monkeypatch.setattr(naive, "conv2d_naive",
+    monkeypatch.setattr(naive, "convnd_naive",
                         lambda x, w, **kw: np.zeros(1))
     case = next(c for c in bench.SUITE if c.name == "conv16_sum_numpy")
     with pytest.raises(AssertionError, match="diverged from naive"):
