@@ -17,7 +17,7 @@ from repro import fft as _fft
 from repro.core.planning import FftPolicy, plan_fft_size
 from repro.hankel.im2col_view import pad2d
 from repro.utils.shapes import ConvShape
-from repro.utils.validation import check_conv_inputs, ensure_array
+from repro.utils.validation import ensure_array
 
 
 def rfft2(x: np.ndarray, shape: tuple[int, int],
@@ -46,9 +46,8 @@ def conv2d_fft(x: np.ndarray, weight: np.ndarray, padding: int = 0,
     Deep-learning convolution is cross-correlation, so the kernel is
     spatially flipped before the Fourier product.
     """
-    x = ensure_array(x, "x", dtype=float)
+    x = ensure_array(x, "x", dtype=float, ndim=4)
     weight = ensure_array(weight, "weight", dtype=float)
-    check_conv_inputs(x, weight, padding, stride)
     shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride)
 
     xp = pad2d(x, padding)

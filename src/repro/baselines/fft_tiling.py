@@ -15,7 +15,7 @@ from repro.baselines.fft2d import irfft2, rfft2
 from repro.core.planning import FftPolicy, plan_fft_size
 from repro.hankel.im2col_view import pad2d
 from repro.utils.shapes import ConvShape
-from repro.utils.validation import check_conv_inputs, ensure_array
+from repro.utils.validation import ensure_array
 
 DEFAULT_TILE = 32
 
@@ -25,9 +25,8 @@ def conv2d_fft_tiling(x: np.ndarray, weight: np.ndarray, padding: int = 0,
                       fft_policy: FftPolicy = "pow2",
                       backend: str | None = None) -> np.ndarray:
     """NCHW convolution via per-tile FFTs (2D overlap-save)."""
-    x = ensure_array(x, "x", dtype=float)
+    x = ensure_array(x, "x", dtype=float, ndim=4)
     weight = ensure_array(weight, "weight", dtype=float)
-    check_conv_inputs(x, weight, padding, stride)
     if tile < 1:
         raise ValueError("tile must be positive")
     shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride)

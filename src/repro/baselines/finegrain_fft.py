@@ -22,16 +22,15 @@ from repro import fft as _fft
 from repro.core.planning import plan_fft_size
 from repro.hankel.im2col_view import pad2d
 from repro.utils.shapes import ConvShape
-from repro.utils.validation import check_conv_inputs, ensure_array
+from repro.utils.validation import ensure_array
 
 
 def conv2d_finegrain_fft(x: np.ndarray, weight: np.ndarray, padding: int = 0,
                          stride: int = 1,
                          backend: str | None = None) -> np.ndarray:
     """NCHW convolution via per-row block FFTs."""
-    x = ensure_array(x, "x", dtype=float)
+    x = ensure_array(x, "x", dtype=float, ndim=4)
     weight = ensure_array(weight, "weight", dtype=float)
-    check_conv_inputs(x, weight, padding, stride)
     shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride)
     fft = _fft.get_backend(backend)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.hankel.im2col_view import pad2d
 from repro.utils.shapes import ConvShape
-from repro.utils.validation import check_conv_inputs, ensure_array
+from repro.utils.validation import ensure_array
 
 _OFFSET_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -55,9 +55,8 @@ def conv2d_implicit_gemm(x: np.ndarray, weight: np.ndarray, padding=0,
     addressing each step (IMPLICIT_GEMM); with ``precomputed=True`` a cached
     index table drives one gather + one einsum (IMPLICIT_PRECOMP_GEMM).
     """
-    x = ensure_array(x, "x", dtype=float)
+    x = ensure_array(x, "x", dtype=float, ndim=4)
     weight = ensure_array(weight, "weight", dtype=float)
-    check_conv_inputs(x, weight, padding, stride, dilation, groups)
     shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride,
                                    dilation, groups)
     xp = pad2d(x, shape.padding)

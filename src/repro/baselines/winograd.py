@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.hankel.im2col_view import pad2d
 from repro.utils.shapes import ConvShape
-from repro.utils.validation import check_conv_inputs, ensure_array, require
+from repro.utils.validation import ensure_array, require
 
 MAX_ALPHA = 10
 
@@ -125,9 +125,8 @@ def conv2d_winograd(x: np.ndarray, weight: np.ndarray, padding: int = 0,
     explicit batched GEMM per transform coordinate, mirroring cuDNN's
     WINOGRAD_NONFUSED pipeline.  Both produce identical results.
     """
-    x = ensure_array(x, "x", dtype=float)
+    x = ensure_array(x, "x", dtype=float, ndim=4)
     weight = ensure_array(weight, "weight", dtype=float)
-    check_conv_inputs(x, weight, padding, stride)
     require(stride == 1, "Winograd supports stride 1 only")
     if variant not in ("fused", "nonfused"):
         raise ValueError(f"unknown Winograd variant {variant!r}")

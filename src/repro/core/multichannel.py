@@ -57,7 +57,7 @@ from repro.guard.checksum import guard_stamp, servable
 from repro.observe import record_cache_event, span
 from repro.observe.registry import cache_hits_misses, reset_cache_stats
 from repro.utils.shapes import ConvShape
-from repro.utils.validation import check_conv_inputs, ensure_array
+from repro.utils.validation import ensure_array
 
 ChannelStrategy = Literal["sum", "merge"]
 
@@ -221,7 +221,8 @@ class PolyHankelPlan:
             merged = scatter_merged_stack(weight, self._taps)
             return fft.rfft(merged, self.nfft)
 
-    def weight_spectrum(self, weight: np.ndarray) -> np.ndarray:
+    def weight_spectrum(self, weight: np.ndarray,
+                        site: str = "spectrum") -> np.ndarray:
         """Cached kernel spectra for *weight*.
 
         Consults the module-level spectrum cache keyed by ``(id(weight),
@@ -240,6 +241,12 @@ class PolyHankelPlan:
         recomputed and stamped, and a mismatched one (in-memory rot, a
         doctored entry) is recomputed and reported through
         ``guard.cache_corrupt`` (see :func:`repro.guard.checksum.servable`).
+
+        *site* names the cache surface the lookup reports to: hits and
+        misses count as ``cache.<site>.*`` and a corrupt hit as
+        ``guard.cache_corrupt`` under ``cache=<site>``.  Conv layers pass
+        ``"layer_spectrum"``, so their lookups on this one cache stay
+        separable from functional calls.
         """
         if not _spectrum_cache_enabled():
             return self.transform_weight(weight)
@@ -255,17 +262,17 @@ class PolyHankelPlan:
             if entry is not None and entry[2] is self \
                     and arr.shape == entry[1].shape \
                     and np.array_equal(arr, entry[1]):
-                record_cache_event("spectrum", hit=True)
+                record_cache_event(site, hit=True)
                 _SPECTRUM_CACHE.move_to_end(key)
                 hit = entry
         if hit is not None:
             spectrum = hit[3]
             if _faults._STACK:
                 _faults.maybe_corrupt_spectrum(spectrum)
-            if servable(spectrum, hit[4], "spectrum"):
+            if servable(spectrum, hit[4], site):
                 return spectrum
         else:
-            record_cache_event("spectrum", hit=False)
+            record_cache_event(site, hit=False)
         try:
             ref = weakref.ref(weight, partial(_evict_spectrum, key))
         except TypeError:
@@ -781,10 +788,12 @@ def set_spectrum_cache_limit(maxsize: int) -> None:
 
 
 def clear_spectrum_cache() -> None:
-    """Drop all cached spectra and reset the statistics."""
+    """Drop all cached spectra and reset the statistics of both surfaces
+    that look them up (``spectrum`` and ``layer_spectrum``)."""
     with _spectrum_lock:
         _SPECTRUM_CACHE.clear()
     reset_cache_stats("spectrum")
+    reset_cache_stats("layer_spectrum")
 
 
 # ---------------------------------------------------------------------------
@@ -859,9 +868,10 @@ def conv2d_polyhankel(x: np.ndarray, weight: np.ndarray,
     the cached plan *and* kernel spectrum; ``workers=N`` parallelizes the
     batch across threads.
     """
-    x = ensure_array(x, "x", dtype=float)
-    weight = ensure_array(weight, "weight", dtype=float)
-    check_conv_inputs(x, weight, padding, stride, dilation, groups)
+    x = ensure_array(x, "x", dtype=float, ndim=4)
+    # Uncast: the spectrum cache keys on the caller's array, so a
+    # float32 weight hits across calls; the transform casts it.
+    weight = np.asarray(weight)
     out = run_polyhankel(x, weight, padding, stride, dilation, groups,
                          fft_policy, strategy, backend, workers)
     if bias is not None:
@@ -879,11 +889,14 @@ def run_polyhankel(x: np.ndarray, weight: np.ndarray,
                    fft_policy: FftPolicy = "auto",
                    strategy: ChannelStrategy = "sum",
                    backend: str | None = None,
-                   workers: int | None = None) -> np.ndarray:
-    """One forward pass of float arrays *x* and *weight* through the
-    cached plan of their problem, at any spatial rank — the tail every
-    PolyHankel front door shares."""
+                   workers: int | None = None,
+                   site: str = "spectrum") -> np.ndarray:
+    """One forward pass of float array *x* and array *weight* (any real
+    dtype; the weight transform casts it) through the cached plan of
+    their problem, at any spatial rank — the tail every PolyHankel front
+    door shares.  *site* is the cache surface the spectrum lookup reports
+    to (:meth:`PolyHankelPlan.weight_spectrum`)."""
     plan = _plan_for_args(x.shape, weight.shape, padding, stride, dilation,
                           groups, fft_policy, strategy, backend)
-    return plan.execute(x, plan.weight_spectrum(weight), workers=workers,
-                        check=False)
+    return plan.execute(x, plan.weight_spectrum(weight, site),
+                        workers=workers, check=False)

@@ -67,20 +67,25 @@ def convnd_polyhankel(x: np.ndarray, weight: np.ndarray, padding=0,
                       fft_policy: FftPolicy = "auto",
                       backend: str | None = None, *,
                       strategy: ChannelStrategy = "sum",
-                      workers: int | None = None) -> np.ndarray:
+                      workers: int | None = None,
+                      site: str = "spectrum") -> np.ndarray:
     """d-dimensional convolution of an ``(n, c, *spatial)`` batch.
 
     *weight* is ``(f, c // groups, *kernel_spatial)``; *padding*, *stride*
     and *dilation* are ints or per-dimension tuples (*padding* also a
     flat ``(lo, hi)`` per-axis sequence or ``"same"``).  Works for any
     d >= 1.  The engine knobs mean what they mean for
-    :func:`repro.core.multichannel.conv2d_polyhankel`.
+    :func:`repro.core.multichannel.conv2d_polyhankel`; *site* is the cache
+    surface the weight-spectrum lookup reports to (conv layers pass
+    ``"layer_spectrum"``).
     """
     x = ensure_array(x, "x", dtype=float)
-    weight = ensure_array(weight, "weight", dtype=float)
+    # Uncast: the spectrum cache keys on the caller's array, so a
+    # float32 weight hits across calls; the transform casts it.
+    weight = np.asarray(weight)
     require(x.ndim >= 3, "input must be (n, c, *spatial)")
     return run_polyhankel(x, weight, padding, stride, dilation, groups,
-                          fft_policy, strategy, backend, workers)
+                          fft_policy, strategy, backend, workers, site)
 
 
 def conv1d_polyhankel(x: np.ndarray, weight: np.ndarray, padding=0,

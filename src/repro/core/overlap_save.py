@@ -26,7 +26,7 @@ from repro.core.construction import (
 from repro.core.planning import FftPolicy, plan_fft_size
 from repro.hankel.im2col_view import pad2d
 from repro.utils.shapes import ConvShape
-from repro.utils.validation import check_conv_inputs, ensure_array, require
+from repro.utils.validation import ensure_array, require
 
 
 def overlap_save_convolve(signal: np.ndarray, kernel: np.ndarray,
@@ -86,9 +86,8 @@ def conv2d_polyhankel_os(x: np.ndarray, weight: np.ndarray,
     in streamed blocks, and the outputs gathered per image with the batch
     stride offset folded in.
     """
-    x = ensure_array(x, "x", dtype=float)
+    x = ensure_array(x, "x", dtype=float, ndim=4)
     weight = ensure_array(weight, "weight", dtype=float)
-    check_conv_inputs(x, weight, padding, stride)
     shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride)
 
     xp = pad2d(x, padding)                                  # (n, c, ph, pw)

@@ -127,7 +127,9 @@ def guarded_conv2d(x: np.ndarray, weight: np.ndarray,
     """
     config = config or current_config()
     x = ensure_array(x, "x", dtype=float)
-    weight = ensure_array(weight, "weight", dtype=float)
+    # Uncast: PolyHankel's spectrum cache keys on the caller's array, and
+    # every route (and the sentinel) casts the weight itself.
+    weight = np.asarray(weight)
     op = resolve_op(op, x.ndim)
     shape = op_shape(op, x.shape, weight.shape, padding, stride, dilation,
                      groups, output_padding)

@@ -234,13 +234,9 @@ def flatten(x: Tensor) -> Tensor:
 
 def max_pool2d(x: Tensor, kernel_size: int,
                stride: int | None = None) -> Tensor:
-    stride = stride or kernel_size
-    n, c, h, w = x.data.shape
-    oh = (h - kernel_size) // stride + 1
-    ow = (w - kernel_size) // stride + 1
-    windows = np.lib.stride_tricks.sliding_window_view(
-        x.data, (kernel_size, kernel_size), axis=(2, 3)
-    )[:, :, ::stride, ::stride]
+    windows, stride = F.pool_windows(x.data, kernel_size, stride)
+    n, c, oh, ow = windows.shape[:4]
+    h, w = x.data.shape[2:]
     flat = windows.reshape(n, c, oh, ow, -1)
     arg = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]

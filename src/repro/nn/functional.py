@@ -205,23 +205,35 @@ def avg_pool2d(x: np.ndarray, kernel_size: int,
 
 def _pool2d(x: np.ndarray, kernel_size: int, stride: int | None,
             reducer) -> np.ndarray:
+    windows, _ = pool_windows(x, kernel_size, stride)
+    return reducer(windows, axis=(-2, -1))
+
+
+def pool_windows(x: np.ndarray, kernel_size: int,
+                 stride: int | None = None) -> tuple[np.ndarray, int]:
+    """The pooling windows of an NCHW batch and the stride they step by.
+
+    Returns an ``(n, c, oh, ow, kernel_size, kernel_size)`` strided view
+    (no padding; floor division) and the resolved stride, which defaults
+    to *kernel_size*.  A non-positive size or stride, or a window larger
+    than the input, raises ``ValueError``.  Every pooling op, with or
+    without autograd, builds its windows here.
+    """
     x = ensure_array(x, "x", ndim=4)
     if kernel_size < 1:
         raise ValueError("kernel_size must be positive")
     stride = kernel_size if stride is None else stride
     if stride < 1:
         raise ValueError("stride must be positive")
-    n, c, h, w = x.shape
-    oh = (h - kernel_size) // stride + 1
-    ow = (w - kernel_size) // stride + 1
-    if oh < 1 or ow < 1:
+    h, w = x.shape[2:]
+    if h < kernel_size or w < kernel_size:
         raise ValueError(
             f"pool window {kernel_size} does not fit input {h}x{w}"
         )
     windows = np.lib.stride_tricks.sliding_window_view(
         x, (kernel_size, kernel_size), axis=(2, 3)
     )[:, :, ::stride, ::stride]
-    return reducer(windows, axis=(-2, -1))
+    return windows, stride
 
 
 def batch_norm2d(x: np.ndarray, mean: np.ndarray, var: np.ndarray,

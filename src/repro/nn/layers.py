@@ -10,13 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.ndops import conv_transpose2d_output_shape
-from repro.baselines.registry import ConvAlgorithm, add_bias, op_shape
-from repro.guard import faults as _faults
-from repro.guard.checksum import guard_stamp, servable
-from repro.guard.state import guard_enabled
+from repro.baselines.registry import ConvAlgorithm, op_shape
 from repro.nn import functional as F
-from repro.observe import record_cache_event, span
-from repro.observe.registry import counters
+from repro.observe import span
 from repro.perfmodel.counters import count
 from repro.perfmodel.device import GpuDevice
 from repro.perfmodel.timing import simulate
@@ -107,10 +103,15 @@ class _ConvBase(Layer):
             return self._run(x)
 
     def _run(self, x: np.ndarray) -> np.ndarray:
+        # PolyHankel forward ops report their spectrum lookups as the
+        # layer's own cache surface; the transposed op runs the adjoint.
+        kwargs = ({"site": "layer_spectrum"}
+                  if self.algorithm is ConvAlgorithm.POLYHANKEL
+                  and self._OP != "conv_transpose2d" else {})
         return F.run_conv(x, self.weight, self.bias, self.padding,
                           self.stride, self.dilation, self.groups,
                           self.algorithm, op=self._OP,
-                          output_padding=self.output_padding)
+                          output_padding=self.output_padding, **kwargs)
 
     def output_shape(self, input_shape: tuple) -> tuple:
         return self.conv_shape(input_shape).output_shape()
@@ -136,118 +137,18 @@ class _ConvBase(Layer):
 class Conv2d(_ConvBase):
     """2D convolution layer with a pluggable algorithm.
 
-    When the algorithm is PolyHankel, the layer caches the kernel spectrum
-    per plan (``cache_spectra=True``): the first forward of each input
-    geometry transforms the weight once, and every later forward reuses the
-    spectrum.  Rebinding ``layer.weight`` invalidates the cache via the
-    property setter; in-place mutation is caught too, because cache hits
-    are verified against an exact snapshot of the weight.
-    ``invalidate_weight_cache()`` drops the cached spectra explicitly.
-    ``workers=N`` chunks each forward's batch across a thread pool.
+    The forward runs the functional front door
+    (:func:`repro.nn.functional.run_conv`), so a layer and
+    :func:`repro.nn.functional.conv2d` on the same weight return the same
+    bits and take the same guard path.  With PolyHankel, the kernel
+    spectrum comes from the engine's one weight-spectrum cache
+    (:meth:`repro.core.multichannel.PolyHankelPlan.weight_spectrum`): the
+    first forward of each input geometry transforms the weight, later
+    forwards reuse the spectrum, and a hit is only served after an exact
+    content check, so rebinding or mutating ``layer.weight`` in place
+    yields fresh spectra.  The layer's lookups count as ``layer_spectrum``
+    cache events.
     """
-
-    def __init__(self, in_channels: int, out_channels: int,
-                 kernel_size: int | tuple,
-                 padding: int | tuple | str = 0, stride: int | tuple = 1,
-                 dilation: int | tuple = 1, groups: int = 1,
-                 bias: bool = True,
-                 algorithm: ConvAlgorithm | str = ConvAlgorithm.POLYHANKEL,
-                 rng: np.random.Generator | None = None,
-                 cache_spectra: bool = True, workers: int | None = None):
-        self.cache_spectra = cache_spectra
-        self.workers = workers
-        self._spectrum_cache: dict = {}
-        self._weight_version = 0
-        self._cache_hits = 0
-        self._cache_misses = 0
-        super().__init__(in_channels, out_channels, kernel_size, padding,
-                         stride, dilation, groups, bias, algorithm, rng)
-
-    # -- weight-spectrum cache ------------------------------------------------
-
-    @property
-    def weight(self) -> np.ndarray:
-        return self._weight
-
-    @weight.setter
-    def weight(self, value: np.ndarray) -> None:
-        self._weight = np.asarray(value)
-        self.invalidate_weight_cache()
-
-    def invalidate_weight_cache(self) -> None:
-        """Drop cached kernel spectra; the next forward retransforms."""
-        self._weight_version += 1
-        self._spectrum_cache.clear()
-
-    @property
-    def weight_version(self) -> int:
-        """Bumped on every rebind/invalidation (introspection aid)."""
-        return self._weight_version
-
-    def spectrum_cache_info(self):
-        """Per-layer (hits, misses, size, maxsize) of the spectrum cache."""
-        from repro.fft.plan import CacheInfo
-
-        return CacheInfo(self._cache_hits, self._cache_misses,
-                         len(self._spectrum_cache), None)
-
-    def _run(self, x: np.ndarray) -> np.ndarray:
-        if self.algorithm is ConvAlgorithm.POLYHANKEL and self.cache_spectra:
-            return self._forward_polyhankel(x)
-        return super()._run(x)
-
-    def _forward_polyhankel(self, x: np.ndarray) -> np.ndarray:
-        """Plan-cached PolyHankel forward: the weight is transformed once
-        per plan and reused until the weight changes.  The plan key embeds
-        stride/dilation/groups/padding, so the same weight convolved under
-        different parameters never aliases a cached spectrum.
-
-        While the guard is enabled, cached spectra are checksum-verified on
-        every hit (an unstamped or corrupted entry is recomputed, never
-        served) and the result is sentinel-classified before the bias is
-        applied; a tripped sentinel or a raised engine error re-executes
-        the forward through the supervised fallback chain."""
-        from repro.core.multichannel import get_plan
-        from repro.utils.validation import check_conv_inputs
-
-        x = np.asarray(x, dtype=float)
-        check_conv_inputs(x, self._weight, self.padding, self.stride,
-                          self.dilation, self.groups)
-        plan = get_plan(self.conv_shape(x.shape))
-        key = plan.cache_key
-        entry = self._spectrum_cache.get(key)
-        hit = entry is not None and np.array_equal(entry[0], self._weight)
-        if hit:
-            w_hat = entry[1]
-            if _faults._STACK:
-                _faults.maybe_corrupt_spectrum(w_hat)
-            hit = servable(w_hat, entry[2], "layer_spectrum")
-        if hit:
-            self._cache_hits += 1
-            record_cache_event("layer_spectrum", hit=True)
-        else:
-            self._cache_misses += 1
-            record_cache_event("layer_spectrum", hit=False)
-            w_hat = plan.transform_weight(self._weight)
-            self._spectrum_cache[key] = (
-                np.array(self._weight, dtype=float, copy=True), w_hat,
-                guard_stamp(w_hat))
-        try:
-            out = plan.execute(x, w_hat, workers=self.workers)
-        except Exception:
-            if not guard_enabled():
-                raise
-            return self._forward_guarded(x)
-        if guard_enabled():
-            from repro.guard.sentinel import classify
-
-            verdict = classify(out, x, self._weight,
-                               plan.shape.poly_product_len)
-            if not verdict.ok:
-                counters.add("guard.sentinel_trip", algorithm="polyhankel",
-                             status=verdict.status, site="layer")
-                return self._forward_guarded(x)
-        return add_bias(out, self.bias)
 
     def submit(self, x: np.ndarray, server=None,
                deadline_s: float | None = None):
@@ -257,24 +158,13 @@ class Conv2d(_ConvBase):
         Concurrent submissions against the same layer instance coalesce
         into one stacked engine call (the layer's weight array is the
         coalescing identity), so a burst of single-image requests runs at
-        batched throughput.  The serving path applies the weight and bias
-        directly — the per-layer spectrum cache is bypassed in favour of
-        the engine's plan-level spectrum cache, which the stacked call
-        warms once per geometry.
+        batched throughput.  The stacked call reads the same engine
+        spectrum cache the layer's forward does.
         """
-        return F.conv2d_async(x, self._weight, self.bias, self.padding,
+        return F.conv2d_async(x, self.weight, self.bias, self.padding,
                               self.stride, self.dilation, self.groups,
                               algorithm=self.algorithm, server=server,
                               deadline_s=deadline_s)
-
-    def _forward_guarded(self, x: np.ndarray) -> np.ndarray:
-        """Re-execute this forward through the supervised fallback chain."""
-        from repro.guard.chain import guarded_conv2d
-
-        return guarded_conv2d(x, self._weight, bias=self.bias,
-                              padding=self.padding, stride=self.stride,
-                              dilation=self.dilation, groups=self.groups,
-                              algorithm=self.algorithm)
 
     def simulated_time_s(self, input_shape: tuple,
                          device: GpuDevice) -> float:

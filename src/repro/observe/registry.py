@@ -164,8 +164,9 @@ def cache_stats() -> list[dict]:
     """The consolidated cache table: one row per cache surface.
 
     Sizes and limits come from the owning structures (the registry only
-    holds event counts); surfaces without a global size — the per-layer
-    spectrum caches live on ``Conv2d`` instances — report ``None``.
+    holds event counts).  ``layer_spectrum`` counts the conv layers'
+    lookups on the engine's one weight-spectrum cache, whose size the
+    ``spectrum`` row reports, so its own size is ``None``.
     """
     from repro.core.multichannel import plan_cache_info, spectrum_cache_info
     from repro.fft.plan import fft_plan_cache_info

@@ -1,16 +1,11 @@
 """Shared utilities: shape arithmetic, validation, seeded data generation."""
 
 from repro.utils.shapes import ConvShape, conv_output_size
-from repro.utils.validation import (
-    check_conv_inputs,
-    ensure_array,
-    require,
-)
+from repro.utils.validation import ensure_array, require
 
 __all__ = [
     "ConvShape",
     "conv_output_size",
-    "check_conv_inputs",
     "ensure_array",
     "require",
 ]

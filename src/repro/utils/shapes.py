@@ -117,6 +117,11 @@ def same_padding_1d(input_size: int, kernel_size: int, stride: int = 1,
     return total // 2, total - total // 2
 
 
+def _by(extents) -> str:
+    """``8x8``-style spelling of per-axis extents for messages."""
+    return "x".join(map(str, extents))
+
+
 def _uniform(values: tuple[int, ...]) -> int | tuple[int, ...]:
     """Collapse a tuple whose entries all agree back to a plain int."""
     return values[0] if len(set(values)) == 1 else values
@@ -254,11 +259,16 @@ class ConvShape:
         stride_nd = (stride,) * ndim if type(stride) is int else stride
         dilation_nd = ((dilation,) * ndim if type(dilation) is int
                        else dilation)
+        axes = "in both axes" if ndim == 2 else "per axis"
         if min(stride_nd) < 1:
-            raise ValueError(f"stride must be >= 1 per axis, got {stride_nd}")
+            raise ValueError(
+                f"stride must be >= 1 {axes}, got {stride_nd}; zero or "
+                "negative strides are not a convolution"
+            )
         if min(dilation_nd) < 1:
             raise ValueError(
-                f"dilation must be >= 1 per axis, got {dilation_nd}"
+                f"dilation must be >= 1 {axes}, got {dilation_nd}; use "
+                "dilation=1 for an undilated kernel"
             )
         if isinstance(padding, str):
             pairs = normalize_padding_nd(padding, extents, kernel, stride_nd,
@@ -275,7 +285,17 @@ class ConvShape:
                 f"channels ({self.c}) and filters ({self.f}) must both be "
                 f"divisible by groups ({groups})"
             )
-        # Computing the output extents validates the geometry.
+        # The fit is checked across all axes for the message; computing
+        # the output extents then validates each axis (sizes positive).
+        padded = [e + lo + hi for e, (lo, hi) in zip(extents, pad_pairs)]
+        eff = [d * (k - 1) + 1 for d, k in zip(dilation_nd, kernel)]
+        if min(extents) > 0 and min(kernel) > 0 \
+                and any(p < k for p, k in zip(padded, eff)):
+            raise ValueError(
+                f"kernel {_by(kernel)} (dilated extent {_by(eff)}) does not "
+                f"fit: it exceeds padded input {_by(padded)}; increase "
+                "padding or reduce kernel size/dilation"
+            )
         out_extents = tuple([
             conv_output_size(e, k, pair, s, d)
             for e, k, pair, s, d in zip(extents, kernel, pad_pairs,
@@ -450,8 +470,11 @@ class ConvShape:
         """Build a ConvShape from ``(n, c, *spatial)`` input and ``(f,
         c/groups, *kernel)`` weight shapes (NCHW / FCKhKw at rank 2).
 
-        A rank mismatch between the two is rejected explicitly instead of
-        broadcasting into a different problem.
+        This is the one validator of a convolution call: every front
+        door and kernel builds its problem here, and each rejection (a
+        rank mismatch, a channel mismatch, a kernel that does not fit, a
+        non-positive or non-integral parameter) raises ``ValueError``
+        naming the offending value.
         """
         if len(x_shape) < 3:
             raise ValueError(

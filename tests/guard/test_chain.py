@@ -5,11 +5,13 @@ import pytest
 
 from repro.baselines.naive import convnd_naive
 from repro.baselines.registry import ConvAlgorithm, convolve, fallback_chain
+from repro.core.multichannel import PolyHankelPlan
 from repro.guard import faults
 from repro.guard.chain import (
     GuardExhaustedError, breaker, guarded_conv2d, reset_guard,
 )
 from repro.guard.state import GuardConfig, guarded
+from repro.nn.layers import Conv2d
 from repro.observe.registry import counters
 from repro.utils.random import random_problem
 from repro.utils.shapes import ConvShape
@@ -92,18 +94,37 @@ class TestHealthyPath:
 class TestRecovery:
     # Engine kinds only: cluster kinds fire at serving-tier hook sites
     # (worker loop, router slot accounting) that guarded_conv2d never
-    # reaches — tests/serve/test_chaos.py drills those.
-    @pytest.mark.parametrize("kind", faults.ENGINE_FAULT_KINDS)
-    def test_recovers_reference_answer_under_fault(self, problem, kind):
+    # reaches — tests/serve/test_chaos.py drills those.  Each kind runs
+    # through two doors: the warm functional chain, and a Conv2d layer
+    # whose first forward meets a cold spectrum cache.
+    @pytest.mark.parametrize(
+        "door, kind",
+        [(door, kind) for door in ("functional", "cold_layer")
+         for kind in faults.ENGINE_FAULT_KINDS],
+        ids=[kind if door == "functional" else f"cold_layer-{kind}"
+             for door in ("functional", "cold_layer")
+             for kind in faults.ENGINE_FAULT_KINDS])
+    def test_recovers_reference_answer_under_fault(self, problem, door,
+                                                   kind):
         x, w, ref = problem
-        # Warm the spectrum cache: the corruption injector doctors cached
-        # entries on their next hit, so a cold cache would never fire it.
-        guarded_conv2d(x, w, padding=1)
-        reset_guard()
+        if door == "functional":
+            # Warm the spectrum cache: the corruption injector doctors
+            # cached entries on their next hit, so a cold cache would
+            # never fire it.
+            guarded_conv2d(x, w, padding=1)
+            reset_guard()
+            calls = 1
+        else:
+            layer = Conv2d(3, 4, 3, padding=1, bias=False)
+            layer.weight = w
+            # The second forward hits the entry the first one inserted.
+            calls = 2
         with guarded(), faults.inject(kind, seed=11) as state, \
                 np.errstate(invalid="ignore", over="ignore"):
-            out = guarded_conv2d(x, w, padding=1)
-        assert_conv_close(out, ref)
+            for _ in range(calls):
+                out = (guarded_conv2d(x, w, padding=1)
+                       if door == "functional" else layer(x))
+                assert_conv_close(out, ref)
         assert sum(state.counts.values()) >= 1, "fault must actually fire"
 
     @pytest.mark.parametrize("kind", faults.ENGINE_FAULT_KINDS)
@@ -148,6 +169,31 @@ class TestBreaker:
         # Next call (fault gone) skips the open entry instead of retrying.
         out = guarded_conv2d(x, w, padding=1, config=cfg)
         assert_conv_close(out, ref)
+        assert counters.total("guard.fallback", cause="breaker_open") >= 1
+
+    def test_open_breaker_keeps_layer_off_polyhankel(self, problem,
+                                                     monkeypatch):
+        """A guarded layer forward takes the chain's breaker into
+        account: with PolyHankel's breaker open for this shape, the layer
+        never runs the PolyHankel engine."""
+        x, w, ref = problem
+        cfg = GuardConfig(breaker_threshold=1)
+        with faults.inject("backend_error"):
+            guarded_conv2d(x, w, padding=1, config=cfg)
+        assert breaker().open_keys(), "primary's breaker should be open"
+        executed = []
+        execute = PolyHankelPlan.execute
+
+        def counting_execute(plan, *args, **kwargs):
+            executed.append(plan)
+            return execute(plan, *args, **kwargs)
+
+        monkeypatch.setattr(PolyHankelPlan, "execute", counting_execute)
+        layer = Conv2d(3, 4, 3, padding=1, bias=False)
+        layer.weight = w
+        with guarded():
+            assert_conv_close(layer(x), ref)
+        assert executed == []
         assert counters.total("guard.fallback", cause="breaker_open") >= 1
 
     def test_breaker_key_overrides_shape_scope(self, problem):

@@ -110,11 +110,11 @@ class TestCachedSpectrumStamps:
         layer = Conv2d(2, 3, 3, padding=1, rng=rng)
         x = rng.standard_normal((1, 2, 8, 8))
         expect = layer(x)                        # inserted with guard off
-        (entry,) = layer._spectrum_cache.values()
-        assert entry[2] is None
-        entry[1].flat[0] = np.nan
+        (entry,) = mc._SPECTRUM_CACHE.values()
+        assert entry[4] is None
+        entry[3].flat[0] = np.nan
         with guarded():
             out = layer(x)
         assert np.array_equal(out, expect)
-        (entry,) = layer._spectrum_cache.values()
-        assert entry[2] == array_checksum(entry[1])
+        (entry,) = mc._SPECTRUM_CACHE.values()
+        assert entry[4] == array_checksum(entry[3])

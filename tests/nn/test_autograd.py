@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import autograd as ag
+from repro.nn import functional as F
 
 
 def numerical_gradient(loss_fn, array, eps=1e-6):
@@ -102,7 +103,6 @@ class TestOps:
         w = ag.parameter(rng.standard_normal((3, 2, 3, 3)))
         b = ag.parameter(rng.standard_normal(3))
         ag.mean(ag.conv2d(x, w, b, padding=1)).backward()
-        from repro.nn import functional as F
         for t in (x, w, b):
             expected = numerical_gradient(
                 lambda: F.conv2d(x.data, w.data, b.data, 1,
@@ -113,7 +113,6 @@ class TestOps:
     def test_max_pool_gradient(self, rng):
         x = ag.parameter(rng.standard_normal((2, 2, 6, 6)))
         ag.mean(ag.max_pool2d(x, 2)).backward()
-        from repro.nn import functional as F
         expected = numerical_gradient(
             lambda: F.max_pool2d(x.data, 2).mean(), x.data)
         np.testing.assert_allclose(x.grad, expected, atol=1e-6)
@@ -192,6 +191,19 @@ class TestMaxPoolBackward:
             x_data, kernel_size, stride, grad)
         assert np.array_equal(x.grad, expected)
         assert np.array_equal(np.signbit(x.grad), np.signbit(expected))
+
+    @pytest.mark.parametrize("kernel_size, stride, match", [
+        (2, 0, "stride must be positive"),
+        (0, None, "kernel_size must be positive"),
+        (5, 1, "does not fit"),
+    ])
+    def test_rejects_what_the_functional_door_rejects(
+            self, rng, kernel_size, stride, match):
+        x_data = rng.standard_normal((1, 2, 4, 4))
+        with pytest.raises(ValueError, match=match):
+            F.max_pool2d(x_data, kernel_size, stride)
+        with pytest.raises(ValueError, match=match):
+            ag.max_pool2d(ag.parameter(x_data), kernel_size, stride)
 
 
 class TestTraining:

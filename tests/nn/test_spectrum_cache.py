@@ -1,17 +1,29 @@
-"""Conv2d weight-spectrum cache: amortization guard and invalidation.
+"""Conv2d weight spectra: amortization guard and invalidation.
 
+A PolyHankel ``Conv2d`` reads its kernel spectra from the engine's one
+weight-spectrum cache, the cache :func:`repro.nn.functional.conv2d` uses.
 The microbenchmark guard asserts the *mechanism* (not wall-clock): a
 counting shim on the FFT backend proves the second forward of a
 fixed-shape ``Conv2d`` performs zero ``rfft`` calls on the weight, so the
 amortization cannot silently regress.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from repro import fft as _fft
-from repro.core.multichannel import clear_plan_cache, clear_spectrum_cache
+from repro.core.multichannel import (
+    clear_plan_cache,
+    clear_spectrum_cache,
+    enable_spectrum_cache,
+    spectrum_cache_info,
+)
+from repro.guard.state import guarded
+from repro.nn import functional as F
 from repro.nn.layers import Conv2d
+from repro.observe.registry import cache_hits_misses
 from tests.conftest import naive_conv2d_reference
 
 
@@ -47,11 +59,7 @@ class TestAmortizationGuard:
         assert log.count("rfft") == 2  # the input transform still runs
 
     def test_cache_disabled_layer_retransforms(self, rng):
-        # cache_spectra=False falls back to the functional path; disabling
-        # the module-level spectrum cache too forces a true retransform.
-        from repro.core.multichannel import enable_spectrum_cache
-
-        layer = Conv2d(3, 8, 3, padding=1, bias=False, cache_spectra=False)
+        layer = Conv2d(3, 8, 3, padding=1, bias=False)
         x = rng.standard_normal((2, 3, 12, 12))
         try:
             enable_spectrum_cache(False)
@@ -62,6 +70,30 @@ class TestAmortizationGuard:
             enable_spectrum_cache(True)
         assert _weight_call_count(log, layer) == 1
 
+    def test_layer_and_functional_share_one_spectrum(self, rng):
+        layer = Conv2d(3, 8, 3, padding=1, bias=False)
+        x = rng.standard_normal((2, 3, 12, 12))
+        expect = layer(x)
+        with _fft.record_fft_calls() as log:
+            out = F.conv2d(x, layer.weight, padding=1)
+        assert _weight_call_count(log, layer) == 0
+        np.testing.assert_array_equal(out, expect)
+        assert spectrum_cache_info().size == 1
+
+    @pytest.mark.parametrize("guard", [False, True])
+    def test_float32_weight_hits(self, rng, guard):
+        """The cache keys on the caller's array, not on a float64 copy
+        made per call, so a float32 weight is transformed once."""
+        layer = Conv2d(3, 8, 3, padding=1, bias=False)
+        layer.weight = layer.weight.astype(np.float32)
+        x = rng.standard_normal((2, 3, 12, 12))
+        with guarded() if guard else nullcontext():
+            expect = layer(x)
+            with _fft.record_fft_calls() as log:
+                np.testing.assert_array_equal(layer(x), expect)
+                F.conv2d(x, layer.weight, padding=1)
+        assert _weight_call_count(log, layer) == 0
+
 
 class TestLayerCacheCorrectness:
     def test_cached_forward_matches_reference(self, rng):
@@ -71,24 +103,24 @@ class TestLayerCacheCorrectness:
             + layer.bias[None, :, None, None]
         for _ in range(3):  # cold then cached
             np.testing.assert_allclose(layer(x), expected, atol=1e-8)
-        assert layer.spectrum_cache_info().hits == 2
+        assert cache_hits_misses("layer_spectrum") == (2, 1)
 
     def test_cached_forward_bit_identical_to_uncached(self, rng):
-        cached = Conv2d(3, 4, 3, padding=1, bias=False)
-        uncached = Conv2d(3, 4, 3, padding=1, bias=False,
-                          cache_spectra=False)
-        uncached.weight = cached.weight.copy()
+        layer = Conv2d(3, 4, 3, padding=1, bias=False)
         x = rng.standard_normal((2, 3, 10, 10))
-        reference = uncached(x)
-        np.testing.assert_array_equal(cached(x), reference)
-        np.testing.assert_array_equal(cached(x), reference)
+        try:
+            enable_spectrum_cache(False)
+            reference = layer(x)
+        finally:
+            enable_spectrum_cache(True)
+        np.testing.assert_array_equal(layer(x), reference)
+        np.testing.assert_array_equal(layer(x), reference)
 
     def test_workers_forward_bit_identical(self, rng):
-        seq = Conv2d(3, 4, 3, padding=1, bias=False)
-        par = Conv2d(3, 4, 3, padding=1, bias=False, workers=3)
-        par.weight = seq.weight.copy()
+        layer = Conv2d(3, 4, 3, padding=1, bias=False)
         x = rng.standard_normal((4, 3, 10, 10))
-        np.testing.assert_array_equal(par(x), seq(x))
+        np.testing.assert_array_equal(
+            F.conv2d(x, layer.weight, padding=1, workers=3), layer(x))
 
     def test_multiple_input_shapes_each_get_a_plan(self, rng):
         layer = Conv2d(2, 3, 3, padding=1, bias=False)
@@ -97,7 +129,7 @@ class TestLayerCacheCorrectness:
             np.testing.assert_allclose(
                 layer(x), naive_conv2d_reference(x, layer.weight, 1),
                 atol=1e-8)
-        assert layer.spectrum_cache_info().size == 3
+        assert spectrum_cache_info().size == 3
 
 
 class TestLayerCacheInvalidation:
@@ -105,9 +137,7 @@ class TestLayerCacheInvalidation:
         layer = Conv2d(2, 3, 3, padding=1, bias=False)
         x = rng.standard_normal((1, 2, 8, 8))
         layer(x)
-        version = layer.weight_version
         layer.weight = rng.standard_normal(layer.weight.shape)
-        assert layer.weight_version == version + 1
         np.testing.assert_allclose(
             layer(x), naive_conv2d_reference(x, layer.weight, 1),
             atol=1e-8)
@@ -126,7 +156,7 @@ class TestLayerCacheInvalidation:
         layer = Conv2d(2, 3, 3, padding=1, bias=False)
         x = rng.standard_normal((1, 2, 8, 8))
         layer(x)
-        layer.invalidate_weight_cache()
+        clear_spectrum_cache()
         with _fft.record_fft_calls() as log:
             layer(x)
         assert _weight_call_count(log, layer) == 1

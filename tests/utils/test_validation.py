@@ -1,9 +1,18 @@
-"""Tests for repro.utils.validation."""
+"""Tests for repro.utils.validation and the conv validator,
+:meth:`repro.utils.shapes.ConvShape.from_tensors`."""
 
 import numpy as np
 import pytest
 
-from repro.utils.validation import check_conv_inputs, ensure_array, require
+from repro.utils.shapes import ConvShape
+from repro.utils.validation import ensure_array, require
+
+
+def check_conv(x, w, padding, stride, dilation=1, groups=1):
+    """Validate a convolution call the way every front door does: build
+    its ``ConvShape``."""
+    return ConvShape.from_tensors(x.shape, w.shape, padding, stride,
+                                  dilation, groups)
 
 
 class TestRequire:
@@ -39,38 +48,38 @@ class TestCheckConvInputs:
 
     def test_valid(self):
         x, w = self._xw()
-        check_conv_inputs(x, w, padding=1, stride=1)
+        check_conv(x, w, padding=1, stride=1)
 
     def test_input_rank(self):
         _, w = self._xw()
-        with pytest.raises(ValueError, match="4D NCHW"):
-            check_conv_inputs(np.zeros((3, 8, 8)), w, 0, 1)
+        with pytest.raises(ValueError, match=r"input rank 3.*NCHW"):
+            check_conv(np.zeros((3, 8, 8)), w, 0, 1)
 
     def test_weight_rank(self):
         x, _ = self._xw()
-        with pytest.raises(ValueError, match="4D FCKhKw"):
-            check_conv_inputs(x, np.zeros((4, 3, 3)), 0, 1)
+        with pytest.raises(ValueError, match=r"kernel rank 3.*FCKhKw"):
+            check_conv(x, np.zeros((4, 3, 3)), 0, 1)
 
     def test_channel_mismatch(self):
         x, _ = self._xw()
         with pytest.raises(ValueError, match="channel mismatch"):
-            check_conv_inputs(x, np.zeros((4, 2, 3, 3)), 0, 1)
+            check_conv(x, np.zeros((4, 2, 3, 3)), 0, 1)
 
     def test_negative_padding(self):
         x, w = self._xw()
         with pytest.raises(ValueError, match="padding"):
-            check_conv_inputs(x, w, -1, 1)
+            check_conv(x, w, -1, 1)
 
     def test_zero_stride(self):
         x, w = self._xw()
         with pytest.raises(ValueError, match="stride"):
-            check_conv_inputs(x, w, 0, 0)
+            check_conv(x, w, 0, 0)
 
     def test_kernel_does_not_fit(self):
         x = np.zeros((1, 1, 4, 4))
         w = np.zeros((1, 1, 6, 6))
         with pytest.raises(ValueError, match="does not fit"):
-            check_conv_inputs(x, w, 0, 1)
+            check_conv(x, w, 0, 1)
 
 
 class TestCheckConvInputsExtended:
@@ -87,9 +96,9 @@ class TestCheckConvInputsExtended:
     def test_valid_full_params(self):
         x = np.zeros((1, 4, 9, 8))
         w = np.zeros((4, 2, 3, 3))
-        check_conv_inputs(x, w, padding=(1, 0, 2, 1), stride=(1, 2),
+        check_conv(x, w, padding=(1, 0, 2, 1), stride=(1, 2),
                           dilation=(2, 1), groups=2)
-        check_conv_inputs(x, w, padding="same", stride=2, dilation=2,
+        check_conv(x, w, padding="same", stride=2, dilation=2,
                           groups=2)
 
     @pytest.mark.parametrize("stride", [0, -1, (0, 1), (1, -2)])
@@ -97,51 +106,51 @@ class TestCheckConvInputsExtended:
         x, w = self._xw()
         with pytest.raises(ValueError,
                            match="stride must be >= 1 in both axes"):
-            check_conv_inputs(x, w, 1, stride)
+            check_conv(x, w, 1, stride)
 
     @pytest.mark.parametrize("dilation", [0, -1, (0, 2), (2, -1)])
     def test_nonpositive_dilation(self, dilation):
         x, w = self._xw()
         with pytest.raises(ValueError,
                            match="dilation must be >= 1 in both axes"):
-            check_conv_inputs(x, w, 1, 1, dilation=dilation)
+            check_conv(x, w, 1, 1, dilation=dilation)
 
     def test_dilated_extent_does_not_fit(self):
         """A 3x3 kernel at dilation 4 spans 9 pixels — more than the 8+0
         padded input; the message must surface the dilated extent."""
         x, w = self._xw()
         with pytest.raises(ValueError, match=r"dilated extent 9x9"):
-            check_conv_inputs(x, w, 0, 1, dilation=4)
+            check_conv(x, w, 0, 1, dilation=4)
 
     def test_dilated_extent_fits_with_padding(self):
         x, w = self._xw()
-        check_conv_inputs(x, w, 1, 1, dilation=4)  # 8+2 >= 9: fine
+        check_conv(x, w, 1, 1, dilation=4)  # 8+2 >= 9: fine
 
     def test_negative_asymmetric_padding(self):
         x, w = self._xw()
         with pytest.raises(ValueError, match="padding must be non-negative"):
-            check_conv_inputs(x, w, (1, -1, 0, 0), 1)
+            check_conv(x, w, (1, -1, 0, 0), 1)
 
     def test_zero_groups(self):
         x, w = self._xw()
         with pytest.raises(ValueError, match="groups must be positive"):
-            check_conv_inputs(x, w, 1, 1, groups=0)
+            check_conv(x, w, 1, 1, groups=0)
 
     def test_channels_not_divisible_by_groups(self):
         x, _ = self._xw()
         with pytest.raises(ValueError, match="divisible by groups"):
-            check_conv_inputs(x, np.zeros((3, 1, 3, 3)), 1, 1, groups=3)
+            check_conv(x, np.zeros((3, 1, 3, 3)), 1, 1, groups=3)
 
     def test_group_channel_mismatch(self):
         x, w = self._xw()  # weight has 4 channel taps, C/groups is 2
         with pytest.raises(ValueError, match="C/groups"):
-            check_conv_inputs(x, w, 1, 1, groups=2)
+            check_conv(x, w, 1, 1, groups=2)
 
     @pytest.mark.parametrize("bad", [(1, 2, 3), (1, 2, 3, 4, 5)])
     def test_malformed_padding_tuple(self, bad):
         x, w = self._xw()
         with pytest.raises(ValueError, match="padding"):
-            check_conv_inputs(x, w, bad, 1)
+            check_conv(x, w, bad, 1)
 
 
 class TestIntegralityRejection:
@@ -159,27 +168,27 @@ class TestIntegralityRejection:
     def test_non_integral_stride(self, stride):
         x, w = self._xw()
         with pytest.raises(ValueError, match="stride must be an integer"):
-            check_conv_inputs(x, w, 1, stride)
+            check_conv(x, w, 1, stride)
 
     @pytest.mark.parametrize("dilation", [0.5, (2, 2.5)])
     def test_non_integral_dilation(self, dilation):
         x, w = self._xw()
         with pytest.raises(ValueError, match="dilation must be an integer"):
-            check_conv_inputs(x, w, 1, 1, dilation=dilation)
+            check_conv(x, w, 1, 1, dilation=dilation)
 
     @pytest.mark.parametrize("groups", [2.5, 2.0, "4"])
     def test_non_integral_groups(self, groups):
         x, w = self._xw()
         with pytest.raises(ValueError, match="groups must be an integer"):
-            check_conv_inputs(x, w, 1, 1, groups=groups)
+            check_conv(x, w, 1, 1, groups=groups)
 
     def test_message_names_value_and_type(self):
         x, w = self._xw()
         with pytest.raises(ValueError, match=r"got 1\.9 of type float"):
-            check_conv_inputs(x, w, 1, 1.9)
+            check_conv(x, w, 1, 1.9)
 
     def test_numpy_integers_accepted(self):
         x = np.zeros((1, 4, 8, 8))
         w = np.zeros((4, 2, 3, 3))  # C/groups = 2 channel taps
-        check_conv_inputs(x, w, 1, np.int64(2), dilation=np.int32(1),
+        check_conv(x, w, 1, np.int64(2), dilation=np.int32(1),
                           groups=np.int64(2))
