@@ -42,7 +42,6 @@ from repro.baselines.winograd import (
     conv2d_winograd_nonfused,
 )
 from repro.core.ndim import convnd_polyhankel
-from repro.core.overlap_save import conv2d_polyhankel_os
 from repro.hankel.im2col_view import pad2d
 from repro.utils.shapes import (
     ConvShape,
@@ -194,8 +193,19 @@ _register(ConvAlgorithm.FINEGRAIN_FFT, conv2d_finegrain_fft,
 _register(ConvAlgorithm.POLYHANKEL, convnd_polyhankel,
           "this paper: polynomial-multiplication convolution, one 1D FFT",
           native=True, any_rank=True)
-_register(ConvAlgorithm.POLYHANKEL_OS, conv2d_polyhankel_os,
-          "PolyHankel executed with overlap-save batch streaming")
+
+
+def _polyhankel_os(x, weight, padding=0, stride=1, dilation=1, groups=1,
+                   **kwargs) -> np.ndarray:
+    """PolyHankel on the ``overlap_save`` strategy of the one engine;
+    a ``strategy`` knob here raises, since this route fixes it."""
+    return convnd_polyhankel(x, weight, padding, stride, dilation, groups,
+                             strategy="overlap_save", **kwargs)
+
+
+_register(ConvAlgorithm.POLYHANKEL_OS, _polyhankel_os,
+          "PolyHankel streamed through overlap-save FFT blocks",
+          native=True, any_rank=True)
 
 
 def list_algorithms() -> list[ConvAlgorithm]:
@@ -235,14 +245,14 @@ def supports(algorithm: ConvAlgorithm | str,
     return _supported(get_entry(algorithm), _planar(shape))
 
 
-#: Default descent for guarded execution: the research method first, its
-#: streaming variant (a different code path over the same math), then the
-#: exact non-FFT routes.  GEMM and naive share no machinery with the FFT
-#: pipeline, so a broken backend or poisoned spectrum cannot follow the
-#: chain all the way down.
+#: Default descent for guarded execution: the research method first, then
+#: the exact non-FFT routes.  GEMM and naive share no machinery with the
+#: FFT pipeline, so a broken backend or poisoned spectrum cannot follow
+#: the chain all the way down.  The overlap-save variant is left out: it
+#: runs the same plan, spectrum cache and fault hooks as PolyHankel, so a
+#: PolyHankel fault would only fail a second time before GEMM.
 FALLBACK_ORDER = (
     ConvAlgorithm.POLYHANKEL,
-    ConvAlgorithm.POLYHANKEL_OS,
     ConvAlgorithm.GEMM,
     ConvAlgorithm.NAIVE,
 )

@@ -8,9 +8,10 @@ Layered as in the paper:
 - :mod:`repro.core.construction` — building A(t) and U(t) directly from the
   input/kernel (Sec. 2.2, Eqs. 10-12);
 - :mod:`repro.core.polyhankel` — single-channel convolution;
-- :mod:`repro.core.multichannel` — batched NCHW production path (Sec. 3.2);
-- :mod:`repro.core.overlap_save` — overlap-save batch streaming (Sec. 3.2);
-- :mod:`repro.core.planning` — cuFFT-style size policies.
+- :mod:`repro.core.multichannel` — the batched production engine (Sec. 3.2),
+  with the channel-sum, channel-merge and overlap-save block strategies;
+- :mod:`repro.core.planning` — cuFFT-style size policies and the
+  overlap-save block geometry.
 """
 
 from repro.core.construction import (
@@ -31,10 +32,6 @@ from repro.core.multichannel import (
     conv2d_polyhankel,
     get_plan,
 )
-from repro.core.overlap_save import (
-    conv2d_polyhankel_os,
-    overlap_save_convolve,
-)
 from repro.core.planning import POLICIES, plan_fft_size
 from repro.core.polyhankel import conv2d_single
 from repro.core.polynomial import Polynomial
@@ -43,8 +40,6 @@ __all__ = [
     "Polynomial",
     "conv2d_single",
     "conv2d_polyhankel",
-    "conv2d_polyhankel_os",
-    "overlap_save_convolve",
     "PolyHankelPlan",
     "get_plan",
     "clear_plan_cache",

@@ -10,7 +10,11 @@ Two channel-handling strategies, as discussed in the paper:
   price of a C-times larger transform.
 
 Both produce identical results; ``benchmarks/bench_ablation_channel_merge``
-quantifies the tradeoff the paper describes.
+quantifies the tradeoff the paper describes.  A third strategy,
+``"overlap_save"`` (``algorithm="polyhankel_os"``), streams the sum
+pipeline through overlap-save blocks of the cost model's block size
+(:func:`repro.core.planning.overlap_save_blocks`), one contraction row per
+block.
 
 This module is also the execution engine: everything shape-dependent lives
 in a :class:`PolyHankelPlan` (bounded LRU cache, :func:`get_plan`), and
@@ -48,6 +52,7 @@ from repro.core.construction import (
 from repro.core.planning import (
     FftPolicy,
     PlanSpec,
+    overlap_save_blocks,
     plan_fft_size,
     resolve_fft_policy,
 )
@@ -59,7 +64,7 @@ from repro.observe.registry import cache_hits_misses, reset_cache_stats
 from repro.utils.shapes import ConvShape
 from repro.utils.validation import ensure_array
 
-ChannelStrategy = Literal["sum", "merge"]
+ChannelStrategy = Literal["sum", "merge", "overlap_save"]
 
 #: Per-backend floor on ``n * (c + f) * nfft`` below which ``workers=N``
 #: requests run sequentially anyway: under it, thread wake-up plus the
@@ -112,7 +117,9 @@ class PolyHankelPlan:
 
     ``fft_policy="auto"`` resolves to the concrete policy best for the
     plan's backend (see :func:`repro.core.planning.resolve_fft_policy`);
-    after construction :attr:`fft_policy` is always concrete.
+    after construction :attr:`fft_policy` is always concrete.  The
+    ``overlap_save`` strategy takes its block size from the cost model
+    instead, so its policy does not change its transforms.
     """
 
     shape: ConvShape
@@ -125,16 +132,32 @@ class PolyHankelPlan:
     gather_grid: tuple[int, tuple[int, ...]] | None = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.strategy not in ("sum", "merge"):
+        if self.strategy not in ("sum", "merge", "overlap_save"):
             raise ValueError(
                 f"unknown channel strategy {self.strategy!r}; "
-                "expected 'sum' or 'merge'"
+                "expected 'sum', 'merge' or 'overlap_save'"
             )
         self.fft_policy = resolve_fft_policy(self.fft_policy, self.backend)
         len_a, len_u, transform_len = polynomial_lengths(self.shape)
+        # Sum-pipeline staging: each channel row of ``_stage_len`` points
+        # holds the padded input from ``_lead`` on and is read as
+        # ``_blocks`` transforms of ``nfft`` points, ``_step`` apart.
+        self._blocks, self._lead = 1, 0
         if self.strategy == "sum":
             self.nfft = plan_fft_size(transform_len, self.fft_policy)
             self.gather = output_gather_indices(self.shape)
+            self._stage_len = self.nfft
+        elif self.strategy == "overlap_save":
+            self.nfft, self._step, self._blocks = overlap_save_blocks(
+                self.shape)
+            self._lead = len_u - 1
+            self._stage_len = (self._blocks - 1) * self._step + self.nfft
+            # Block b holds linear degrees b*step ... after its first K - 1
+            # (wrapped) samples: degree t is at (t // step) * nfft + K - 1
+            # + t % step of the concatenated block products.
+            degrees = output_gather_indices(self.shape)
+            self.gather = (degrees // self._step * self.nfft + self._lead
+                           + degrees % self._step)
         else:
             # Channels merge *within* a group; each group is an independent
             # polynomial product, so the transform is c/groups times longer,
@@ -157,9 +180,9 @@ class PolyHankelPlan:
         # Thread-worker handoff floor (see _SPLIT_MIN_WORK): splitting the
         # batch only pays once the transform work per call clears it.
         backend_name = _fft.get_backend(self.backend).name
-        rows = self.shape.c + self.shape.f if self.strategy == "sum" \
-            else self.shape.groups + self.shape.f
-        self._split_work = self.shape.n * rows * self.nfft
+        rows = self.shape.groups + self.shape.f if self.strategy == "merge" \
+            else self.shape.c + self.shape.f
+        self._split_work = self.shape.n * rows * self._blocks * self.nfft
         self._split_min = _SPLIT_MIN_WORK.get(backend_name,
                                               _SPLIT_MIN_WORK_DEFAULT)
         # Per-plan scratch buffers for the sequential path (see _buffer).
@@ -189,9 +212,9 @@ class PolyHankelPlan:
     def transform_weight(self, weight: np.ndarray) -> np.ndarray:
         """Kernel polynomial spectra for *weight* (``(f, c, *kernel)``).
 
-        Returns the ``sum`` strategy's spectra bins-major as ``(g, bins,
-        c_per, f_per)`` — per group and frequency bin, the matrix each
-        image's channel row vector multiplies in the pointwise stage — and
+        Returns the ``sum``/``overlap_save`` spectra bins-major as ``(g,
+        bins, c_per, f_per)`` — per group and frequency bin, the matrix
+        each channel row vector multiplies in the pointwise stage — and
         ``(f, nfft//2 + 1)`` for ``merge``.  Always recomputes; the cached
         entry point is :meth:`weight_spectrum`.
         """
@@ -204,7 +227,7 @@ class PolyHankelPlan:
         fft = _fft.get_backend(self.backend)
         with span("weight.transform", strategy=self.strategy,
                   nfft=self.nfft, bytes=weight.nbytes):
-            if self.strategy == "sum":
+            if self.strategy != "merge":
                 shape = self.shape
                 g, c_per, f_per = shape.groups, shape.group_channels, \
                     shape.group_filters
@@ -309,8 +332,8 @@ class PolyHankelPlan:
                     f"{self.shape.input_shape()}"
                 )
         fft = _fft.get_backend(self.backend)
-        run = self._execute_sum if self.strategy == "sum" \
-            else self._execute_merge
+        run = self._execute_merge if self.strategy == "merge" \
+            else self._execute_sum
         if _faults._STACK:
             # Fault-injection hook: poisons a *copy*, so reused scratch
             # buffers (whose zero border is never rewritten) stay clean.
@@ -378,37 +401,42 @@ class PolyHankelPlan:
         ``workers=N`` leaves the result bit-identical too.  Depthwise
         groups (``c_per == 1``) have no channel sum, so their contraction
         is a broadcast multiply — chosen by shape, still per image.
+
+        The ``overlap_save`` strategy runs this same pipeline on blocks:
+        each channel row is staged after ``K - 1`` leading zeros, read as
+        ``blocks`` overlapping ``nfft``-point windows (a strided view, no
+        copy), and every (image, block) pair is one contraction row; the
+        gather then skips each block's first ``K - 1`` samples.
         """
         shape = self.shape
         n = x.shape[0]
         g, c_per, f_per = shape.groups, shape.group_channels, \
             shape.group_filters
-        bins, nfft = self.bins, self.nfft
+        bins, nfft, m = self.bins, self.nfft, self._blocks
 
-        with span("stage.input_fft", n=nfft, rows=n * shape.c,
+        with span("stage.input_fft", n=nfft, rows=n * shape.c * m,
                   bytes=x.nbytes):
-            block = self._buffer(reuse, "x", (n, shape.c, nfft), float,
-                                 zero=True)
-            # The head of each row, viewed as the padded input.
-            step = block.strides[-1]
-            padded = np.lib.stride_tricks.as_strided(
-                block, block.shape[:-1] + self._padded_extents,
-                block.strides[:-1] + tuple(s * step
-                                           for s in self._poly_strides))
-            padded[self._interior] = x
-            x_hat = fft.rfft(block, nfft)                # (n, c, bins)
+            block = self._buffer(reuse, "x", (n, shape.c, self._stage_len),
+                                 float, zero=True)
+            self._staging_view(block)[self._interior] = x
+            if m > 1:      # the overlapping windows, ``_step`` apart
+                s0, s1, s2 = block.strides
+                block = np.lib.stride_tricks.as_strided(
+                    block, (n, shape.c, m, nfft), (s0, s1, self._step * s2, s2))
+            x_hat = fft.rfft(block, nfft)                # (n, c, [m,] bins)
             # The row block and the inverse transform's input are never
             # live together, so they share one buffer.
             shared = self._buffer(reuse, "spectra",
-                                  (n * bins * max(shape.c, shape.f),),
+                                  (n * m * bins * max(shape.c, shape.f),),
                                   complex)
-            rows = shared[:n * bins * shape.c].reshape(g, bins, n, 1, c_per)
-            rows[:, :, :, 0] = x_hat.reshape(n, g, c_per, bins) \
-                .transpose(1, 3, 0, 2)
+            rows = shared[:n * m * bins * shape.c].reshape(
+                g, bins, n * m, 1, c_per)
+            rows.reshape(g, bins, n, m, c_per)[...] = x_hat.reshape(
+                n, g, c_per, m, bins).transpose(1, 4, 0, 3, 2)
 
-        products = self._buffer(reuse, "products", (g, bins, n, 1, f_per),
-                                complex)
-        with span("stage.pointwise", strategy="sum",
+        products = self._buffer(reuse, "products",
+                                (g, bins, n * m, 1, f_per), complex)
+        with span("stage.pointwise", strategy=self.strategy,
                   bytes=rows.nbytes + weight_hat.nbytes):
             w = weight_hat[:, :, None]                  # (g, bins, 1, c, f)
             if c_per == 1:
@@ -416,12 +444,14 @@ class PolyHankelPlan:
             else:
                 np.matmul(rows, w, out=products)
 
-        with span("stage.inverse_fft", n=nfft, rows=n * shape.f,
+        with span("stage.inverse_fft", n=nfft, rows=n * shape.f * m,
                   bytes=products.nbytes):
-            spec = shared[:n * bins * shape.f].reshape(n, g, f_per, bins)
-            spec[...] = products[:, :, :, 0].transpose(2, 0, 3, 1)
-            product = fft.irfft(spec, nfft)              # (n, g, f_per, nfft)
-        return self._gather_output(product.reshape(n, shape.f, nfft))
+            spec = shared[:n * m * bins * shape.f].reshape(
+                n, g, f_per, m, bins)
+            spec[...] = products.reshape(g, bins, n, m, f_per).transpose(
+                2, 0, 4, 3, 1)
+            product = fft.irfft(spec, nfft)        # (n, g, f_per, m, nfft)
+        return self._gather_output(product.reshape(n, shape.f, m * nfft))
 
     def _execute_merge(self, x: np.ndarray, weight_hat: np.ndarray,
                        fft, reuse: bool = False) -> np.ndarray:
@@ -460,26 +490,30 @@ class PolyHankelPlan:
         return self._gather_output(product)
 
     def _gather_output(self, product: np.ndarray) -> np.ndarray:
-        """The Eq. 12 output gather over ``(n, f, nfft)`` products."""
+        """The Eq. 12 output gather over ``(n, f, blocks * nfft)``
+        products."""
         with span("stage.gather", bytes=product.nbytes) as gather_span:
-            grid = self.gather_grid
-            if grid is None:
+            if self.gather_grid is None:
                 result = product[..., self.gather]       # (n, f, *out)
             else:
                 # The gather degrees form a regular grid, so a strided
                 # view + one contiguous copy replaces the advanced indexing
                 # (no index array to walk); the values are identical.
-                base, steps = grid
-                out = self.gather.shape
-                flat = np.ascontiguousarray(product).reshape(-1, self.nfft)
-                s0, s1 = flat.strides
-                view = np.lib.stride_tricks.as_strided(
-                    flat[:, base:], shape=(flat.shape[0],) + out,
-                    strides=(s0,) + tuple(step * s1 for step in steps))
+                view = self._grid_view(np.ascontiguousarray(product))
                 result = np.ascontiguousarray(view).reshape(
-                    product.shape[:-1] + out)
+                    product.shape[:-1] + self.gather.shape)
             gather_span.add_attrs(out_bytes=result.nbytes)
         return result
+
+    def _grid_view(self, block: np.ndarray) -> np.ndarray:
+        """The gather degrees of every row of a C-contiguous block, as a
+        strided ``(rows, *out)`` view (needs :attr:`gather_grid`)."""
+        base, steps = self.gather_grid
+        flat = block.reshape(-1, block.shape[-1])
+        s0, s1 = flat.strides
+        return np.lib.stride_tricks.as_strided(
+            flat[:, base:], shape=(flat.shape[0],) + self.gather.shape,
+            strides=(s0,) + tuple(step * s1 for step in steps))
 
     # -- adjoint ---------------------------------------------------------------
 
@@ -547,11 +581,12 @@ class PolyHankelPlan:
         return dx, dw
 
     def _staging_view(self, block: np.ndarray) -> np.ndarray:
-        """The head of each row of a C-contiguous ``(n, c, nfft)`` block,
-        viewed as the padded input (the forward's staging layout)."""
+        """Each row of a C-contiguous ``(n, c, stage_len)`` block from
+        its ``_lead`` on, viewed as the padded input (the forward's
+        staging layout)."""
         step = block.strides[-1]
         return np.lib.stride_tricks.as_strided(
-            block, block.shape[:-1] + self._padded_extents,
+            block[..., self._lead:], block.shape[:-1] + self._padded_extents,
             block.strides[:-1] + tuple(s * step for s in self._poly_strides))
 
     def _work(self, reuse: bool, name: str, shape: tuple) -> np.ndarray:
@@ -579,12 +614,7 @@ class PolyHankelPlan:
             if self.gather_grid is None:
                 block[..., self.gather] = grad_out
             else:
-                base, steps = self.gather_grid
-                flat = block.reshape(-1, nfft)
-                s0, s1 = flat.strides
-                view = np.lib.stride_tricks.as_strided(
-                    flat[:, base:], shape=(flat.shape[0],) + self.gather.shape,
-                    strides=(s0,) + tuple(step * s1 for step in steps))
+                view = self._grid_view(block)
                 view[...] = grad_out.reshape(view.shape)
             p_hat = fft.rfft(block, nfft)                # (n, f, bins)
             # The forward's product block has this very shape, and the

@@ -7,7 +7,7 @@ This package wraps the engine's forward paths in three layers of defense:
   a-posteriori output checks, classifying every forward as
   healthy / suspect / failed / degraded;
 - :mod:`repro.guard.chain` — an ordered fallback chain (PolyHankel →
-  overlap-save → GEMM → naive) with a TTL circuit breaker, so a tripped
+  GEMM → naive) with a TTL circuit breaker, so a tripped
   sentinel or a raised backend error degrades to a slower exact answer
   instead of propagating garbage;
 - :mod:`repro.guard.faults` — deterministic fault injection at the real

@@ -1,7 +1,7 @@
 """The supervised fallback chain: one forward, several ways to survive it.
 
 ``guarded_conv2d`` walks an ordered chain of algorithm lowerings —
-PolyHankel, its overlap-save variant, im2col/GEMM, naive — derived from
+PolyHankel, im2col/GEMM, naive by default — derived from
 the baselines registry's ``supports()`` metadata, for every convolution
 op (conv1d, conv2d, conv3d, conv_transpose2d).  Each attempt is
 sentinel-classified (:mod:`repro.guard.sentinel`); a suspect/failed result

@@ -45,8 +45,7 @@ class GuardConfig:
     #: shape are skipped.  The string ``"ranked"`` derives the order from
     #: the selector's roofline ranking per shape instead (see
     #: :func:`repro.baselines.registry.fallback_chain`).
-    chain: tuple[str, ...] | str = ("polyhankel", "polyhankel_os", "gemm",
-                                   "naive")
+    chain: tuple[str, ...] | str = ("polyhankel", "gemm", "naive")
 
     def with_(self, **kwargs) -> "GuardConfig":
         return replace(self, **kwargs)

@@ -10,12 +10,12 @@ counters (see the substitution table in DESIGN.md):
 - :mod:`repro.perfmodel.calibration` — per-stage-kind efficiencies.
 """
 
+from repro.core.planning import polyhankel_block_size
 from repro.perfmodel.counters import (
     CounterReport,
     Stage,
     count,
     modeled_algorithms,
-    polyhankel_block_size,
 )
 from repro.perfmodel.device import (
     A10G,

@@ -23,7 +23,9 @@ The PolyHankel model follows the paper's actual implementation (Sec. 3.2):
 overlap-save streaming with the FFT block size tied to the *combined kernel
 polynomial* length — which is why its cost steps up when the kernel vector
 crosses a power of two (the paper's explanation of Fig. 4) — with channels
-summed in the frequency domain.
+summed in the frequency domain.  The block geometry lives in
+:func:`repro.core.planning.overlap_save_blocks`, which the engine's
+``overlap_save`` strategy runs.
 """
 
 from __future__ import annotations
@@ -32,30 +34,12 @@ import math
 from dataclasses import dataclass
 
 from repro.baselines.registry import ConvAlgorithm
-from repro.core.planning import plan_fft_size
+from repro.core.planning import fft_passes, overlap_save_blocks, plan_fft_size
 from repro.utils.shapes import ConvShape
 
 FLOAT_BYTES = 4
 COMPLEX_BYTES = 8
 TRANSACTION_BYTES = 32
-
-#: Largest 1D FFT a single GPU kernel can run out of shared memory
-#: (with register pressure and twiddle storage, ~2048 complex64 points).
-#: Longer transforms use a multi-pass (four-step) decomposition that
-#: streams the whole array through DRAM once more per extra pass.
-MAX_SINGLE_PASS_FFT = 2048
-
-MIN_OS_BLOCK = 512
-
-
-def fft_passes(nfft: int) -> int:
-    """DRAM passes a batched 1D FFT of size *nfft* needs."""
-    passes = 1
-    span = MAX_SINGLE_PASS_FFT
-    while nfft > span:
-        passes += 1
-        span *= MAX_SINGLE_PASS_FFT
-    return passes
 
 
 @dataclass(frozen=True)
@@ -380,36 +364,6 @@ def count_winograd(shape: ConvShape, m: int = 2,
 # PolyHankel
 # ---------------------------------------------------------------------------
 
-def polyhankel_block_size(shape: ConvShape) -> int:
-    """Overlap-save FFT block size: the classic per-sample-optimal choice.
-
-    For kernel-polynomial length ``M = (Kh-1)*Iw + Kw`` (Sec. 3.2), a block
-    of size ``nfft`` yields ``nfft - M + 1`` fresh samples, so the FFT work
-    per useful sample is ``passes_penalty * nfft * log2(nfft) / (nfft-M+1)``.
-    We pick the power-of-two ``nfft`` minimizing that, doubling the weight
-    for every extra DRAM pass a beyond-shared-memory transform needs.
-
-    Because of the pass penalty the choice is effectively capped at
-    :data:`MAX_SINGLE_PASS_FFT`; once ``M`` grows toward that cap the
-    overlap fraction explodes — this is the paper's Fig. 4 mechanism ("the
-    FFT size in PolyHankel is determined by the size of kernel vectors.
-    When the kernel vector size reaches the next power of two, the FFT size
-    will be doubled").
-    """
-    kernel_len = shape.poly_kernel_len
-    floor = max(plan_fft_size(kernel_len + 1, "pow2"), MIN_OS_BLOCK)
-    best, best_cost = floor, math.inf
-    nfft = floor
-    for _ in range(5):
-        step = nfft - kernel_len + 1
-        penalty = 2.0 ** (fft_passes(nfft) - 1)
-        cost = penalty * nfft * math.log2(nfft) / step
-        if cost < best_cost:
-            best, best_cost = nfft, cost
-        nfft *= 2
-    return best
-
-
 def count_polyhankel(shape: ConvShape) -> CounterReport:
     """PolyHankel with overlap-save streaming (Table 2/3 row 4).
 
@@ -418,12 +372,8 @@ def count_polyhankel(shape: ConvShape) -> CounterReport:
     (image, filter, block), then the Eq. 12 gather.
     """
     b, c, f = shape.n, shape.c, shape.f
-    kernel_len = shape.poly_kernel_len
-    nfft = polyhankel_block_size(shape)
+    nfft, _, blocks = overlap_save_blocks(shape)  # blocks per image/channel
     bins = nfft // 2 + 1
-    step = nfft - (kernel_len - 1)
-    signal_len = shape.poly_input_len + kernel_len - 1   # guard per image
-    blocks = math.ceil(signal_len / step)                # per image/channel
     passes = fft_passes(nfft)
     # Each extra FFT pass streams the working set through DRAM once more.
     extra = (passes - 1) * 2 * blocks * bins * COMPLEX_BYTES

@@ -30,13 +30,13 @@ from repro.utils.shapes import ConvShape
 #: their modeled times tie exactly; the tie resolves through
 #: :data:`TIE_BREAK` below instead of silently dropping one of the pair
 #: from the ranking (which hid POLYHANKEL_OS from every consumer of the
-#: full ranking, the guard's degradation order included).
+#: full ranking).
 CANDIDATES: tuple[ConvAlgorithm, ...] = tuple(modeled_algorithms())
 
 #: Deterministic preference order for modeled-cost ties: the guard
-#: chain's descent first (POLYHANKEL before its overlap-save variant —
-#: same math, and the batch pipeline is the better-exercised path), then
-#: the remaining algorithms in registry declaration order.  Sorting on
+#: chain's descent first, then the remaining algorithms in registry
+#: declaration order — so POLYHANKEL ranks before its overlap-save
+#: variant, the same engine run through blocks.  Sorting on
 #: ``(modeled_ms, tie-break index)`` makes the full ranking a total
 #: order: equal-cost pairs always rank the same way, on every host.
 TIE_BREAK: tuple[ConvAlgorithm, ...] = tuple(FALLBACK_ORDER) + tuple(

@@ -22,7 +22,7 @@ class TestGuardConfig:
         assert cfg.ulp_constant == 64.0
         assert cfg.breaker_threshold == 3
         assert cfg.breaker_ttl_s == 30.0
-        assert cfg.chain == ("polyhankel", "polyhankel_os", "gemm", "naive")
+        assert cfg.chain == ("polyhankel", "gemm", "naive")
 
     def test_with_returns_new_instance(self):
         cfg = GuardConfig()

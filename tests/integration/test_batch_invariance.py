@@ -3,10 +3,13 @@
 Every stage of the sum-strategy pipeline works on one image at a time,
 the pointwise channel contraction included, so row ``i`` of a batch-``n``
 call is ``np.array_equal`` to the call on image ``i`` alone, whatever
-``n`` is.  The serving layer leans on this: a request coalesced with
+``n`` is.  The overlap-save strategy (``polyhankel_os``) runs the same
+pipeline on per-image blocks and keeps the same property.  The serving layer leans on this: a request coalesced with
 companions must come back with the bits the caller would have got from a
 direct single-image call.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -52,6 +55,20 @@ def test_conv1d_batch_rows_equal_single_image_calls():
 def test_conv3d_batch_rows_equal_single_image_calls():
     x, w = _problem(16, 16, (8, 8, 8))
     _assert_rows_are_single_calls(F.conv3d, x, w, batches=(2, 8))
+
+
+@pytest.mark.parametrize("conv,c,f,extents", [
+    pytest.param(F.conv1d, 32, 32, (128,), id="conv1d"),
+    pytest.param(F.conv2d, 16, 16, (32, 32), id="conv2d-c16-32x32"),
+    pytest.param(F.conv3d, 16, 16, (8, 8, 8), id="conv3d"),
+])
+def test_overlap_save_batch_rows_equal_single_image_calls(conv, c, f,
+                                                          extents):
+    """``polyhankel_os`` streams each image through its own blocks, and
+    each block is one contraction row, so its batches keep the bits too."""
+    x, w = _problem(c, f, extents)
+    _assert_rows_are_single_calls(
+        partial(conv, algorithm="polyhankel_os"), x, w)
 
 
 @pytest.mark.parametrize("c,f,extents", CONV2D)

@@ -42,7 +42,7 @@ CASES = [("conv2d", algo) for algo in (
     "polyhankel", "polyhankel_os", "gemm", "implicit_precomp_gemm", "fft",
     "winograd", "naive")] + [
     (op, algo) for op in ("conv1d", "conv3d", "conv_transpose2d")
-    for algo in ("polyhankel", "gemm", "naive")]
+    for algo in ("polyhankel", "polyhankel_os", "gemm", "naive")]
 
 
 #: The served subset of CASES: every op under three algorithms.
@@ -157,7 +157,7 @@ winograd                    y    y    -    y  Winograd F(2x2, KhxKw) with genera
 winograd_nonfused           y    y    -    y  Winograd with materialized transform workspaces
 finegrain_fft               y    y    -    y  Zhang & Li's per-row block-FFT method (PACT'20)
 polyhankel                  y    y    y    y  this paper: polynomial-multiplication convolution, one 1D FFT
-polyhankel_os               y    y    -    y  PolyHankel executed with overlap-save batch streaming
+polyhankel_os               y    y    y    y  PolyHankel streamed through overlap-save FFT blocks
 """  # noqa: E501
 
 

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from repro.baselines.registry import ConvAlgorithm as A
-from repro.perfmodel.counters import (
+from repro.core.planning import (
     MAX_SINGLE_PASS_FFT,
+    fft_passes,
+    polyhankel_block_size,
+)
+from repro.perfmodel.counters import (
     count,
     count_gemm,
     count_polyhankel,
-    fft_passes,
     modeled_algorithms,
-    polyhankel_block_size,
 )
 from repro.utils.shapes import ConvShape
 
