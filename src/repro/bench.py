@@ -541,29 +541,16 @@ def run_selection_suite(seed: int = 0, requests: int = 300) -> list[dict]:
     gate also requires convergence onto the oracle's modeled-cost tie
     set.
     """
-    from repro.selection.bandit import BanditConfig, SelectionBandit
-    from repro.selection.drill import (
-        DRILL_SHAPES,
-        _digest,
-        _model_ms,
-        replay_key,
-    )
+    from repro.selection.drill import replay_drill_keys
 
-    config = BanditConfig(apply=True, explore_fraction=0.25, min_obs=5)
-    bandit = SelectionBandit(config)
-    rng = np.random.default_rng(seed)
-    entries = []
-    for name, shape in DRILL_SHAPES:
-        digest = _digest(shape)
-        entry = replay_key(bandit, digest, shape,
-                           _model_ms(shape, config.device), rng, requests)
+    _, entries = replay_drill_keys(seed, requests)
+    for entry in entries:
         entry.update({
-            "name": f"selection/{name}",
+            "name": f"selection/{entry['name']}",
             "seed": seed,
             "requests": requests,
             "max_regret_pct": MAX_REGRET_PCT,
         })
-        entries.append(entry)
     return entries
 
 

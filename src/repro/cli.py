@@ -6,7 +6,8 @@ Commands:
 - ``figures``    — regenerate the paper's figures as text tables;
 - ``simulate``   — simulated GPU time for one convolution shape;
 - ``select``     — algorithm recommendation (model + rules) for a shape;
-- ``tune``       — measure algorithms on this machine for a shape;
+- ``tune``       — measure algorithms on this machine for a shape into
+  the selection bandit's table (``REPRO_SELECTION_TABLE``);
 - ``bench``      — execution-engine wall-clock suite, written as JSON;
   ``--check BASELINE.json`` turns it into the CI regression gate;
   ``--inject`` runs the guard recovery drill instead of the timings,
@@ -196,15 +197,26 @@ def cmd_select(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    from repro.selection.tuner import ConvTuner
+    from repro.selection.bandit import (
+        BanditConfig, SelectionBandit, SelectionTableError,
+    )
 
     shape = _shape_from_args(args)
-    tuner = ConvTuner(repeats=args.repeats)
-    result = tuner.tune(shape)
-    print(f"measured on this machine for {shape}:")
-    for algo, seconds in result.ranking():
-        print(f"  {algo.value:<24} {seconds * 1e3:10.3f} ms")
-    print(f"best: {result.best.value}")
+    bandit = SelectionBandit(BanditConfig.from_env())
+    try:
+        bandit.warm_start()
+    except SelectionTableError as exc:
+        print(f"selection table rejected: {exc}")
+        return 1
+    digest = bandit.tune(shape, args.repeats)
+    entry = next(k for k in bandit.stats()["keys"] if k["key"] == digest)
+    print(f"measured on this machine for {shape} (mean ms per image):")
+    for arm in sorted(entry["arms"], key=lambda a: a["mean_ms"]):
+        print(f"  {arm['algorithm']:<24} {arm['mean_ms']:10.3f} ms")
+    print(f"best: {entry['best']} (served for key {digest})")
+    path = bandit.save()
+    if path:
+        print(f"selection table written to {path}")
     if getattr(args, "cache_stats", False):
         _print_cache_stats()
     return 0

@@ -372,6 +372,7 @@ def count_polyhankel(shape: ConvShape) -> CounterReport:
     (image, filter, block), then the Eq. 12 gather.
     """
     b, c, f = shape.n, shape.c, shape.f
+    cg = shape.group_channels  # channels each filter contracts
     nfft, _, blocks = overlap_save_blocks(shape)  # blocks per image/channel
     bins = nfft // 2 + 1
     passes = fft_passes(nfft)
@@ -386,12 +387,12 @@ def count_polyhankel(shape: ConvShape) -> CounterReport:
               bytes_written=b * c * (blocks * bins * COMPLEX_BYTES
                                      + extra / 2)),
         Stage("kernel_ffts", "fft",
-              flops=f * c * _rfft_flops(nfft),
-              bytes_read=f * c * shape.kernel_elems * FLOAT_BYTES,
-              bytes_written=f * c * bins * COMPLEX_BYTES * passes),
+              flops=f * cg * _rfft_flops(nfft),
+              bytes_read=f * cg * shape.kernel_elems * FLOAT_BYTES,
+              bytes_written=f * cg * bins * COMPLEX_BYTES * passes),
         Stage("pointwise_channel_sum", "cgemm",
-              flops=8.0 * b * f * c * blocks * bins,
-              bytes_read=(b * c * blocks + f * c) * bins * COMPLEX_BYTES,
+              flops=8.0 * b * f * cg * blocks * bins,
+              bytes_read=(b * c * blocks + f * cg) * bins * COMPLEX_BYTES,
               bytes_written=b * f * blocks * bins * COMPLEX_BYTES),
         # The Eq. 12 gather runs in the inverse FFT's store epilogue (a
         # cuFFT store-callback in the paper's setting): only the useful

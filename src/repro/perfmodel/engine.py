@@ -13,7 +13,9 @@ expectations instead of copying magic constants.
 
 The sum strategy runs 1 ``rfft`` of ``n*c`` rows and 1 ``irfft`` of
 ``n*f`` rows.  The merge strategy runs 1 ``rfft`` of ``n*g`` merged rows
-and 1 ``irfft`` of ``n*f`` rows.
+and 1 ``irfft`` of ``n*f`` rows.  The overlap-save strategy runs the sum
+strategy's two calls over ``B`` blocks per row: ``n*c*B`` and ``n*f*B``
+rows at the block size.
 
 The roofline side reuses the GPU-model FLOP/byte stages against the CPU
 proxy peaks in :mod:`repro.perfmodel.device`: ``roofline_pct`` is the
@@ -23,6 +25,7 @@ achieves.
 
 from __future__ import annotations
 
+from repro.core.planning import overlap_save_blocks
 from repro.perfmodel.counters import count_polyhankel
 from repro.perfmodel.device import cpu_roofline_seconds
 from repro.utils.shapes import ConvShape
@@ -34,11 +37,15 @@ def predict_fft_counters(shape: ConvShape,
 
     Returns the same structure ``repro bench`` records per case:
     ``{"fft_calls": int, "fft_rows": int, "by_kind": {kind: calls}}``.
+    ``"overlap_save"`` transforms every image and output row once per
+    block (:func:`repro.core.planning.overlap_save_blocks`).
     """
     rows_in = shape.n * (shape.groups if strategy == "merge" else shape.c)
+    blocks = overlap_save_blocks(shape)[2] \
+        if strategy == "overlap_save" else 1
     return {
         "fft_calls": 2,
-        "fft_rows": rows_in + shape.n * shape.f,
+        "fft_rows": (rows_in + shape.n * shape.f) * blocks,
         "by_kind": {"irfft": 1, "rfft": 1},
     }
 

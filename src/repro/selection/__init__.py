@@ -1,13 +1,15 @@
-"""Convolution algorithm selection: static heuristics and online learning.
+"""Convolution algorithm selection: static heuristics and measurement.
 
-Three tiers, in order of information available:
+Three selectors, in order of information available:
 
 - :func:`select_algorithm_rules` — closed-form O(1) rules from the paper;
 - :func:`select_algorithm` — roofline-model argmin with a deterministic
   tie-break (the oracle the cost model supports);
-- :class:`~repro.selection.bandit.SelectionBandit` — per-coalescing-key
-  online learning over live serving traffic, warm-started from the model
-  and converged on measurement (see :mod:`repro.selection.bandit`).
+- :class:`~repro.selection.bandit.SelectionBandit` — per-key measured
+  selection, warm-started from the model and converged on measurement:
+  online over live serving traffic, or offline by ``repro tune``
+  (:meth:`~repro.selection.bandit.SelectionBandit.tune`), which fills
+  the persisted table a server warm-starts from.
 """
 
 from repro.selection.bandit import (

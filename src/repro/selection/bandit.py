@@ -18,13 +18,13 @@ Design rules, in order of importance:
    own breaker scope, its output is parity-checked against the primary,
    and only then is its timing credited.  A shadow that raises, diverges,
    or corrupts its output costs a counter and (after
-   ``max_parity_failures``) poisons its arm — nothing else.
+   :data:`MAX_PARITY_FAILURES`) poisons its arm — nothing else.
 2. **Warm-started, then measured.**  Arms open with the roofline model's
-   prediction (:func:`repro.perfmodel.timing.prior_ms`) as ``prior_weight``
-   pseudo-observations; real timings take over as they accumulate.  The
-   prior is kept in measured units through a per-key calibration scale
-   (measured-ms over modeled-ms across observed arms), so the blend is
-   dimensionally honest.
+   prediction (:func:`repro.perfmodel.timing.prior_ms`) as
+   :data:`PRIOR_WEIGHT` pseudo-observations; real timings take over as
+   they accumulate.  The prior is kept in measured units through a
+   per-key calibration scale (measured-ms over modeled-ms across
+   observed arms), so the blend is dimensionally honest.
 3. **Deterministic.**  Tie-breaks follow the arm order (requested arm
    first, then :data:`~repro.baselines.registry.FALLBACK_ORDER`), and the
    exploration schedule is a counting rule — ``explored <
@@ -37,10 +37,11 @@ algorithm); the stats pipe ships them to the router like every other
 counter, and :meth:`SelectionBandit.ingest_replica_rows` folds the
 ``proc``-tagged deltas into the router's table.
 
-Learned tables persist as schema-versioned JSON next to
-``baseline_ci.json`` — content-checksummed like the spectrum caches: a
-corrupt file is discarded (``selection.table_corrupt``), a foreign schema
-version is rejected loudly (:class:`SelectionTableError`).
+Learned tables persist as schema-versioned JSON at ``table_path``
+(``REPRO_SELECTION_TABLE``) — content-checksummed like the spectrum
+caches: a corrupt file is discarded (``selection.table_corrupt``), a
+foreign schema version is rejected loudly (:class:`SelectionTableError`).
+``repro tune`` fills the same table offline (:meth:`SelectionBandit.tune`).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import os
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -67,10 +68,16 @@ ENABLE_ENV = "REPRO_SELECTION_BANDIT"
 TABLE_ENV = "REPRO_SELECTION_TABLE"
 EXPLORE_ENV = "REPRO_SELECTION_EXPLORE"
 
-#: Default persistence location — next to ``baseline_ci.json``, so the
-#: learned table is versioned with the measurements it complements.
-DEFAULT_TABLE_PATH = os.path.join("benchmarks", "results",
-                                  "selection_table.json")
+#: Pseudo-observations the roofline prior counts for in a posterior.
+PRIOR_WEIGHT = 2.0
+
+#: Shadow parity tolerance against the served output (``atol`` scales
+#: with the served output's largest magnitude).
+PARITY_RTOL = 1e-4
+PARITY_ATOL = 1e-7
+
+#: Shadow failures (raise or parity) that poison an arm for good.
+MAX_PARITY_FAILURES = 1
 
 #: Posterior penalty for arms the roofline model cannot price (naive):
 #: they start at ``worst modeled prior x this`` so they are explored
@@ -93,12 +100,7 @@ class BanditConfig:
 
     explore_fraction: float = 0.1
     min_obs: int = 3
-    prior_weight: float = 2.0
     apply: bool = True
-    parity_rtol: float = 1e-4
-    parity_atol: float = 1e-7
-    max_parity_failures: int = 1
-    device: str = "3090ti"
     table_path: str | None = None
 
     @classmethod
@@ -186,14 +188,30 @@ class KeyState:
                    if a.prior_ms is not None]
         return (max(modeled) if modeled else 1.0) * UNMODELED_PENALTY
 
-    def arm_index(self, algorithm: str) -> int:
-        try:
-            return self.order.index(algorithm)
-        except ValueError:
-            return len(self.order)
+    def arm(self, algorithm: str) -> ArmState:
+        """The key's arm for *algorithm*, created on first use."""
+        arm = self.arms.get(algorithm)
+        if arm is None:
+            arm = self.arms[algorithm] = ArmState(algorithm)
+        return arm
+
+    def listed(self) -> list[ArmState]:
+        """The arms in arm order (by name while the key has no order)."""
+        names = self.order or tuple(sorted(self.arms))
+        return [self.arms[name] for name in names if name in self.arms]
+
+    def best_arm(self) -> ArmState | None:
+        """The posterior argmin over the live listed arms; ties break on
+        arm order.  ``None`` when every arm is poisoned."""
+        scale = self.scale()
+        fallback = self.fallback_prior()
+        return min((a for a in self.listed() if not a.poisoned),
+                   key=lambda a: a.posterior_ms(scale, PRIOR_WEIGHT,
+                                                fallback),
+                   default=None)
 
     def converged(self, min_obs: int) -> bool:
-        live = [a for a in self.arms.values() if not a.poisoned]
+        live = [a for a in self.listed() if not a.poisoned]
         return bool(live) and all(a.obs >= min_obs for a in live)
 
 
@@ -230,6 +248,13 @@ def key_digest(*, op: str, input_chw: tuple, weight_shape: tuple,
     ))
 
 
+def _conv2d_digest(x: np.ndarray, weight: np.ndarray, **params) -> str:
+    """The key of a conv2d of *x* and *weight* (see :func:`key_digest`)."""
+    return key_digest(op="conv2d", input_chw=tuple(x.shape[1:]),
+                      weight_shape=tuple(weight.shape), dtype=str(x.dtype),
+                      **params)
+
+
 class SelectionBandit:
     """Per-key contextual bandit over the executable algorithm arms."""
 
@@ -243,29 +268,21 @@ class SelectionBandit:
 
     # -- arm construction ----------------------------------------------------
 
+    def _state(self, digest: str) -> KeyState:
+        """The key's state, created on first use (caller holds the lock)."""
+        state = self._keys.get(digest)
+        if state is None:
+            state = self._keys[digest] = KeyState(digest)
+        return state
+
     def _seed_key(self, digest: str, shape, requested: str) -> KeyState:
         """Create (or complete) the key's arms from chain + priors."""
         from repro.baselines.registry import fallback_chain
-        from repro.perfmodel.timing import prior_ms
 
-        state = self._keys.get(digest)
-        if state is None:
-            state = KeyState(digest)
-            self._keys[digest] = state
-        if state.order:
-            return state
-        chain = fallback_chain(shape, primary=requested)
-        prior_shape = shape.with_(n=1) if shape.n != 1 else shape
-        for algo in chain:
-            name = algo.value
-            arm = state.arms.get(name)
-            if arm is None:
-                arm = ArmState(name)
-                state.arms[name] = arm
-            if arm.prior_ms is None:
-                arm.prior_ms = prior_ms(algo, prior_shape,
-                                        self.config.device)
-        state.order = tuple(a.value for a in chain)
+        state = self._state(digest)
+        if not state.order:
+            _set_order(state, shape, fallback_chain(shape,
+                                                    primary=requested))
         return state
 
     # -- decisions -----------------------------------------------------------
@@ -281,25 +298,18 @@ class SelectionBandit:
         with self._lock:
             state = self._seed_key(digest, shape, requested)
             state.decisions += 1
-            eligible = [state.arms[name] for name in state.order
-                        if not state.arms[name].poisoned]
-            if not eligible:
+            best = state.best_arm()
+            if best is None:
                 counters.add("selection.decisions", source="requested")
                 return Decision(requested, None, "requested")
-            scale = state.scale()
-            fallback = state.fallback_prior()
-            best = min(eligible, key=lambda a: (
-                a.posterior_ms(scale, cfg.prior_weight, fallback),
-                state.arm_index(a.algorithm)))
             source = "measured" if best.obs else "prior"
             primary = best.algorithm if cfg.apply else requested
             shadow = None
-            pending = [a for a in eligible
-                       if a.obs < cfg.min_obs and a.algorithm != primary]
+            pending = [a for a in state.listed() if not a.poisoned
+                       and a.obs < cfg.min_obs and a.algorithm != primary]
             if pending and state.explored < int(cfg.explore_fraction
                                                 * state.decisions):
-                shadow = min(pending, key=lambda a: (
-                    a.obs, state.arm_index(a.algorithm))).algorithm
+                shadow = min(pending, key=lambda a: a.obs).algorithm
                 state.explored += 1
         counters.add("selection.decisions", source=source)
         if cfg.apply and primary != requested:
@@ -315,14 +325,7 @@ class SelectionBandit:
         """Credit one timing observation (wall *ms* over *rows* rows)."""
         per_row = ms / max(1, rows)
         with self._lock:
-            state = self._keys.get(digest)
-            if state is None:
-                state = KeyState(digest)
-                self._keys[digest] = state
-            arm = state.arms.get(algorithm)
-            if arm is None:
-                arm = ArmState(algorithm)
-                state.arms[algorithm] = arm
+            arm = self._state(digest).arm(algorithm)
             arm.obs += 1
             arm.ms_total += per_row
         counters.add("selection.arm_obs", 1, key=digest,
@@ -342,29 +345,56 @@ class SelectionBandit:
             if arm is None:
                 return
             arm.parity_failures += 1
-            if arm.parity_failures >= self.config.max_parity_failures \
+            if arm.parity_failures >= MAX_PARITY_FAILURES \
                     and not arm.poisoned:
                 arm.poisoned = True
                 counters.add("selection.arm_poisoned",
                              algorithm=algorithm)
 
+    def tune(self, shape, repeats: int = 3) -> str:
+        """Measure every capable arm but naive on *shape* (``repro tune``).
+
+        Each arm runs once as a warm-up, then *repeats* timed
+        :func:`~repro.baselines.registry.convolve` calls with the shape's
+        full padding, stride, dilation and groups.  Every timed call is
+        recorded under the key a served float64 conv2d of this geometry
+        gets (default strategy, default backend), whose arm order becomes
+        the tuned arms.  Returns that key's digest.
+        """
+        from repro.baselines.registry import (
+            ConvAlgorithm, convolve, list_algorithms, supports,
+        )
+        from repro.utils.random import random_problem
+
+        if repeats < 1 or shape.ndim != 2:
+            raise ValueError("tune takes a conv2d shape and repeats >= 1")
+        arms = [a for a in list_algorithms()
+                if a is not ConvAlgorithm.NAIVE and supports(a, shape)]
+        x, weight = random_problem(shape)
+        params = dict(padding=shape.padding, stride=shape.stride,
+                      dilation=shape.dilation, groups=shape.groups)
+        digest = _conv2d_digest(x, weight, strategy="sum", backend=None,
+                                **params)
+        with self._lock:
+            _set_order(self._state(digest), shape, arms)
+        for algo in arms:
+            convolve(x, weight, algorithm=algo, **params)
+            for _ in range(repeats):
+                start = time.perf_counter()
+                convolve(x, weight, algorithm=algo, **params)
+                self.record(digest, algo.value,
+                            (time.perf_counter() - start) * 1e3,
+                            rows=shape.n)
+        return digest
+
     # -- introspection -------------------------------------------------------
 
     def best(self, digest: str) -> str | None:
         """Current posterior-best arm of one key (None if unknown)."""
-        cfg = self.config
         with self._lock:
             state = self._keys.get(digest)
-            if state is None or not state.arms:
-                return None
-            eligible = [a for a in state.arms.values() if not a.poisoned]
-            if not eligible:
-                return None
-            scale = state.scale()
-            fallback = state.fallback_prior()
-            return min(eligible, key=lambda a: (
-                a.posterior_ms(scale, cfg.prior_weight, fallback),
-                state.arm_index(a.algorithm))).algorithm
+            best = state.best_arm() if state is not None else None
+        return best.algorithm if best is not None else None
 
     def converged(self, digest: str) -> bool:
         with self._lock:
@@ -381,31 +411,22 @@ class SelectionBandit:
                 state = self._keys[digest]
                 scale = state.scale()
                 fallback = state.fallback_prior()
-                arms = []
-                for name in (state.order
-                             or tuple(sorted(state.arms))):
-                    arm = state.arms.get(name)
-                    if arm is None:
-                        continue
-                    arms.append({
-                        "algorithm": arm.algorithm,
-                        "prior_ms": arm.prior_ms,
-                        "obs": arm.obs,
-                        "mean_ms": arm.mean_ms,
-                        "posterior_ms": arm.posterior_ms(
-                            scale, cfg.prior_weight, fallback),
-                        "poisoned": arm.poisoned,
-                    })
-                live = [a for a in arms if not a["poisoned"]]
-                best = min(live, key=lambda a: a["posterior_ms"]) \
-                    if live else None
+                best = state.best_arm()
                 keys.append({
                     "key": digest,
                     "decisions": state.decisions,
                     "explored": state.explored,
                     "converged": state.converged(cfg.min_obs),
-                    "best": best["algorithm"] if best else None,
-                    "arms": arms,
+                    "best": best.algorithm if best else None,
+                    "arms": [{
+                        "algorithm": arm.algorithm,
+                        "prior_ms": arm.prior_ms,
+                        "obs": arm.obs,
+                        "mean_ms": arm.mean_ms,
+                        "posterior_ms": arm.posterior_ms(
+                            scale, PRIOR_WEIGHT, fallback),
+                        "poisoned": arm.poisoned,
+                    } for arm in state.listed()],
                 })
         return {
             "keys": keys,
@@ -453,18 +474,10 @@ class SelectionBandit:
                 delta_obs = int(obs_total - prev_obs)
                 if delta_obs <= 0:
                     continue
-                delta_ms = max(0.0, ms_total - prev_ms)
                 self._ingested[state_key] = (obs_total, ms_total)
-                state = self._keys.get(digest)
-                if state is None:
-                    state = KeyState(digest)
-                    self._keys[digest] = state
-                arm = state.arms.get(algorithm)
-                if arm is None:
-                    arm = ArmState(algorithm)
-                    state.arms[algorithm] = arm
+                arm = self._state(digest).arm(algorithm)
                 arm.obs += delta_obs
-                arm.ms_total += delta_ms
+                arm.ms_total += max(0.0, ms_total - prev_ms)
                 folded += delta_obs
         return folded
 
@@ -473,21 +486,12 @@ class SelectionBandit:
     def payload(self) -> dict:
         """The persisted table body (checksummed by :func:`save_table`)."""
         with self._lock:
-            keys = {}
-            for digest, state in self._keys.items():
-                keys[digest] = {
-                    "decisions": state.decisions,
-                    "explored": state.explored,
-                    "order": list(state.order),
-                    "arms": [{
-                        "algorithm": arm.algorithm,
-                        "prior_ms": arm.prior_ms,
-                        "obs": arm.obs,
-                        "ms_total": arm.ms_total,
-                        "parity_failures": arm.parity_failures,
-                        "poisoned": arm.poisoned,
-                    } for arm in state.arms.values()],
-                }
+            keys = {digest: {
+                "decisions": state.decisions,
+                "explored": state.explored,
+                "order": list(state.order),
+                "arms": [asdict(arm) for arm in state.arms.values()],
+            } for digest, state in self._keys.items()}
         return {"keys": keys}
 
     def save(self, path: str | None = None) -> str | None:
@@ -523,22 +527,26 @@ class SelectionBandit:
             return False
         with self._lock:
             for digest, entry in payload.get("keys", {}).items():
-                state = KeyState(digest,
-                                 decisions=int(entry.get("decisions", 0)),
-                                 explored=int(entry.get("explored", 0)),
-                                 order=tuple(entry.get("order", ())))
-                for row in entry.get("arms", []):
-                    arm = ArmState(
-                        row["algorithm"],
-                        prior_ms=row.get("prior_ms"),
-                        obs=int(row.get("obs", 0)),
-                        ms_total=float(row.get("ms_total", 0.0)),
-                        parity_failures=int(row.get("parity_failures", 0)),
-                        poisoned=bool(row.get("poisoned", False)))
-                    state.arms[arm.algorithm] = arm
-                self._keys[digest] = state
+                self._keys[digest] = KeyState(
+                    digest, decisions=int(entry.get("decisions", 0)),
+                    explored=int(entry.get("explored", 0)),
+                    order=tuple(entry.get("order", ())),
+                    arms={row["algorithm"]: ArmState(**row)
+                          for row in entry.get("arms", [])})
         counters.add("selection.table_loaded")
         return True
+
+
+def _set_order(state: KeyState, shape, chain) -> None:
+    """Make *chain* the key's arm order, pricing new arms' priors."""
+    from repro.perfmodel.timing import prior_ms
+
+    prior_shape = shape.with_(n=1) if shape.n != 1 else shape
+    for algo in chain:
+        arm = state.arm(algo.value)
+        if arm.prior_ms is None:
+            arm.prior_ms = prior_ms(algo, prior_shape)
+    state.order = tuple(a.value for a in chain)
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +616,6 @@ def load_table(path: str) -> dict | None:
     return document["payload"]
 
 
-def default_table_path() -> str:
-    """``REPRO_SELECTION_TABLE`` or the conventional repo location."""
-    return os.environ.get(TABLE_ENV) or DEFAULT_TABLE_PATH
-
-
 # ---------------------------------------------------------------------------
 # Process-wide bandit (the serving layer's hook) and the live executor.
 # ---------------------------------------------------------------------------
@@ -638,8 +641,7 @@ def enable_bandit(config: BanditConfig | None = None) -> SelectionBandit:
     """Install a process-wide bandit (replacing any active one)."""
     global _ACTIVE, _env_checked
     bandit = SelectionBandit(config)
-    if bandit.config.table_path:
-        bandit.warm_start(strict=False)
+    bandit.warm_start(strict=False)
     with _active_lock:
         _ACTIVE = bandit
         _env_checked = True
@@ -671,8 +673,7 @@ def active_bandit() -> SelectionBandit | None:
                 mode = os.environ.get(ENABLE_ENV, "").strip().lower()
                 if mode in ("1", "true", "on", "apply", "shadow"):
                     bandit = SelectionBandit(BanditConfig.from_env())
-                    if bandit.config.table_path:
-                        bandit.warm_start(strict=False)
+                    bandit.warm_start(strict=False)
                     _ACTIVE = bandit
     return _ACTIVE
 
@@ -706,11 +707,9 @@ def bandit_conv2d(bandit: SelectionBandit, x: np.ndarray,
 
     shape = ConvShape.from_tensors(x.shape, weight.shape, padding, stride,
                                    dilation, groups)
-    digest = key_digest(op="conv2d", input_chw=tuple(x.shape[1:]),
-                        weight_shape=tuple(weight.shape),
-                        dtype=str(x.dtype), padding=padding, stride=stride,
-                        dilation=dilation, groups=groups, strategy=strategy,
-                        backend=backend)
+    digest = _conv2d_digest(x, weight, padding=padding, stride=stride,
+                            dilation=dilation, groups=groups,
+                            strategy=strategy, backend=backend)
     decision = bandit.decide(digest, shape, requested)
     start = time.perf_counter()
     out = run(decision.algorithm)
@@ -759,11 +758,10 @@ def _run_shadow(bandit: SelectionBandit, digest: str, algorithm: str,
         chaos = _SHADOW_CHAOS
         if chaos is not None:
             shadow_out = chaos(shadow_out)
-        cfg = bandit.config
-        atol = cfg.parity_atol * max(1.0, float(np.max(np.abs(served)))
-                                     if served.size else 1.0)
+        atol = PARITY_ATOL * max(1.0, float(np.max(np.abs(served)))
+                                 if served.size else 1.0)
         ok = shadow_out.shape == served.shape and np.allclose(
-            shadow_out, served, rtol=cfg.parity_rtol, atol=atol)
+            shadow_out, served, rtol=PARITY_RTOL, atol=atol)
     except Exception:
         bandit.record_shadow_failure(digest, algorithm, "error")
         return

@@ -67,14 +67,14 @@ def _digest(shape: ConvShape) -> str:
                       backend="numpy")
 
 
-def _model_ms(shape: ConvShape, device: str) -> dict[str, float]:
+def _model_ms(shape: ConvShape) -> dict[str, float]:
     """Modeled per-arm ms for the key's chain (unmodeled arms penalized)."""
     from repro.baselines.registry import fallback_chain
     from repro.perfmodel.timing import prior_ms
     from repro.selection.bandit import UNMODELED_PENALTY
 
     chain = fallback_chain(shape, primary="polyhankel")
-    modeled = {a.value: prior_ms(a, shape, device) for a in chain}
+    modeled = {a.value: prior_ms(a, shape) for a in chain}
     worst = max((v for v in modeled.values() if v is not None),
                 default=1.0)
     return {name: (v if v is not None else worst * UNMODELED_PENALTY)
@@ -129,24 +129,26 @@ def replay_key(bandit: SelectionBandit, digest: str, shape: ConvShape,
     }
 
 
+def replay_drill_keys(seed: int, requests: int
+                      ) -> tuple[SelectionBandit, list[dict]]:
+    """Phase 1 (and ``repro bench``'s ``selection`` section): a seeded
+    replay of every drill key; one :func:`replay_key` record per key."""
+    bandit = SelectionBandit(BanditConfig(apply=True, explore_fraction=0.25,
+                                          min_obs=5))
+    rng = np.random.default_rng(seed)
+    return bandit, [
+        dict(replay_key(bandit, _digest(shape), shape, _model_ms(shape),
+                        rng, requests), name=name)
+        for name, shape in DRILL_SHAPES]
+
+
 def run_selection_drill(seed: int = 0, requests: int = 300,
                         table_path: str | None = None) -> dict:
     """Run all three drill phases; ``report["ok"]`` is the CI verdict."""
     report: dict = {"seed": seed, "requests": requests}
-    config = BanditConfig(apply=True, explore_fraction=0.25, min_obs=5,
-                          table_path=table_path)
-    device = config.device
-    rng = np.random.default_rng(seed)
-    bandit = SelectionBandit(config)
 
     # Phase 1: seeded replay must converge to the roofline winner per key.
-    keys = []
-    for name, shape in DRILL_SHAPES:
-        digest = _digest(shape)
-        entry = replay_key(bandit, digest, shape, _model_ms(shape, device),
-                           rng, requests)
-        entry["name"] = name
-        keys.append(entry)
+    bandit, keys = replay_drill_keys(seed, requests)
     report["keys"] = keys
     report["converge_ok"] = all(k["oracle_hit"] and k["converged"]
                                 for k in keys)
@@ -160,7 +162,7 @@ def run_selection_drill(seed: int = 0, requests: int = 300,
         os.close(fd)
     try:
         bandit.save(table_path)
-        warmed = SelectionBandit(config)
+        warmed = SelectionBandit(bandit.config)
         loaded = warmed.warm_start(table_path)
         warm_explored = 0
         warm_hits = True

@@ -4,9 +4,9 @@ Every stage of the sum-strategy pipeline works on one image at a time,
 the pointwise channel contraction included, so row ``i`` of a batch-``n``
 call is ``np.array_equal`` to the call on image ``i`` alone, whatever
 ``n`` is.  The overlap-save strategy (``polyhankel_os``) runs the same
-pipeline on per-image blocks and keeps the same property.  The serving layer leans on this: a request coalesced with
-companions must come back with the bits the caller would have got from a
-direct single-image call.
+pipeline on per-image blocks and keeps the same property.  The serving
+layer leans on this: a request coalesced with companions must come back
+with the bits the caller would have got from a direct single-image call.
 """
 
 from functools import partial

@@ -145,20 +145,29 @@ def test_layers_draw_seeded_he_weights(layer_cls, ndim, transposed):
     assert np.array_equal(layer.weight, want)
 
 
-ALGORITHMS_MATRIX = """\
-algorithm                  1d   2d   3d  t2d  description
-naive                       y    y    y    y  direct definition-following convolution (reference)
-gemm                        y    y    y    y  explicit im2col expansion + GEMM
-implicit_gemm               y    y    -    y  GEMM with the patch gather fused into the contraction
-implicit_precomp_gemm       y    y    -    y  implicit GEMM with precomputed gather offset tables
-fft                         y    y    -    y  monolithic 2D-FFT convolution
-fft_tiling                  y    y    -    y  tiled 2D-FFT convolution (2D overlap-save)
-winograd                    y    y    -    y  Winograd F(2x2, KhxKw) with generated transforms
-winograd_nonfused           y    y    -    y  Winograd with materialized transform workspaces
-finegrain_fft               y    y    -    y  Zhang & Li's per-row block-FFT method (PACT'20)
-polyhankel                  y    y    y    y  this paper: polynomial-multiplication convolution, one 1D FFT
-polyhankel_os               y    y    y    y  PolyHankel streamed through overlap-save FFT blocks
-"""  # noqa: E501
+ALGORITHMS_MATRIX = (
+    "algorithm                  1d   2d   3d  t2d  description\n"
+    "naive                       y    y    y    y  direct definition-following "
+    "convolution (reference)\n"
+    "gemm                        y    y    y    y  explicit im2col expansion + GEMM\n"
+    "implicit_gemm               y    y    -    y  GEMM with the patch gather fused "
+    "into the contraction\n"
+    "implicit_precomp_gemm       y    y    -    y  implicit GEMM with precomputed "
+    "gather offset tables\n"
+    "fft                         y    y    -    y  monolithic 2D-FFT convolution\n"
+    "fft_tiling                  y    y    -    y  tiled 2D-FFT convolution (2D "
+    "overlap-save)\n"
+    "winograd                    y    y    -    y  Winograd F(2x2, KhxKw) with "
+    "generated transforms\n"
+    "winograd_nonfused           y    y    -    y  Winograd with materialized "
+    "transform workspaces\n"
+    "finegrain_fft               y    y    -    y  Zhang & Li's per-row block-FFT "
+    "method (PACT'20)\n"
+    "polyhankel                  y    y    y    y  this paper: "
+    "polynomial-multiplication convolution, one 1D FFT\n"
+    "polyhankel_os               y    y    y    y  PolyHankel streamed through "
+    "overlap-save FFT blocks\n"
+)
 
 
 def test_algorithms_command_prints_the_support_matrix(capsys):

@@ -6,7 +6,9 @@ Both read one block geometry (:func:`repro.core.planning.
 overlap_save_blocks`), so one uncached call must record, per transform
 kind and size, exactly the model's rows: ``n * c * blocks`` input rfft
 rows and ``f * c/g`` weight rfft rows, ``n * f * blocks`` irfft rows, all
-at the model's block size.
+at the model's block size.  A cached call drops the weight rows, as the
+engine predictor (:func:`repro.perfmodel.engine.predict_fft_counters`)
+states.
 """
 
 import numpy as np
@@ -16,8 +18,9 @@ from repro.baselines.registry import convolve
 from repro.core.multichannel import clear_plan_cache, clear_spectrum_cache
 from repro.core.planning import overlap_save_blocks
 from repro.observe import tracing
-from repro.observe.registry import counters
+from repro.observe.registry import counters, fft_call_totals
 from repro.perfmodel.counters import _rfft_flops, count_polyhankel
+from repro.perfmodel.engine import predict_fft_counters
 from repro.utils.shapes import ConvShape
 
 #: (input shape, weight shape, conv parameters): ranks 1-3, each plain and
@@ -68,11 +71,11 @@ def _modeled(shape: ConvShape) -> dict:
     stages = {s.name: s for s in count_polyhankel(shape).stages}
     per_row = _rfft_flops(nfft)
     input_rows = stages["input_block_ffts"].flops / per_row
+    weight_rows = stages["kernel_ffts"].flops / per_row
     inverse_rows = stages["ifft_blocks_gather"].flops / per_row
     assert input_rows == shape.n * shape.c * blocks
     assert inverse_rows == shape.n * shape.f * blocks
-    weight_rows = shape.f * shape.group_channels
-    return {("rfft", nfft): (2, int(input_rows) + weight_rows),
+    return {("rfft", nfft): (2, int(input_rows + weight_rows)),
             ("irfft", nfft): (1, int(inverse_rows))}
 
 
@@ -83,6 +86,27 @@ def test_uncached_call_runs_the_modeled_rows(x_shape, w_shape, params):
     w = rng.standard_normal(w_shape)
     shape = ConvShape.from_tensors(x_shape, w_shape, **params)
     assert _executed(x, w, params) == _modeled(shape)
+
+
+@pytest.mark.parametrize("x_shape,w_shape,params", GRID)
+def test_cached_call_runs_the_predicted_rows(x_shape, w_shape, params):
+    rng = np.random.default_rng(len(x_shape))
+    x = rng.standard_normal(x_shape)
+    w = rng.standard_normal(w_shape)
+    clear_plan_cache()
+    clear_spectrum_cache()
+    convolve(x, w, algorithm="polyhankel_os", **params)
+    counters.clear("fft.")
+    with tracing():
+        convolve(x, w, algorithm="polyhankel_os", **params)
+    totals = fft_call_totals()
+    got = {
+        "fft_calls": sum(v["calls"] for v in totals.values()),
+        "fft_rows": sum(v["rows"] for v in totals.values()),
+        "by_kind": {k: v["calls"] for k, v in sorted(totals.items())},
+    }
+    shape = ConvShape.from_tensors(x_shape, w_shape, **params)
+    assert got == predict_fft_counters(shape, "overlap_save")
 
 
 def test_grid_streams_several_blocks():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.observe.registry import counters
+from repro.selection import bandit as bandit_module
 from repro.selection.bandit import (
     UNMODELED_PENALTY,
     ArmState,
@@ -283,8 +284,9 @@ class TestConvergence:
 
 
 class TestPoisoning:
-    def test_poisoned_after_max_parity_failures(self):
-        bandit = SelectionBandit(BanditConfig(max_parity_failures=2))
+    def test_poisoned_after_max_parity_failures(self, monkeypatch):
+        monkeypatch.setattr(bandit_module, "MAX_PARITY_FAILURES", 2)
+        bandit = SelectionBandit(BanditConfig())
         digest = digest_for()
         bandit.decide(digest, SHAPE, "polyhankel")
         bandit.record_shadow_failure(digest, "gemm", "parity_fail")
@@ -295,8 +297,7 @@ class TestPoisoning:
 
     def test_poisoned_arm_never_served_nor_shadowed(self):
         bandit = SelectionBandit(BanditConfig(explore_fraction=1.0,
-                                              min_obs=10 ** 9,
-                                              max_parity_failures=1))
+                                              min_obs=10 ** 9))
         digest = digest_for()
         bandit.decide(digest, SHAPE, "polyhankel")
         state = bandit._keys[digest]
@@ -310,7 +311,7 @@ class TestPoisoning:
             bandit.record(digest, decision.algorithm, 1.0)
 
     def test_all_arms_poisoned_serves_requested(self):
-        bandit = SelectionBandit(BanditConfig(max_parity_failures=1))
+        bandit = SelectionBandit(BanditConfig())
         digest = digest_for()
         bandit.decide(digest, SHAPE, "polyhankel")
         state = bandit._keys[digest]

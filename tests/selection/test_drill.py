@@ -31,7 +31,7 @@ def test_drill_keys_have_distinct_oracles():
     # keep the shape set honest against cost-model retunes.
     oracles = set()
     for _name, shape in DRILL_SHAPES:
-        model = _model_ms(shape, "3090ti")
+        model = _model_ms(shape)
         oracle, ties = _oracle_tie_set(model)
         assert oracle in ties
         oracles.add("polyhankel" if oracle.startswith("polyhankel")
@@ -51,6 +51,6 @@ def test_replay_is_seed_deterministic():
 
 def test_model_ms_prices_every_chain_arm():
     for _name, shape in DRILL_SHAPES:
-        model = _model_ms(shape, "3090ti")
+        model = _model_ms(shape)
         assert "naive" in model  # unmodeled arm got the penalty price
         assert all(np.isfinite(v) and v > 0 for v in model.values())

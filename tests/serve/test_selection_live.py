@@ -89,8 +89,7 @@ class TestPoisonedShadowProperty:
     def test_parity_failures_poison_and_stop_the_arm(self):
         x, w = conv_inputs(1, 1, 2, 2, 8, 3)
         enable_bandit(BanditConfig(apply=False, explore_fraction=1.0,
-                                   min_obs=10 ** 9,
-                                   max_parity_failures=1))
+                                   min_obs=10 ** 9))
         set_shadow_chaos(lambda out: out + 1e3)
         try:
             for _ in range(12):

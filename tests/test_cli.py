@@ -58,6 +58,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "best:" in out
 
+    def test_tune_grouped(self, capsys):
+        assert main(["tune", "--size", "10", "--batch", "1",
+                     "--channels", "4", "--filters", "4", "--groups", "2",
+                     "--repeats", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "groups=2" in out
+        assert "|g=2|" in out
+
     def test_figures_single_panel(self, capsys):
         assert main(["figures", "5", "--devices", "3090ti"]) == 0
         out = capsys.readouterr().out
