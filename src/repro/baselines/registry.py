@@ -269,27 +269,13 @@ def fallback_chain(shape: ConvShape,
     duplicates, keeping only algorithms whose ``supports`` predicate
     accepts the shape.  Never empty in practice: naive supports
     everything.
-
-    ``order="ranked"`` derives the descent from the selector's roofline
-    ranking for *shape* (:func:`repro.selection.heuristic.
-    ranked_fallback_order`): on degradation the chain tries the modeled-
-    fastest alternative for this geometry first instead of the static
-    favorite.  The guard wires this through ``GuardConfig(chain="ranked")``.
-    The ranking models 2D problems; a rank-3 problem keeps the static
-    order.
     """
     planar = _planar(shape)
     if order is None:
         order = FALLBACK_ORDER
     elif isinstance(order, str):
-        if order != "ranked":
-            raise ValueError(
-                f"unknown chain order {order!r}; expected a sequence of "
-                "algorithms or the string 'ranked'")
-        from repro.selection.heuristic import ranked_fallback_order
-
-        order = FALLBACK_ORDER if planar is None \
-            else ranked_fallback_order(planar)
+        raise ValueError(f"unknown chain order {order!r}; expected a "
+                         "sequence of algorithms")
     ordered: list[ConvAlgorithm] = []
     if primary is not None:
         ordered.append(get_entry(primary).algorithm)

@@ -1,22 +1,25 @@
 """JSON wall-clock benchmark harness (``python -m repro bench``).
 
-Runs a fixed suite of CPU shapes through the PolyHankel execution engine
-and records, per case:
+Runs a fixed suite of CPU cases through the PolyHankel execution engine.
+Each :class:`BenchCase` names its op (conv1d, conv2d, conv3d or
+conv_transpose2d), its input and weight shapes and its parameters, and
+one runner, :func:`run_case`, records per case:
 
 - ``first_call_ms``  — cold call: plan construction + weight transform;
-- ``uncached_ms``    — steady state at the auto FFT policy with the
-  spectrum cache disabled (isolates the caching win from the policy win);
+- ``uncached_ms``    — steady state through the plan with a per-call
+  weight transform (forward ops);
 - ``cached_ms``      — steady state with the spectrum cache enabled;
-- ``layer_cached_ms``— steady state through ``nn.Conv2d`` (the full
-  engine path: plan cache + layer spectrum cache);
-- ``workers_ms``     — cached steady state with batch thread-chunking;
+- ``layer_cached_ms``— steady state through the op's layer class;
+- ``workers_ms``     — cached steady state with batch thread-chunking
+  (forward ops);
 - ``cache_speedup``  — ``uncached_ms / cached_ms``.
 
 Every case is first verified against the naive reference.  Each case
 additionally records deterministic runtime counter totals (FFT
 invocations and row-transforms of one cached steady-state call, measured
-through :mod:`repro.observe`), so regressions that add work to the hot
-path are caught even when the machine hides them.  Schema 3 adds
+through :mod:`repro.observe`), which must equal the closed-form
+prediction, so regressions that add work to the hot path are caught even
+when the machine hides them.  Schema 3 adds
 ``guard_fallbacks``: the ``guard.fallback`` count of one guard-enabled
 steady-state call, which must stay 0 on a healthy install — a nonzero
 value means the supervised chain had to route around the primary
@@ -88,55 +91,11 @@ SCHEMA_VERSION = 9
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One (geometry, strategy, backend) point of the suite."""
+    """One point of the suite: an op, its input and weight shapes, its
+    parameters and the engine options the PolyHankel plan runs with."""
 
     name: str
-    size: int
-    kernel: int
-    batch: int
-    channels: int
-    filters: int
-    padding: int
-    strategy: str = "sum"
-    backend: str = "numpy"
-    stride: int = 1
-    dilation: int = 1
-    groups: int = 1
-    heavy: bool = False  # skipped in --smoke runs
-
-
-SUITE: tuple[BenchCase, ...] = (
-    BenchCase("conv64_sum_numpy", 64, 5, 4, 3, 8, 2),
-    BenchCase("conv16_sum_numpy", 16, 3, 4, 3, 8, 1),
-    BenchCase("conv16_merge_numpy", 16, 3, 4, 3, 8, 1, strategy="merge"),
-    BenchCase("conv32_sum_numpy_c16", 32, 3, 4, 16, 16, 1, heavy=True),
-    BenchCase("conv16_sum_builtin", 16, 3, 4, 3, 8, 1, backend="builtin"),
-    BenchCase("conv64_sum_builtin", 64, 5, 4, 3, 8, 2, backend="builtin",
-              heavy=True),
-    # ResNet-style strided stage: the 3x3/s=2 downsampling convolution.
-    BenchCase("resnet_stage_s2", 32, 3, 4, 8, 16, 1, stride=2),
-    # MobileNet-style depthwise layer: groups == channels.
-    BenchCase("mobilenet_depthwise", 32, 3, 4, 16, 16, 1, groups=16),
-    # Dilated (atrous) context layer, DeepLab-style.
-    BenchCase("dilated_d2", 32, 3, 4, 8, 8, 2, dilation=2, heavy=True),
-)
-
-
-@dataclass(frozen=True)
-class NdBenchCase:
-    """One N-dimensional operator preset (conv1d/conv3d/conv_transpose2d).
-
-    Each preset verifies the routed engine against an independent naive
-    reference, records cold/steady wall clock, the deterministic FFT
-    counters of one cached call, one guard-enabled call's fallback count,
-    and the roofline percentage against the operator's cost model.  For
-    ``conv1d`` and ``conv3d`` the measured counters are additionally
-    asserted equal to the closed-form predictor of the one PolyHankel
-    plan — a warm call must hit its caches, spectrum included.
-    """
-
-    name: str
-    op: str  # "conv1d" | "conv3d" | "conv_transpose2d"
+    op: str  # "conv1d" | "conv2d" | "conv3d" | "conv_transpose2d"
     x_shape: tuple
     w_shape: tuple
     padding: int | tuple = 0
@@ -144,93 +103,82 @@ class NdBenchCase:
     dilation: int | tuple = 1
     groups: int = 1
     output_padding: int | tuple = 0
+    strategy: str = "sum"
+    backend: str = "numpy"
     heavy: bool = False  # skipped in --smoke runs
 
+    @property
+    def forward(self) -> bool:
+        """Whether the op is a forward convolution (not the transposed
+        op, which runs the adjoint of one)."""
+        return self.op in FORWARD_OPS
 
-ND_SUITE: tuple[NdBenchCase, ...] = (
+    def params(self) -> dict:
+        return dict(padding=self.padding, stride=self.stride,
+                    dilation=self.dilation, groups=self.groups)
+
+    def options(self) -> dict:
+        """The engine options the case sets away from their defaults
+        (only those reach a route that may not take the knob)."""
+        return {key: value for key, value, default in (
+            ("strategy", self.strategy, "sum"),
+            ("backend", self.backend, "numpy")) if value != default}
+
+    def conv_shape(self):
+        """The problem the engine runs (see
+        :func:`repro.baselines.registry.op_shape`)."""
+        from repro.baselines.registry import op_shape
+
+        return op_shape(self.op, self.x_shape, self.w_shape,
+                        output_padding=self.output_padding, **self.params())
+
+    def tensors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The case's seeded ``(x, w)``."""
+        rng = np.random.default_rng(0)
+        return (rng.standard_normal(self.x_shape),
+                rng.standard_normal(self.w_shape))
+
+    def layout(self) -> dict:
+        """The ``shape`` record of the case's report rows."""
+        return {"x": list(self.x_shape), "w": list(self.w_shape),
+                **self.params(), "output_padding": self.output_padding}
+
+
+#: The ops the engine's PolyHankel entry runs itself.
+FORWARD_OPS = ("conv1d", "conv2d", "conv3d")
+
+SUITE: tuple[BenchCase, ...] = (
+    BenchCase("conv64_sum_numpy", "conv2d", (4, 3, 64, 64), (8, 3, 5, 5),
+              padding=2),
+    BenchCase("conv16_sum_numpy", "conv2d", (4, 3, 16, 16), (8, 3, 3, 3),
+              padding=1),
+    BenchCase("conv16_merge_numpy", "conv2d", (4, 3, 16, 16), (8, 3, 3, 3),
+              padding=1, strategy="merge"),
+    BenchCase("conv32_sum_numpy_c16", "conv2d", (4, 16, 32, 32),
+              (16, 16, 3, 3), padding=1, heavy=True),
+    BenchCase("conv16_sum_builtin", "conv2d", (4, 3, 16, 16), (8, 3, 3, 3),
+              padding=1, backend="builtin"),
+    BenchCase("conv64_sum_builtin", "conv2d", (4, 3, 64, 64), (8, 3, 5, 5),
+              padding=2, backend="builtin", heavy=True),
+    # ResNet-style strided stage: the 3x3/s=2 downsampling convolution.
+    BenchCase("resnet_stage_s2", "conv2d", (4, 8, 32, 32), (16, 8, 3, 3),
+              padding=1, stride=2),
+    # MobileNet-style depthwise layer: groups == channels.
+    BenchCase("mobilenet_depthwise", "conv2d", (4, 16, 32, 32),
+              (16, 1, 3, 3), padding=1, groups=16),
+    # Dilated (atrous) context layer, DeepLab-style.
+    BenchCase("dilated_d2", "conv2d", (4, 8, 32, 32), (8, 8, 3, 3),
+              padding=2, dilation=2, heavy=True),
     # Audio-style temporal convolution through the rank-1 plan.
-    NdBenchCase("audio_1d", "conv1d", (4, 8, 256), (16, 8, 9), padding=4),
+    BenchCase("audio_1d", "conv1d", (4, 8, 256), (16, 8, 9), padding=4),
     # Tiny video stack through the rank-3 plan.
-    NdBenchCase("video_3d_tiny", "conv3d", (2, 4, 8, 12, 12),
-                (8, 4, 3, 3, 3), padding=1),
+    BenchCase("video_3d_tiny", "conv3d", (2, 4, 8, 12, 12), (8, 4, 3, 3, 3),
+              padding=1),
     # Decoder upsampling stage: stride-2 transposed convolution, run as
-    # the zero-stuffed adjoint of a stride-1 forward conv.
-    NdBenchCase("decoder_tconv", "conv_transpose2d", (2, 8, 12, 12),
-                (8, 4, 4, 4), padding=1, stride=2),
+    # the adjoint of a forward conv.
+    BenchCase("decoder_tconv", "conv_transpose2d", (2, 8, 12, 12),
+              (8, 4, 4, 4), padding=1, stride=2),
 )
-
-
-def run_nd_case(case: NdBenchCase, repeats: int = 25) -> dict:
-    """Measure one N-dimensional operator preset.
-
-    Returns an entry shaped like :func:`run_case`'s (same gate metrics:
-    ``cached_ms``, ``fft_calls``/``fft_rows``, ``guard_fallbacks``) with
-    the uncached/layer/workers columns absent — those paths only
-    exist for the native 2D engine.
-    """
-    from repro.baselines.ndops import conv_transpose2d_naive
-    from repro.baselines.registry import ConvOp, convolve, op_shape
-    from repro.baselines.naive import convnd_naive
-    from repro.nn import functional as F
-    from repro.perfmodel.engine import predict_fft_counters, roofline_pct
-
-    op = ConvOp(case.op)
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(case.x_shape)
-    w = rng.standard_normal(case.w_shape)
-    params = dict(padding=case.padding, stride=case.stride,
-                  dilation=case.dilation, groups=case.groups)
-
-    def call():
-        return convolve(x, w, op=op, output_padding=case.output_padding,
-                        **params)
-
-    def guarded_call():
-        if op is ConvOp.CONV_TRANSPOSE2D:
-            F.conv_transpose2d(x, w, output_padding=case.output_padding,
-                               **params)
-        else:
-            {ConvOp.CONV1D: F.conv1d, ConvOp.CONV3D: F.conv3d}[op](
-                x, w, **params)
-
-    if op is ConvOp.CONV_TRANSPOSE2D:
-        want = conv_transpose2d_naive(x, w, output_padding=case.
-                                      output_padding, **params)
-    else:
-        want = convnd_naive(x, w, **params)
-    first_call_ms = _first_call_ms(case.name, call, want)
-    cached_ms = _time_interleaved({"cached": call}, repeats)["cached"]
-    case_counters = _case_counters(call, guarded_call)
-
-    # The predictor assertion: a warm conv1d/conv3d call must hit the
-    # plan's caches.  (The transposed op runs the adjoint problem, whose
-    # backward-path weight flip defeats the spectrum cache by design; its
-    # counters are recorded ungated.)
-    shape = op_shape(op, case.x_shape, case.w_shape,
-                     output_padding=case.output_padding, **params)
-    pct = roofline_pct(shape, cached_ms)
-    predicted = None if op is ConvOp.CONV_TRANSPOSE2D \
-        else predict_fft_counters(shape, "sum")
-    if predicted is not None:
-        got = {k: case_counters[k] for k in predicted}
-        if got != predicted:
-            raise AssertionError(
-                f"{case.name}: measured FFT counters {got} diverged from "
-                f"the closed-form prediction {predicted}")
-
-    return {
-        "name": case.name,
-        "op": case.op,
-        "shape": {"x": list(case.x_shape), "w": list(case.w_shape),
-                  "padding": case.padding, "stride": case.stride,
-                  "dilation": case.dilation, "groups": case.groups,
-                  "output_padding": case.output_padding},
-        "first_call_ms": round(first_call_ms, 4),
-        "cached_ms": round(cached_ms, 4),
-        "roofline_pct": round(pct, 2) if pct is not None else None,
-        "predicted_counters": predicted,
-        "counters": case_counters,
-    }
 
 
 @dataclass(frozen=True)
@@ -348,19 +296,25 @@ def run_serve_case(preset: ServePreset, repeats: int = 5) -> dict:
 
 
 def _case_problem(case: BenchCase):
-    """``(shape, x, w, naive reference output)`` of one suite case."""
+    """``(x, w, naive reference output)`` of one suite case."""
     from repro.baselines.naive import convnd_naive
-    from repro.utils.random import random_problem
-    from repro.utils.shapes import ConvShape
+    from repro.baselines.ndops import conv_transpose2d_naive
 
-    shape = ConvShape((case.size, case.size), (case.kernel, case.kernel),
-                      n=case.batch, c=case.channels, f=case.filters,
-                      padding=case.padding, stride=case.stride,
-                      dilation=case.dilation, groups=case.groups)
-    x, w = random_problem(shape)
-    want = convnd_naive(x, w, padding=case.padding, stride=case.stride,
-                        dilation=case.dilation, groups=case.groups)
-    return shape, x, w, want
+    x, w = case.tensors()
+    if case.forward:
+        return x, w, convnd_naive(x, w, **case.params())
+    return x, w, conv_transpose2d_naive(
+        x, w, output_padding=case.output_padding, **case.params())
+
+
+def _run_conv(case: BenchCase, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One PolyHankel call of *case* through the functional front door
+    (the supervised chain while the guard is on)."""
+    from repro.nn import functional as F
+
+    return F.run_conv(x, w, None, **case.params(), algorithm="polyhankel",
+                      op=case.op, output_padding=case.output_padding,
+                      **case.options())
 
 
 def _first_call_ms(name: str, call, want: np.ndarray) -> float:
@@ -440,9 +394,37 @@ def _time_interleaved(fns: dict[str, object], repeats: int,
     return {name: t * 1e3 for name, t in best.items()}
 
 
+def _layer(case: BenchCase, w: np.ndarray):
+    """The op's own layer class holding *w* (no bias)."""
+    from repro.nn import layers
+
+    cls = {"conv1d": layers.Conv1d, "conv2d": layers.Conv2d,
+           "conv3d": layers.Conv3d,
+           "conv_transpose2d": layers.ConvTranspose2d}[case.op]
+    if case.forward:
+        layer = cls(case.x_shape[1], w.shape[0], w.shape[2:], bias=False,
+                    **case.params())
+    else:  # PyTorch's (c_in, c_out / groups, *kernel) weight layout
+        layer = cls(case.x_shape[1], w.shape[1] * case.groups, w.shape[2:],
+                    bias=False, output_padding=case.output_padding,
+                    **case.params())
+    layer.weight = w
+    return layer
+
+
 def run_case(case: BenchCase, repeats: int = 25,
              workers: int | None = 2) -> dict:
     """Measure every engine path for one suite case.
+
+    A forward op is timed through the engine's PolyHankel entry
+    (``cached``, and ``workers`` with batch thread-chunking) and through
+    its plan with a per-call weight transform (``uncached``); the
+    transposed op through :func:`repro.baselines.registry.convolve`, with
+    no uncached or workers column.  Numpy-backend cases also time the
+    op's layer class.  The measured FFT counters of one cached call must
+    equal the closed-form prediction of
+    :func:`repro.perfmodel.engine.predict_fft_counters`: a warm call must
+    hit its plan and spectrum caches.
 
     The default 25 repeats give each path a best-of floor sampled over 5
     round-robin blocks; the old default of 5 (best-of-3 in one time
@@ -450,66 +432,72 @@ def run_case(case: BenchCase, repeats: int = 25,
     box routinely inflated a single path's number by 10-20%.  Smoke runs
     still clamp to 2 (see :func:`run_suite`).
     """
+    from repro.baselines.registry import convolve
     from repro.core import multichannel as mc
-    from repro.nn import functional as F
-    from repro.nn.layers import Conv2d
-    from repro.perfmodel.engine import roofline_pct
+    from repro.core.ndim import convnd_polyhankel
+    from repro.perfmodel.engine import predict_fft_counters, roofline_pct
 
-    shape, x, w, want = _case_problem(case)
-    params = dict(padding=case.padding, stride=case.stride,
-                  dilation=case.dilation, groups=case.groups)
+    shape = case.conv_shape()
+    x, w, want = _case_problem(case)
+    params = case.params()
 
-    def call(**kw):
-        return mc.conv2d_polyhankel(x, w, strategy=case.strategy,
-                                    backend=case.backend, **params, **kw)
-
-    def guarded_call():
-        F.conv2d(x, w, algorithm="polyhankel", strategy=case.strategy,
-                 backend=case.backend, **params)
+    if case.forward:
+        def call(**kw):
+            return convnd_polyhankel(x, w, **params, strategy=case.strategy,
+                                     backend=case.backend, **kw)
+    else:
+        def call():
+            return convolve(x, w, op=case.op,
+                            output_padding=case.output_padding, **params,
+                            **case.options())
 
     first_call_ms = _first_call_ms(case.name, call, want)
 
-    plan = mc.get_plan(shape, strategy=case.strategy, backend=case.backend)
-    fns = {
-        # Per-call weight transform through today's pipeline, bypassing
-        # the spectrum cache.
-        "uncached": lambda: plan.execute(x, plan.transform_weight(w)),
-        "cached": call,
-    }
-    if workers and case.batch > 1:
+    fns = {}
+    if case.forward:
+        plan = mc.get_plan(shape, strategy=case.strategy,
+                           backend=case.backend)
+        # Per-call weight transform, bypassing the spectrum cache.
+        fns["uncached"] = lambda: plan.execute(x, plan.transform_weight(w))
+    fns["cached"] = call
+    if case.forward and workers and case.x_shape[0] > 1:
         fns["workers"] = lambda: call(workers=workers)
-    # Conv2d always runs the default (numpy) backend, so the layer column
-    # is only meaningful for numpy cases.
+    # Layers run the default (numpy) backend, so the layer column is
+    # only meaningful for numpy cases.
     if case.backend == "numpy":
-        layer = Conv2d(case.channels, case.filters, case.kernel,
-                       bias=False, **params)
-        layer.weight = w
+        layer = _layer(case, w)
         fns["layer"] = lambda: layer(x)
 
     ms = {path: round(t, 4) for path, t in
           _time_interleaved(fns, repeats).items()}
+    counters = _case_counters(call, lambda: _run_conv(case, x, w))
+    predicted = predict_fft_counters(shape, case.strategy)
+    got = {k: counters[k] for k in predicted}
+    if got != predicted:
+        raise AssertionError(
+            f"{case.name}: measured FFT counters {got} diverged from "
+            f"the closed-form prediction {predicted}")
     # Percent of the CPU roofline lower bound the warm call achieves
     # (schema v4), predicted from the PolyHankel cost model.
     pct = roofline_pct(shape, ms["cached"])
+    uncached = ms.get("uncached")
 
     return {
         "name": case.name,
-        "shape": {"size": case.size, "kernel": case.kernel,
-                  "batch": case.batch, "channels": case.channels,
-                  "filters": case.filters, "padding": case.padding,
-                  "stride": case.stride, "dilation": case.dilation,
-                  "groups": case.groups},
+        "op": case.op,
+        "shape": case.layout(),
         "strategy": case.strategy,
         "backend": case.backend,
         "first_call_ms": round(first_call_ms, 4),
-        "uncached_ms": ms["uncached"],
+        "uncached_ms": uncached,
         "cached_ms": ms["cached"],
         "layer_cached_ms": ms.get("layer"),
         "workers_ms": ms.get("workers"),
-        "cache_speedup": round(ms["uncached"] / ms["cached"], 3)
-        if ms["cached"] else None,
+        "cache_speedup": round(uncached / ms["cached"], 3)
+        if uncached and ms["cached"] else None,
         "roofline_pct": round(pct, 2) if pct is not None else None,
-        "counters": _case_counters(call, guarded_call),
+        "predicted_counters": predicted,
+        "counters": counters,
     }
 
 
@@ -603,10 +591,8 @@ def _sweeps(presets, axis: str, tag: str, smoke_keeps, smoke: bool,
 
 
 def _run_results(repeats, workers, smoke, names):
-    return ([run_case(c, repeats=repeats, workers=workers)
-             for c in SUITE if _wanted(c, smoke, names)]
-            + [run_nd_case(c, repeats=repeats)
-               for c in ND_SUITE if _wanted(c, smoke, names)])
+    return [run_case(c, repeats=repeats, workers=workers)
+            for c in SUITE if _wanted(c, smoke, names)]
 
 
 def _run_serve(repeats, workers, smoke, names):
@@ -764,9 +750,9 @@ def format_report(report: dict) -> str:
 
 def run_inject_drill(kinds: tuple[str, ...] | None = None,
                      smoke: bool = False, seed: int = 0) -> dict:
-    """Guard recovery drill: every case forward, under every fault kind.
+    """Guard recovery drill: every case, under every fault kind.
 
-    Each suite case runs one guard-enabled forward inside a
+    Each suite case (every op) runs one guard-enabled forward inside a
     :func:`repro.guard.faults.inject` scope and must still reproduce the
     naive reference within tolerance.  Returns a report with one row per
     (case, fault) pair; ``report["failures"]`` counts rows that either
@@ -775,7 +761,6 @@ def run_inject_drill(kinds: tuple[str, ...] | None = None,
     from repro.guard import faults
     from repro.guard.chain import reset_guard
     from repro.guard.state import guarded
-    from repro.nn import functional as F
     from repro.observe.registry import counters as _counters
 
     if not kinds:
@@ -785,7 +770,7 @@ def run_inject_drill(kinds: tuple[str, ...] | None = None,
     cases = [c for c in SUITE if not (smoke and c.heavy)]
     rows = []
     for case in cases:
-        _, x, w, ref = _case_problem(case)
+        x, w, ref = _case_problem(case)
         tol = 1e-8 * max(float(np.max(np.abs(ref))), 1.0)
         for kind in kinds:
             reset_guard()
@@ -796,13 +781,7 @@ def run_inject_drill(kinds: tuple[str, ...] | None = None,
             with guarded(), faults.inject(kind, seed=seed) as state, \
                     np.errstate(invalid="ignore", over="ignore"):
                 try:
-                    out = F.conv2d(x, w, padding=case.padding,
-                                   stride=case.stride,
-                                   dilation=case.dilation,
-                                   groups=case.groups,
-                                   algorithm="polyhankel",
-                                   strategy=case.strategy,
-                                   backend=case.backend)
+                    out = _run_conv(case, x, w)
                     err = float(np.max(np.abs(out - ref)))
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
@@ -848,7 +827,7 @@ def format_inject_report(report: dict) -> str:
         ("recovered", "recovered", 9, ""), ("max err", "max_err", 10, ".2e"),
         ("inj", "injected", 4, ""), ("fb", "fallbacks", 4, ""),
         ("trip", "sentinel_trips", 5, ""),
-        ("corrupt", "cache_corrupt", 8, "")), "forward")
+        ("corrupt", "cache_corrupt", 8, "")), "call")
 
 
 def run_cluster_inject_drill(kinds: tuple[str, ...] | None = None,

@@ -386,15 +386,16 @@ def cmd_profile(args) -> int:
     )
 
     if args.preset:
-        case = resolve_preset(args.preset, algorithm=args.algorithm)
+        case = resolve_preset(args.preset)
     else:
         case = case_for_shape(
-            args.algorithm, size=args.size, kernel=args.kernel,
-            batch=args.batch, channels=args.channels, filters=args.filters,
+            size=args.size, kernel=args.kernel, batch=args.batch,
+            channels=args.channels, filters=args.filters,
             padding=args.padding, stride=args.stride,
             dilation=args.dilation, groups=args.groups,
             strategy=args.strategy, backend=args.backend)
-    report = profile_case(case, repeats=args.repeats,
+    report = profile_case(case, algorithm=args.algorithm,
+                          repeats=args.repeats,
                           drift_threshold=args.drift_threshold)
     print(format_profile(report))
     if args.trace:
@@ -583,8 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="measured per-stage times vs the analytic cost model")
     profile.add_argument("preset", nargs="?", default=None,
-                         help="bench-suite case name (e.g. "
-                              "conv64_sum_numpy); omit to use shape flags")
+                         help="forward-op bench-suite case name (e.g. "
+                              "conv64_sum_numpy, audio_1d); omit to use "
+                              "shape flags")
     _add_shape_arguments(profile)
     profile.add_argument("--algorithm", default="polyhankel",
                          choices=["polyhankel", "gemm"],

@@ -16,10 +16,8 @@ import numpy as np
 from repro.fft.backend import (
     BackendExecutionError,
     FftBackend,
-    FftCallLog,
     available_backends,
     get_backend,
-    record_fft_calls,
     set_backend,
     use_backend,
 )
@@ -45,7 +43,6 @@ __all__ = [
     "BackendExecutionError",
     "FftBackend", "available_backends", "get_backend", "set_backend",
     "use_backend",
-    "FftCallLog", "record_fft_calls",
     "FftPlan", "get_fft_plan", "fft_plan_cache_info",
     "set_fft_plan_cache_limit", "clear_fft_plan_cache",
     "next_fast_len", "next_pow2", "is_smooth",

@@ -240,8 +240,6 @@ def _observed(backend: "FftBackend") -> "FftBackend":
     if getattr(backend.fft, "__wrapped_backend__", None) is not None:
         return backend  # already an observing view
     cached = _OBSERVED.get(backend.name)
-    # Rebuild if the underlying backend object changed (record_fft_calls
-    # swaps _BACKENDS entries for counting wrappers and back).
     if cached is not None and cached.fft.__wrapped_backend__ is backend:
         return cached
     wrapped = FftBackend(
@@ -254,71 +252,3 @@ def _observed(backend: "FftBackend") -> "FftBackend":
     wrapped.fft.__wrapped_backend__ = backend
     _OBSERVED[backend.name] = wrapped
     return wrapped
-
-
-@dataclass
-class FftCallLog:
-    """Record of transform invocations made while recording was active.
-
-    Each entry is ``(backend, op, input_shape, n)``.  Used by tests and the
-    benchmark harness to assert amortization properties — e.g. that a
-    cached inference forward performs zero ``rfft`` calls on the weight.
-    """
-
-    calls: list = None
-
-    def __post_init__(self) -> None:
-        if self.calls is None:
-            self.calls = []
-
-    def count(self, op: str | None = None) -> int:
-        """Number of recorded calls, optionally restricted to one op."""
-        if op is None:
-            return len(self.calls)
-        return sum(1 for c in self.calls if c[1] == op)
-
-    def shapes(self, op: str) -> list[tuple]:
-        """Input shapes seen by *op*, in call order."""
-        return [c[2] for c in self.calls if c[1] == op]
-
-    def clear(self) -> None:
-        self.calls.clear()
-
-
-def _counting(backend: FftBackend, log: FftCallLog) -> FftBackend:
-    def wrap(op: str, fn):
-        def wrapped(x, n=None):
-            log.calls.append((backend.name, op, np.shape(x), n))
-            return fn(x, n)
-        return wrapped
-
-    return FftBackend(
-        name=backend.name,
-        fft=wrap("fft", backend.fft),
-        ifft=wrap("ifft", backend.ifft),
-        rfft=wrap("rfft", backend.rfft),
-        irfft=wrap("irfft", backend.irfft),
-    )
-
-
-@contextmanager
-def record_fft_calls():
-    """Temporarily route every backend through a call recorder.
-
-    Yields an :class:`FftCallLog`.  All resolutions through
-    :func:`get_backend` (by name or ``None``) observe the counting
-    wrappers; direct references taken before entry are not affected.
-    """
-    global _active
-    log = FftCallLog()
-    saved_backends = dict(_BACKENDS)
-    saved_active = _active
-    wrapped = {name: _counting(b, log) for name, b in _BACKENDS.items()}
-    _BACKENDS.update(wrapped)
-    _active = wrapped.get(saved_active.name, saved_active)
-    try:
-        yield log
-    finally:
-        _BACKENDS.clear()
-        _BACKENDS.update(saved_backends)
-        _active = saved_active

@@ -42,10 +42,8 @@ class GuardConfig:
     #: path is retried.
     breaker_ttl_s: float = 30.0
     #: Fallback order, primary first.  Entries not supporting the problem
-    #: shape are skipped.  The string ``"ranked"`` derives the order from
-    #: the selector's roofline ranking per shape instead (see
-    #: :func:`repro.baselines.registry.fallback_chain`).
-    chain: tuple[str, ...] | str = ("polyhankel", "gemm", "naive")
+    #: shape are skipped.
+    chain: tuple[str, ...] = ("polyhankel", "gemm", "naive")
 
     def with_(self, **kwargs) -> "GuardConfig":
         return replace(self, **kwargs)

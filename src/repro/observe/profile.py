@@ -51,52 +51,45 @@ STAGE_MAP = {
 }
 
 
-def _runner(case, x, w):
+def _runner(case, algorithm: str, shape, x, w):
     """Steady-state callable + one-shot weight-transform callable."""
-    if case.algorithm == "polyhankel":
+    if algorithm == "polyhankel":
         from repro.core import multichannel as mc
-        from repro.utils.shapes import ConvShape
 
-        shape = ConvShape((case.size, case.size), (case.kernel, case.kernel),
-                          n=case.batch, c=case.channels, f=case.filters,
-                          padding=case.padding, stride=case.stride,
-                          dilation=case.dilation, groups=case.groups)
         plan = mc.get_plan(shape, strategy=case.strategy,
                            backend=case.backend)
         w_hat = plan.transform_weight(w)
         return (lambda: plan.execute(x, w_hat, check=False),
                 lambda: plan.transform_weight(w))
-    if case.algorithm == "gemm":
+    if algorithm == "gemm":
         from repro.baselines.im2col_gemm import convnd_im2col_gemm
 
-        def call():
-            return convnd_im2col_gemm(
-                x, w, padding=case.padding, stride=case.stride,
-                dilation=case.dilation, groups=case.groups)
-        return call, None
+        return lambda: convnd_im2col_gemm(x, w, **case.params()), None
     raise ValueError(
         f"profile supports algorithms {sorted(STAGE_MAP)}, "
-        f"got {case.algorithm!r}"
+        f"got {algorithm!r}"
     )
 
 
-def profile_case(case, repeats: int = 10, warmup: int = 2,
+def profile_case(case, algorithm: str = "polyhankel", repeats: int = 10,
+                 warmup: int = 2,
                  drift_threshold: float = DEFAULT_DRIFT_THRESHOLD) -> dict:
-    """Measure one bench case's stages and join them with the cost model.
+    """Measure one bench case's stages under *algorithm* and join them
+    with the cost model.
 
-    *case* is a :class:`repro.bench.BenchCase` (or anything with the same
-    fields plus an ``algorithm`` attribute, see :func:`resolve_preset`).
+    *case* is a forward-op :class:`repro.bench.BenchCase` (see
+    :func:`resolve_preset` and :func:`case_for_shape`).
     """
-    from repro.perfmodel.counters import count, count_polyhankel
-    from repro.utils.random import random_problem
-    from repro.utils.shapes import ConvShape
+    from repro.bench import FORWARD_OPS
+    from repro.perfmodel.counters import count
 
-    shape = ConvShape((case.size, case.size), (case.kernel, case.kernel),
-                      n=case.batch, c=case.channels, f=case.filters,
-                      padding=case.padding, stride=case.stride,
-                      dilation=case.dilation, groups=case.groups)
-    x, w = random_problem(shape)
-    call, transform = _runner(case, x, w)
+    if not case.forward:
+        raise ValueError(
+            f"profile runs the forward ops {list(FORWARD_OPS)}; "
+            f"{case.name} is {case.op}")
+    shape = case.conv_shape()
+    x, w = case.tensors()
+    call, transform = _runner(case, algorithm, shape, x, w)
 
     for _ in range(max(warmup, 1)):
         call()
@@ -115,15 +108,10 @@ def profile_case(case, repeats: int = 10, warmup: int = 2,
     measured = aggregate_spans(spans)
     fft_calls = fft_call_totals()
 
-    if case.algorithm == "polyhankel":
-        report = count_polyhankel(shape)
-    else:
-        model_algo = {"gemm": "gemm"}[case.algorithm]
-        report = count(model_algo, shape)
-    model_stages = {s.name: s for s in report.stages}
+    model_stages = {s.name: s for s in count(algorithm, shape).stages}
 
     rows = []
-    for stage_name, span_names, amortized in STAGE_MAP[case.algorithm]:
+    for stage_name, span_names, amortized in STAGE_MAP[algorithm]:
         stage = model_stages[stage_name]
         calls = 1 if amortized else repeats
         # Inclusive totals: a stage span's time should include the nested
@@ -170,15 +158,12 @@ def profile_case(case, repeats: int = 10, warmup: int = 2,
                     if call_ms > 0 else None)
 
     return {
-        "name": getattr(case, "name", "custom"),
-        "algorithm": case.algorithm,
+        "name": case.name,
+        "op": case.op,
+        "algorithm": algorithm,
         "strategy": case.strategy,
         "backend": case.backend,
-        "shape": {"size": case.size, "kernel": case.kernel,
-                  "batch": case.batch, "channels": case.channels,
-                  "filters": case.filters, "padding": case.padding,
-                  "stride": case.stride, "dilation": case.dilation,
-                  "groups": case.groups},
+        "shape": case.layout(),
         "repeats": repeats,
         "call_ms": call_ms,
         "drift_threshold": drift_threshold,
@@ -199,41 +184,30 @@ def profile_case(case, repeats: int = 10, warmup: int = 2,
     }
 
 
-def resolve_preset(name: str, algorithm: str = "polyhankel"):
-    """A bench-suite case by name, retargeted at *algorithm*."""
+def resolve_preset(name: str):
+    """A bench-suite case by name."""
     from repro.bench import SUITE
 
     for case in SUITE:
         if case.name == name:
-            return _ProfileCase(case, algorithm)
+            return case
     raise ValueError(
         f"unknown preset {name!r}; known: {[c.name for c in SUITE]}"
     )
 
 
-class _ProfileCase:
-    """A bench case plus the algorithm the profiler should drive."""
-
-    def __init__(self, case, algorithm: str):
-        self._case = case
-        self.algorithm = algorithm
-
-    def __getattr__(self, item):
-        return getattr(self._case, item)
-
-
-def case_for_shape(algorithm: str = "polyhankel", *, size: int = 32,
-                   kernel: int = 3, batch: int = 4, channels: int = 3,
-                   filters: int = 8, padding=1, stride=1, dilation=1,
-                   groups: int = 1, strategy: str = "sum",
+def case_for_shape(*, size: int = 32, kernel: int = 3, batch: int = 4,
+                   channels: int = 3, filters: int = 8, padding=1, stride=1,
+                   dilation=1, groups: int = 1, strategy: str = "sum",
                    backend: str = "numpy"):
-    """A profileable case for an ad-hoc shape (the CLI's shape flags)."""
+    """A profileable conv2d case for an ad-hoc shape (the CLI's shape
+    flags)."""
     from repro.bench import BenchCase
 
-    case = BenchCase("custom", size, kernel, batch, channels, filters,
-                     padding, strategy=strategy, backend=backend,
-                     stride=stride, dilation=dilation, groups=groups)
-    return _ProfileCase(case, algorithm)
+    return BenchCase("custom", "conv2d", (batch, channels, size, size),
+                     (filters, channels // groups, kernel, kernel),
+                     padding=padding, stride=stride, dilation=dilation,
+                     groups=groups, strategy=strategy, backend=backend)
 
 
 def format_profile(report: dict) -> str:
@@ -241,7 +215,8 @@ def format_profile(report: dict) -> str:
     roofline = (f", {report['roofline_pct']:.1f}% of roofline"
                 if report.get("roofline_pct") is not None else "")
     lines = [
-        f"profile {report['name']}  algo={report['algorithm']}  "
+        f"profile {report['name']}  op={report['op']}  "
+        f"algo={report['algorithm']}  "
         f"strategy={report['strategy']}  backend={report['backend']}  "
         f"({report['repeats']} calls, {report['call_ms']:.3f} ms/call"
         f"{roofline})",

@@ -27,7 +27,6 @@ from repro.selection.heuristic import (
     CANDIDATES,
     TIE_BREAK,
     SelectionResult,
-    ranked_fallback_order,
     select_algorithm,
     select_algorithm_rules,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "SelectionResult",
     "select_algorithm",
     "select_algorithm_rules",
-    "ranked_fallback_order",
     "BanditConfig",
     "SelectionBandit",
     "SelectionTableError",

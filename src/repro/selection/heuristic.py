@@ -98,31 +98,6 @@ def select_algorithm(shape: ConvShape,
     return SelectionResult(shape, device.name, tuple(scored))
 
 
-def ranked_fallback_order(shape: ConvShape,
-                          device: GpuDevice | str = "3090ti"
-                          ) -> tuple[ConvAlgorithm, ...]:
-    """The guard chain's descent, ordered by the selector's ranking.
-
-    ``fallback_chain(shape, order="ranked")`` (and a
-    :class:`~repro.guard.state.GuardConfig` with ``chain="ranked"``) use
-    this instead of the static :data:`~repro.baselines.registry.
-    FALLBACK_ORDER`: when the primary degrades, the first fallback tried
-    is the algorithm the roofline model ranks fastest *for this shape*,
-    not a fixed favorite.  Unmodeled last resorts (naive) keep their
-    static position at the tail; if the model cannot rank anything for
-    the shape, the static order stands.
-    """
-    modeled = tuple(a for a in FALLBACK_ORDER if a in CANDIDATES)
-    try:
-        ranking = select_algorithm(shape, device,
-                                   candidates=modeled).ranking
-    except ValueError:
-        return FALLBACK_ORDER
-    order = [algo for algo, _ in ranking]
-    order += [algo for algo in FALLBACK_ORDER if algo not in order]
-    return tuple(order)
-
-
 #: Rule thresholds distilled from the paper's Figs. 3-4 (and re-derivable
 #: from the model via tests/selection/test_heuristic.py).
 SMALL_INPUT_THRESHOLD = 32       # below: GEMM wins (Fig. 3 left region)

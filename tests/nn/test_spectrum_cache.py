@@ -2,18 +2,17 @@
 
 A PolyHankel ``Conv2d`` reads its kernel spectra from the engine's one
 weight-spectrum cache, the cache :func:`repro.nn.functional.conv2d` uses.
-The microbenchmark guard asserts the *mechanism* (not wall-clock): a
-counting shim on the FFT backend proves the second forward of a
-fixed-shape ``Conv2d`` performs zero ``rfft`` calls on the weight, so the
+The microbenchmark guard asserts the *mechanism* (not wall-clock): the
+engine's own ``weight.transform`` span proves the second forward of a
+fixed-shape ``Conv2d`` transforms its weight zero times, so the
 amortization cannot silently regress.
 """
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
 
-from repro import fft as _fft
 from repro.core.multichannel import (
     clear_plan_cache,
     clear_spectrum_cache,
@@ -23,7 +22,8 @@ from repro.core.multichannel import (
 from repro.guard.state import guarded
 from repro.nn import functional as F
 from repro.nn.layers import Conv2d
-from repro.observe.registry import cache_hits_misses
+from repro.observe import tracing
+from repro.observe.registry import cache_hits_misses, counters
 from tests.conftest import naive_conv2d_reference
 
 
@@ -36,11 +36,17 @@ def _fresh_caches():
     clear_spectrum_cache()
 
 
-def _weight_call_count(log, layer):
-    """Recorded rfft calls whose input is weight-shaped (f, c, ...)."""
-    f, c = layer.out_channels, layer.in_channels
-    return sum(1 for s in log.shapes("rfft")
-               if len(s) == 3 and s[:2] == (f, c))
+@contextmanager
+def _transforms():
+    """Counts the transforms run inside the block: ``weight`` from the
+    engine's ``weight.transform`` span, ``rfft`` from the ``fft.calls``
+    counter (the input transforms, plus any weight transform's)."""
+    counts = {}
+    counters.clear("fft.")
+    with tracing() as spans:
+        yield counts
+    counts["weight"] = sum(s.name == "weight.transform" for s in spans)
+    counts["rfft"] = counters.total("fft.calls", kind="rfft")
 
 
 class TestAmortizationGuard:
@@ -48,15 +54,15 @@ class TestAmortizationGuard:
         layer = Conv2d(3, 8, 3, padding=1, bias=False)
         x = rng.standard_normal((2, 3, 12, 12))
 
-        with _fft.record_fft_calls() as log:
+        with _transforms() as counts:
             layer(x)
-        assert _weight_call_count(log, layer) == 1  # cold: transform once
+        assert counts["weight"] == 1  # cold: transform once
 
-        with _fft.record_fft_calls() as log:
+        with _transforms() as counts:
             layer(x)
             layer(x)
-        assert _weight_call_count(log, layer) == 0  # warm: never again
-        assert log.count("rfft") == 2  # the input transform still runs
+        assert counts["weight"] == 0  # warm: never again
+        assert counts["rfft"] == 2  # the input transform still runs
 
     def test_cache_disabled_layer_retransforms(self, rng):
         layer = Conv2d(3, 8, 3, padding=1, bias=False)
@@ -64,19 +70,19 @@ class TestAmortizationGuard:
         try:
             enable_spectrum_cache(False)
             layer(x)
-            with _fft.record_fft_calls() as log:
+            with _transforms() as counts:
                 layer(x)
         finally:
             enable_spectrum_cache(True)
-        assert _weight_call_count(log, layer) == 1
+        assert counts["weight"] == 1
 
     def test_layer_and_functional_share_one_spectrum(self, rng):
         layer = Conv2d(3, 8, 3, padding=1, bias=False)
         x = rng.standard_normal((2, 3, 12, 12))
         expect = layer(x)
-        with _fft.record_fft_calls() as log:
+        with _transforms() as counts:
             out = F.conv2d(x, layer.weight, padding=1)
-        assert _weight_call_count(log, layer) == 0
+        assert counts["weight"] == 0
         np.testing.assert_array_equal(out, expect)
         assert spectrum_cache_info().size == 1
 
@@ -89,10 +95,10 @@ class TestAmortizationGuard:
         x = rng.standard_normal((2, 3, 12, 12))
         with guarded() if guard else nullcontext():
             expect = layer(x)
-            with _fft.record_fft_calls() as log:
+            with _transforms() as counts:
                 np.testing.assert_array_equal(layer(x), expect)
                 F.conv2d(x, layer.weight, padding=1)
-        assert _weight_call_count(log, layer) == 0
+        assert counts["weight"] == 0
 
 
 class TestLayerCacheCorrectness:
@@ -157,6 +163,6 @@ class TestLayerCacheInvalidation:
         x = rng.standard_normal((1, 2, 8, 8))
         layer(x)
         clear_spectrum_cache()
-        with _fft.record_fft_calls() as log:
+        with _transforms() as counts:
             layer(x)
-        assert _weight_call_count(log, layer) == 1
+        assert counts["weight"] == 1

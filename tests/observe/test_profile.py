@@ -14,18 +14,20 @@ from repro.observe.profile import (
 )
 
 
+def _small_case():
+    return case_for_shape(size=16, kernel=3, batch=2, channels=3,
+                          filters=4, padding=1)
+
+
 @pytest.fixture(scope="module")
 def polyhankel_report():
-    case = case_for_shape("polyhankel", size=16, kernel=3, batch=2,
-                          channels=3, filters=4, padding=1)
-    return profile_case(case, repeats=3, warmup=1)
+    return profile_case(_small_case(), repeats=3, warmup=1)
 
 
 @pytest.fixture(scope="module")
 def gemm_report():
-    case = case_for_shape("gemm", size=16, kernel=3, batch=2,
-                          channels=3, filters=4, padding=1)
-    return profile_case(case, repeats=3, warmup=1)
+    return profile_case(_small_case(), algorithm="gemm", repeats=3,
+                        warmup=1)
 
 
 class TestPolyhankelProfile:
@@ -59,9 +61,7 @@ class TestPolyhankelProfile:
             assert row["flagged"] == (not 1.0 / t <= row["drift"] <= t)
 
     def test_tight_threshold_flags_stages(self):
-        case = case_for_shape("polyhankel", size=16, kernel=3, batch=2,
-                              channels=3, filters=4, padding=1)
-        report = profile_case(case, repeats=2, warmup=1,
+        report = profile_case(_small_case(), repeats=2, warmup=1,
                               drift_threshold=1.0 + 1e-9)
         assert any(row["flagged"] for row in report["stages"])
 
@@ -96,18 +96,17 @@ class TestPresetsAndSerialization:
     def test_resolve_known_preset(self):
         case = resolve_preset("conv16_sum_numpy")
         assert case.name == "conv16_sum_numpy"
-        assert case.algorithm == "polyhankel"
-        assert case.size == 16
+        assert case.op == "conv2d"
+        assert case.x_shape == (4, 3, 16, 16)
 
     def test_resolve_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             resolve_preset("no_such_case")
 
     def test_unknown_algorithm_rejected(self):
-        case = case_for_shape("polyhankel", size=12)
-        case.algorithm = "winograd"
         with pytest.raises(ValueError, match="profile supports"):
-            profile_case(case, repeats=1, warmup=1)
+            profile_case(case_for_shape(size=12), algorithm="winograd",
+                         repeats=1, warmup=1)
 
     def test_write_profile_drops_spans(self, tmp_path, polyhankel_report):
         path = write_profile(polyhankel_report, str(tmp_path / "p.json"))

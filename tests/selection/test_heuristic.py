@@ -159,47 +159,9 @@ class TestDeterministicTieBreak:
 
 
 class TestRankedFallbackOrder:
-    def test_chain_respects_selector_ranking(self):
-        from repro.baselines.registry import fallback_chain
-        from repro.selection.heuristic import ranked_fallback_order
-
-        # GEMM territory: the ranked chain must try GEMM before the
-        # static favorite when the primary degrades.
-        shape = ConvShape((8, 8), (3, 3), n=1, c=4, f=8, padding=1)
-        order = ranked_fallback_order(shape)
-        assert order[0] is A.GEMM
-        chain = fallback_chain(shape, primary="polyhankel", order="ranked")
-        assert chain[0] is A.POLYHANKEL  # requested primary stays first
-        assert chain[1] is A.GEMM        # then the modeled-fastest
-
-    def test_unmodeled_tail_preserved(self):
-        from repro.selection.heuristic import ranked_fallback_order
-
-        shape = ConvShape((16, 16), (3, 3))
-        order = ranked_fallback_order(shape)
-        assert set(order) == set(
-            __import__("repro.baselines.registry",
-                       fromlist=["FALLBACK_ORDER"]).FALLBACK_ORDER)
-        assert order[-1] is A.NAIVE
-
     def test_unknown_order_string_rejected(self):
         from repro.baselines.registry import fallback_chain
 
         shape = ConvShape((16, 16), (3, 3))
         with pytest.raises(ValueError, match="unknown chain order"):
             fallback_chain(shape, order="fastest")
-
-    def test_guard_config_ranked_chain_end_to_end(self):
-        import numpy as np
-
-        from repro.baselines.registry import convolve
-        from repro.guard.chain import guarded_conv2d
-        from repro.guard.state import GuardConfig
-
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((2, 3, 12, 12))
-        w = rng.standard_normal((4, 3, 3, 3))
-        out = guarded_conv2d(x, w, padding=1,
-                             config=GuardConfig(chain="ranked"))
-        expected = convolve(x, w, algorithm="naive", padding=1)
-        assert np.allclose(out, expected)

@@ -30,28 +30,25 @@ def test_smoke_suite_schema(tmp_path, monkeypatch):
         assert row["counters"]["fft_calls"] >= 2
         assert row["counters"]["guard_fallbacks"] == 0
         assert row["roofline_pct"] is None or row["roofline_pct"] > 0
-    nd_rows = [row for row in report["results"] if "op" in row]
-    rows_2d = [row for row in report["results"] if "op" not in row]
-    assert {row["op"] for row in nd_rows} == {
-        "conv1d", "conv3d", "conv_transpose2d"}
-    for row in nd_rows:
+    assert {row["op"] for row in report["results"]} == {
+        "conv1d", "conv2d", "conv3d", "conv_transpose2d"}
+    for row in report["results"]:
         assert row["first_call_ms"] > 0
         assert row["cached_ms"] > 0
-        if row["op"] in ("conv1d", "conv3d"):
-            # run_nd_case raises if measured != predicted; the report
-            # must still carry the prediction for the --check gate.
-            predicted = row["predicted_counters"]
-            assert {k: row["counters"][k] for k in predicted} == predicted
-    assert rows_2d, "smoke suite must run at least one 2D case"
-    for row in rows_2d:
+        # run_case raises if measured != predicted; the report must still
+        # carry the prediction.
+        predicted = row["predicted_counters"]
+        assert {k: row["counters"][k] for k in predicted} == predicted
         assert "seed_ms" not in row and "speedup" not in row
+        if row["op"] == "conv_transpose2d":
+            assert row["uncached_ms"] is None
+            continue
         assert row["uncached_ms"] > 0
-        assert row["cached_ms"] > 0
         assert row["cache_speedup"] == pytest.approx(
             row["uncached_ms"] / row["cached_ms"], rel=1e-2)
-    extended = [row for row in rows_2d
-                if (row["shape"]["stride"], row["shape"]["dilation"],
-                    row["shape"]["groups"]) != (1, 1, 1)]
+    extended = [row for row in report["results"] if row["op"] == "conv2d"
+                and (row["shape"]["stride"], row["shape"]["dilation"],
+                     row["shape"]["groups"]) != (1, 1, 1)]
     assert len(extended) >= 2, \
         "smoke suite must cover the strided and depthwise presets"
     # every case must be exercised with both cold and warm measurements,
