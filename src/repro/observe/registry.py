@@ -211,6 +211,11 @@ def format_cache_stats(rows: list[dict] | None = None) -> str:
     return "\n".join(lines)
 
 
+#: The ``trigger`` tags :class:`~repro.serve.queue.BatchingQueue` puts on
+#: ``serve.batches``, in the order the stats print them.
+BATCH_TRIGGERS = ("size", "deadline", "idle", "drain")
+
+
 def serve_stats() -> dict:
     """Consolidated serving-layer metrics from the unified registry.
 
@@ -218,6 +223,8 @@ def serve_stats() -> dict:
     stacked rows); derived ratios — mean batch size, mean queue wait,
     coalesce rate — are computed here so every consumer (CLI, bench
     harness, ``ConvServer.stats``) agrees on the arithmetic.
+    ``batch_triggers`` splits ``batches`` by the queue trigger that
+    dispatched each one.
     """
     requests = counters.total("serve.requests")
     batches = counters.total("serve.batches")
@@ -227,6 +234,9 @@ def serve_stats() -> dict:
     stats = {
         "requests": int(requests),
         "batches": int(batches),
+        "batch_triggers": {
+            trigger: int(counters.total("serve.batches", trigger=trigger))
+            for trigger in BATCH_TRIGGERS},
         "coalesced": int(coalesced),
         "shards": int(counters.total("serve.shards")),
         # Overload-control outcomes (deadline shedding / admission).
@@ -284,6 +294,8 @@ def format_serve_stats(stats: dict | None = None) -> str:
     lines = [
         f"requests        {stats['requests']:>10}",
         f"batches         {stats['batches']:>10}",
+        *(f"  {trigger:<14}{count:>10}" for trigger, count
+          in stats.get("batch_triggers", {}).items()),
         f"coalesced       {stats['coalesced']:>10}",
         f"shards          {stats['shards']:>10}",
         f"completed       {stats.get('completed', 0):>10}",

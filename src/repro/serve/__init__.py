@@ -12,10 +12,10 @@ package closes that gap with the standard serving architecture:
   every engine stage (row FFTs, the channel einsum, the inverse FFT, the
   gather) is row-independent, so a coalesced answer equals the answer
   each request would have gotten alone.
-- :mod:`repro.serve.queue` — :class:`BatchingQueue`: requests wait at
-  most ``max_wait_ms`` for compatible companions; a group is dispatched
-  the moment it holds ``max_batch`` stacked rows or its oldest request's
-  deadline expires.
+- :mod:`repro.serve.queue` — :class:`BatchingQueue`, work-conserving:
+  a group is dispatched the moment it holds ``max_batch`` stacked rows,
+  at once while no dispatched batch is outstanding, and otherwise when
+  its oldest request has waited ``max_wait_ms`` for companions.
 - :mod:`repro.serve.pool` — the persistent thread :class:`WorkerPool`
   and the batch/group shard splitter for oversized requests.
 - :mod:`repro.serve.api` — the front door both servers share
@@ -40,9 +40,9 @@ package closes that gap with the standard serving architecture:
   ``REPRO_SERVE_*`` environment variables.
 
 Everything is observable through the unified counter registry
-(``serve.requests``, ``serve.coalesced``, ``serve.batches``,
-``serve.batch_size``, ``serve.queue_wait_ms``, ``serve.shards``, and the
-overload outcomes ``serve.completed`` / ``serve.shed`` /
+(``serve.requests``, ``serve.coalesced``, ``serve.batches`` tagged by
+trigger, ``serve.batch_size``, ``serve.queue_wait_ms``, ``serve.shards``,
+and the overload outcomes ``serve.completed`` / ``serve.shed`` /
 ``serve.rejected`` / ``serve.slot_timeout``) and runs under the guard
 chain when supervision is enabled, with the circuit breaker scoped by
 coalescing key so every shard of one request family shares breaker

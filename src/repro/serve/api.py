@@ -6,9 +6,11 @@ the sync wrapper and the lifecycle.  :class:`ConvServer` composes it with
 the worker pool:
 
 - ``submit(...)`` returns a ``concurrent.futures.Future`` immediately;
-- requests whose own batch fits under ``max_batch`` wait (at most
-  ``max_wait_ms``) in the :class:`~repro.serve.queue.BatchingQueue` for
-  compatible companions and ride one stacked engine call;
+- requests whose own batch fits under ``max_batch`` go through the
+  :class:`~repro.serve.queue.BatchingQueue`: on an idle server a request
+  dispatches at once, and while a batch is in flight it waits (at most
+  ``max_wait_ms``) for compatible companions to ride one stacked engine
+  call with;
 - oversized requests bypass the queue entirely and are sharded across
   the persistent :class:`~repro.serve.pool.WorkerPool` along the batch
   and group axes;

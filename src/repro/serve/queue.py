@@ -1,25 +1,54 @@
-"""The dynamic-batching queue: wait a bounded time for companions.
+"""The dynamic-batching queue: wait for companions only while busy.
 
 :class:`BatchingQueue` holds submitted requests grouped by coalescing key
-and dispatches a group to its executor callback when either trigger fires:
+and dispatches a group to its executor callback when the first of three
+triggers fires:
 
 - **size**: the group's stacked row count reaches ``max_batch`` — it is
-  dispatched immediately (the dispatcher is woken, no deadline wait);
-- **deadline**: the group's *oldest* request has waited ``max_wait_ms`` —
-  whatever compatible requests arrived by then ride along (possibly a
-  batch of one: a lone request pays at most the deadline, never starves).
+  dispatched immediately, inline on the submitting thread;
+- **idle**: no dispatched batch is outstanding anywhere in the queue
+  (every rider of every batch already resolved) — the dispatcher thread
+  pops the group at once, since nothing is executing that companions
+  could ride behind;
+- **deadline**: a batch is outstanding and the group's *oldest* request
+  has waited ``max_wait_ms`` — whatever compatible requests arrived by
+  then ride along (possibly a batch of one, so a lone request never
+  waits longer than the deadline).
+
+The queue is work-conserving (the adaptive-batching rule of Clipper,
+Crankshaw et al., NSDI 2017): a request pays a batching wait only while
+the executor is busy, which is when companions can accumulate.  A batch
+is *outstanding* from its dispatch until the last of its riders' futures
+resolves — completed, shed, cancelled, failed or, on the cluster, after
+a reroute.  A done-callback on each rider still unresolved when the
+executor returns counts the batch down, on whichever thread resolves it
+(:class:`~repro.serve.router.ClusterServer`'s reader); an executor that
+resolves every rider before returning
+(:class:`~repro.serve.api.ConvServer`) leaves none, so its batch is
+released at once.  When the last outstanding batch resolves while
+groups are pending, the dispatcher is woken and flushes them.  On
+:meth:`BatchingQueue.close` the remaining groups dispatch under the
+**drain** trigger.
+
+Idleness is a property of the whole queue, not of one executor: a
+:class:`~repro.serve.router.ClusterServer` with several replicas counts
+a batch held by any replica as busy, so while one replica works a lone
+request waits up to ``max_wait_ms`` even if another replica is free.
 
 Groups dispatch FIFO within a key, and a dispatch takes at most
 ``max_batch`` stacked rows (a 100-request burst of one key drains as a
-train of full batches).  Dispatch happens on the single dispatcher
-thread; parallelism across shards is the worker pool's job
+train of full batches).  Idle, deadline and drain dispatches happen on
+the single dispatcher thread, never inline on a submitter, so
+``submit`` stays asynchronous and a one-thread burst still coalesces;
+parallelism across shards is the worker pool's job
 (:mod:`repro.serve.pool`), so queue order stays deterministic.
 
-Counters (unified registry): ``serve.batches`` (one per dispatch),
-``serve.batch_size`` (sum of stacked rows — mean batch size is
-``batch_size / batches``), ``serve.coalesced`` (requests that shared a
-dispatch with at least one other request), ``serve.queue_wait_ms``
-(summed submit-to-dispatch latency).
+Counters (unified registry): ``serve.batches`` (one per dispatch, tagged
+``trigger=`` size, idle, deadline or drain), ``serve.batch_size`` (sum
+of stacked rows — mean batch size is ``batch_size / batches``),
+``serve.coalesced`` (requests that shared a dispatch with at least one
+other request), ``serve.queue_wait_ms`` (summed submit-to-dispatch
+latency).
 """
 
 from __future__ import annotations
@@ -36,7 +65,8 @@ from repro.serve.overload import Overloaded, shed_expired, shed_request
 
 
 class BatchingQueue:
-    """Coalesce compatible requests under a size bound and a deadline."""
+    """Coalesce compatible requests under a size bound, dispatching at
+    once while idle and within a deadline while a batch is in flight."""
 
     def __init__(self, execute: Callable[[list[ConvRequest]], None],
                  max_batch: int = 8, max_wait_ms: float = 2.0):
@@ -54,6 +84,9 @@ class BatchingQueue:
         #: Full-batch dispatches currently running inline on submitter
         #: threads; close() must not return while any are in flight.
         self._inline_active = 0
+        #: Popped batches not yet released (some rider unresolved); while
+        #: none is outstanding a pending group is due at once.
+        self._outstanding = 0
         self._dispatcher = threading.Thread(
             target=self._run, name="serve-dispatch", daemon=True)
         self._dispatcher.start()
@@ -68,10 +101,10 @@ class BatchingQueue:
         dispatcher thread would only ping-pong the GIL between producer
         and dispatcher (each wake costs a context switch plus a GIL
         handoff), so the producer pays for its own full batches and the
-        dispatcher thread handles nothing but deadline-expired partial
-        groups.  Only a *new* group needs a notify — the dispatcher must
-        learn a deadline exists; riders joining a non-full group change
-        nothing it could act on.
+        dispatcher thread handles the partial groups.  Only a *new* group
+        needs a notify — the dispatcher must learn the group exists (it
+        is due at once on an idle queue, at its deadline otherwise);
+        riders joining a non-full group change nothing it could act on.
         """
         batch = None
         with self._cond:
@@ -89,7 +122,7 @@ class BatchingQueue:
                 self._cond.notify()
         if batch is not None:
             try:
-                self._dispatch(batch)
+                self._dispatch(batch, "size")
             finally:
                 with self._cond:
                     self._inline_active -= 1
@@ -100,6 +133,12 @@ class BatchingQueue:
         """Requests currently waiting (introspection and tests)."""
         with self._cond:
             return sum(len(g) for g in self._pending.values())
+
+    def outstanding_count(self) -> int:
+        """Dispatched batches not yet fully resolved (introspection and
+        tests)."""
+        with self._cond:
+            return self._outstanding
 
     def shed_oldest(self) -> ConvRequest | None:
         """Evict the oldest queued request (``shed-oldest`` admission).
@@ -163,7 +202,9 @@ class BatchingQueue:
     def _pop_group(self, key: CoalesceKey,
                    group: list[ConvRequest]) -> list[ConvRequest]:
         """Pop a FIFO slice of at most ``max_batch`` stacked rows from
-        *group* (always at least one request).  Caller holds the lock."""
+        *group* (always at least one request); it counts as outstanding
+        until :meth:`_dispatch` releases it.  Caller holds the lock."""
+        self._outstanding += 1
         batch = []
         rows = 0
         while group and (not batch
@@ -175,13 +216,23 @@ class BatchingQueue:
             del self._pending[key]
         return batch
 
-    def _pop_ready(self, now: float, drain: bool) -> list[ConvRequest] | None:
-        """Pop the first group that is full or past deadline.  Caller
-        holds the lock."""
+    def _pop_ready(self, now: float,
+                   drain: bool) -> tuple[list[ConvRequest], str] | None:
+        """Pop the first due group with the trigger that fired (see the
+        module docstring).  Caller holds the lock."""
+        idle = not self._outstanding
         for key, group in self._pending.items():
-            due = drain or (now - group[0].enqueued_at >= self.max_wait_s)
-            if due or self._rows(group) >= self.max_batch:
-                return self._pop_group(key, group)
+            if self._rows(group) >= self.max_batch:
+                trigger = "size"
+            elif drain:
+                trigger = "drain"
+            elif idle:
+                trigger = "idle"
+            elif now - group[0].enqueued_at >= self.max_wait_s:
+                trigger = "deadline"
+            else:
+                continue
+            return self._pop_group(key, group), trigger
         return None
 
     def _next_deadline(self, now: float) -> float | None:
@@ -195,15 +246,54 @@ class BatchingQueue:
         while True:
             with self._cond:
                 while True:
-                    batch = self._pop_ready(time.monotonic(), self._closed)
-                    if batch is not None:
+                    ready = self._pop_ready(time.monotonic(), self._closed)
+                    if ready is not None:
                         break
                     if self._closed:  # closed and fully drained
                         return
+                    # Woken early by a new group, close, or the last
+                    # outstanding batch resolving.
                     self._cond.wait(self._next_deadline(time.monotonic()))
-            self._dispatch(batch)
+            self._dispatch(*ready)
 
-    def _dispatch(self, batch: list[ConvRequest]) -> None:
+    def _release_when_resolved(self, futures: list) -> None:
+        """Stop counting a dispatched batch as outstanding once *futures*
+        — its riders still unresolved when the executor returned — have
+        all resolved.
+
+        An executor that resolved every rider on the dispatching thread
+        (:class:`~repro.serve.api.ConvServer`) leaves none, and the batch
+        is released at once.  Otherwise a done-callback per rider fires
+        on whichever thread resolves it (or at once, if it resolved
+        meanwhile), so every outcome — result, shed, cancel, exception,
+        a cluster reroute's eventual answer — counts exactly once.
+        """
+        left = len(futures)
+        if not left:
+            self._release()
+            return
+
+        def resolved(_future) -> None:
+            nonlocal left
+            with self._cond:
+                left -= 1
+                if not left:
+                    self._release()
+
+        for future in futures:
+            future.add_done_callback(resolved)
+
+    def _release(self) -> None:
+        """One outstanding batch has resolved; when it was the last and
+        groups wait, wake the dispatcher to flush them."""
+        with self._cond:
+            self._outstanding -= 1
+            if not self._outstanding and self._pending:
+                # All: a close() parked on inline dispatches shares the
+                # condition with the dispatcher.
+                self._cond.notify_all()
+
+    def _dispatch(self, batch: list[ConvRequest], trigger: str) -> None:
         now = time.monotonic()
         # Shed dead riders at the dispatch boundary: a request whose
         # deadline expired while it waited for companions (or whose
@@ -211,9 +301,10 @@ class BatchingQueue:
         # engine, and must not distort the batch-size counters.
         batch = shed_expired(batch, now)
         if not batch:
+            self._release()
             return
         rows = self._rows(batch)
-        counters.add("serve.batches")
+        counters.add("serve.batches", trigger=trigger)
         counters.add("serve.batch_size", rows)
         if len(batch) > 1:
             counters.add("serve.coalesced", len(batch))
@@ -226,3 +317,5 @@ class BatchingQueue:
             for request in batch:
                 if not request.future.done():
                     request.future.set_exception(exc)
+        self._release_when_resolved(
+            [r.future for r in batch if not r.future.done()])

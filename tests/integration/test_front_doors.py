@@ -7,7 +7,8 @@ guard off and on, and the :mod:`repro.nn.autograd` forward — and every
 result must be ``np.array_equal`` to the layer's.  The two servers,
 :class:`~repro.serve.ConvServer` and :class:`~repro.serve.ClusterServer`,
 must return the functional op's bits for every op under PolyHankel, GEMM
-and the naive reference.  The module also pins
+and the naive reference, and so must a ``ConvServer`` whose selection
+bandit is on and pinned to one arm.  The module also pins
 the calls that must keep raising ``ValueError``, the layers' seeded He
 initialization and the ``repro algorithms`` support matrix.
 """
@@ -15,13 +16,21 @@ initialization and the ``repro algorithms`` support matrix.
 import numpy as np
 import pytest
 
+from repro.baselines.registry import fallback_chain
 from repro.cli import main as cli_main
 from repro.guard.state import guarded
 from repro.nn import autograd as ag
 from repro.nn import functional as F
 from repro.nn.layers import Conv1d, Conv2d, Conv3d, ConvTranspose2d
+from repro.selection.bandit import (
+    BanditConfig,
+    disable_bandit,
+    enable_bandit,
+    key_digest,
+)
 from repro.serve import ClusterServer, ConvServer
 from repro.serve.pool import execute_conv
+from repro.utils.shapes import ConvShape
 
 #: Per op: layer class, functional op, autograd op, input shape, layer
 #: constructor arguments (after in/out channels and kernel size).
@@ -108,6 +117,38 @@ def test_servers_return_the_functional_bits(servers, op, algorithm):
                             **params).result(60)
         assert got.shape == want.shape, door
         assert np.array_equal(got, want), door
+
+
+@pytest.mark.parametrize("pin", ["polyhankel", "gemm", "naive"])
+def test_bandit_door_returns_its_pinned_arm_bits(servers, pin):
+    """With the selection bandit on (apply mode, no exploration) and
+    every arm of the served key poisoned but *pin*, ConvServer serves the
+    pinned arm whatever was requested: the functional op's bits for it."""
+    _, f_op, _, _, params = OPS["conv2d"]
+    layer, x = _layer_problem("conv2d", pin)
+    w, b = layer.weight, layer.bias
+    want = f_op(x, w, b, algorithm=pin, **params)
+    requested = "gemm" if pin == "polyhankel" else "polyhankel"
+    shape = ConvShape.from_tensors(x.shape, w.shape, **params)
+    digest = key_digest(op="conv2d", input_chw=x.shape[1:],
+                        weight_shape=w.shape, dtype=str(x.dtype),
+                        stride=1, dilation=1, strategy="sum", backend=None,
+                        **params)
+    bandit = enable_bandit(BanditConfig(apply=True, explore_fraction=0.0))
+    try:
+        bandit.decide(digest, shape, requested)  # seeds the key's arms
+        for arm in fallback_chain(shape, primary=requested):
+            if arm.value != pin:
+                bandit.record_shadow_failure(digest, arm.value, "error")
+        assert bandit.best(digest) == pin
+        got = servers["ConvServer"].submit(
+            x, w, b, op="conv2d", algorithm=requested,
+            **params).result(60)
+        assert bandit.best(digest) == pin
+    finally:
+        disable_bandit()
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_unsupported_calls_raise_value_error():

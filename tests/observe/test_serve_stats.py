@@ -37,6 +37,15 @@ class TestServeStats:
         assert stats["mean_queue_wait_ms"] == pytest.approx(5.0)
         assert stats["coalesce_rate"] == pytest.approx(0.75)
 
+    def test_batches_split_by_trigger(self):
+        counters.add("serve.batches", 3, trigger="idle")
+        counters.add("serve.batches", 1, trigger="size")
+        counters.add("serve.batches", 2, trigger="deadline")
+        stats = serve_stats()
+        assert stats["batches"] == 6
+        assert stats["batch_triggers"] == {
+            "size": 1, "deadline": 2, "idle": 3, "drain": 0}
+
 
 class TestFormatServeStats:
     def test_empty_renders_dashes(self):
@@ -52,6 +61,14 @@ class TestFormatServeStats:
         text = format_serve_stats()
         assert "4.00" in text       # mean batch size
         assert "100.0%" in text     # coalesce rate
+
+    def test_prints_the_trigger_split(self):
+        counters.add("serve.batches", 5, trigger="idle")
+        counters.add("serve.batches", 2, trigger="size")
+        lines = format_serve_stats().splitlines()
+        assert lines[1].split() == ["batches", "7"]
+        assert [line.split() for line in lines[2:6]] == [
+            ["size", "2"], ["deadline", "0"], ["idle", "5"], ["drain", "0"]]
 
     def test_accepts_precomputed_stats(self):
         counters.add("serve.requests", 2)

@@ -8,7 +8,9 @@ door) — never silence, never a late answer after a shed report, and
 never leaked capacity.
 """
 
+import contextlib
 import functools
+import threading
 import time
 
 import numpy as np
@@ -45,6 +47,43 @@ def door(request):
     if request.param == "ConvServer":
         return ConvServer
     return functools.partial(ClusterServer, workers=1)
+
+
+@contextlib.contextmanager
+def batch_in_flight(server, x, w):
+    """Keep one dispatched batch unresolved for the block's duration.
+
+    An idle server dispatches a request at once; only behind an
+    outstanding batch does a request wait in the queue.  ConvServer's
+    first batch blocks on an event; ClusterServer's runs under the
+    workers' ``slow_worker`` fault.  Yields the busy request's future,
+    which resolves after the block.
+    """
+    if isinstance(server, ClusterServer):
+        server.conv2d(x, w, padding=1, timeout=60)  # ship w, warm the plan
+        server.inject_worker_faults("slow_worker", max_fires=1,
+                                    params={"delay_s": 1.0})
+        release = server.clear_worker_faults
+    else:
+        gate = threading.Event()
+        execute = server._queue._execute
+
+        def blocked(batch):
+            server._queue._execute = execute
+            gate.wait(30)
+            return execute(batch)
+        server._queue._execute = blocked
+        release = gate.set
+    busy = server.submit(x, w, padding=1)
+    deadline = time.monotonic() + 10
+    while server._queue.outstanding_count() == 0:
+        assert time.monotonic() < deadline, "busy batch never dispatched"
+        time.sleep(0.001)
+    try:
+        yield busy
+    finally:
+        release()
+        busy.result(60)
 
 
 class TestDeadlinePropagation:
@@ -157,18 +196,19 @@ class TestAdmissionControl:
         """Past the budget, reject-new refuses the newcomer while the
         queued requests keep their place."""
         x, w = tiny_problem(rng)
-        config = ServeConfig(max_inflight=2, shed_policy="reject-new")
-        # max_batch > submissions: both admitted requests coalesce into
-        # one waiting group and stay in flight for max_wait_ms, so the
-        # third submit genuinely meets a full budget.
-        with door(max_batch=8, max_wait_ms=200.0,
+        config = ServeConfig(max_inflight=3, shed_policy="reject-new")
+        # Behind a batch in flight, both admitted requests coalesce into
+        # one waiting group (max_batch > submissions) and stay in flight
+        # with it, so the next submit genuinely meets a full budget.
+        with door(max_batch=8, max_wait_ms=500.0,
                   config=config) as server:
-            before = int(counters.total("serve.rejected"))
-            first = server.submit(x, w, padding=1)
-            second = server.submit(x, w, padding=1)
-            with pytest.raises(Overloaded):
-                server.submit(x, w, padding=1)
-            assert int(counters.total("serve.rejected")) == before + 1
+            with batch_in_flight(server, x, w):
+                before = int(counters.total("serve.rejected"))
+                first = server.submit(x, w, padding=1)
+                second = server.submit(x, w, padding=1)
+                with pytest.raises(Overloaded):
+                    server.submit(x, w, padding=1)
+                assert int(counters.total("serve.rejected")) == before + 1
             # The admitted requests still complete.
             first.result(30)
             second.result(30)
@@ -176,13 +216,15 @@ class TestAdmissionControl:
     def test_shed_oldest_evicts_in_favor_of_the_newcomer(self, door, rng):
         x, w = tiny_problem(rng)
         ref = F.conv2d(x, w, padding=1)
-        config = ServeConfig(max_inflight=1, shed_policy="shed-oldest")
+        config = ServeConfig(max_inflight=2, shed_policy="shed-oldest")
         with door(max_batch=8, max_wait_ms=500.0,
                   config=config) as server:
-            victim = server.submit(x, w, padding=1)
-            newcomer = server.submit(x, w, padding=1)
-            with pytest.raises(Overloaded):
-                victim.result(30)
+            # The victim waits in the queue behind a batch in flight.
+            with batch_in_flight(server, x, w):
+                victim = server.submit(x, w, padding=1)
+                newcomer = server.submit(x, w, padding=1)
+                with pytest.raises(Overloaded):
+                    victim.result(30)
             np.testing.assert_array_equal(newcomer.result(30), ref)
 
     def test_budget_frees_on_completion(self, door, rng):
@@ -200,15 +242,16 @@ class TestAdmissionControl:
         x, w = tiny_problem(rng)
         with door(max_batch=8, max_wait_ms=500.0) as server:
             futures = []
-            submit = server.submit
+            with batch_in_flight(server, x, w):
+                submit = server.submit
 
-            def spy(*args, **kwargs):
-                futures.append(submit(*args, **kwargs))
-                return futures[-1]
+                def spy(*args, **kwargs):
+                    futures.append(submit(*args, **kwargs))
+                    return futures[-1]
 
-            server.submit = spy
-            with pytest.raises(DeadlineExceeded, match="cancelled"):
-                server.conv2d(x, w, padding=1, timeout=0.05)
+                server.submit = spy
+                with pytest.raises(DeadlineExceeded, match="cancelled"):
+                    server.conv2d(x, w, padding=1, timeout=0.05)
             assert futures[0].cancelled()
             assert server._budget.inflight() == 0
 

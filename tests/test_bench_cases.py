@@ -3,7 +3,9 @@
 ``repro bench`` measures conv1d, conv3d and conv_transpose2d suite cases
 through the same :func:`repro.bench.run_case` as conv2d, drills them
 under injected faults, and ``repro profile`` measures a forward-op case
-of any rank.  Tiny repeats: these assert the contracts, not the timings.
+of any rank.  Every row's measured FFT counters must equal the cost
+model's prediction, on the suite's cases and on a few geometries it
+lacks.  Tiny repeats: these assert the contracts, not the timings.
 """
 
 import pytest
@@ -41,6 +43,31 @@ def test_row_carries_op_and_one_shape_layout(row):
     assert row["op"] == case.op
     assert row["shape"]["x"] == list(case.x_shape)
     assert row["shape"]["w"] == list(case.w_shape)
+
+
+#: Geometries the suite does not hold, through the same runner: a short
+#: conv1d at batch 1 and batch 4, a strided, dilated, grouped conv1d with
+#: one-sided padding, and a rank-3 problem with odd extents and even
+#: kernel taps.
+EXTRA_CASES = (
+    bench.BenchCase("conv1d_n1", "conv1d", (1, 6, 64), (8, 6, 5),
+                    padding=2),
+    bench.BenchCase("conv1d_n4", "conv1d", (4, 6, 64), (8, 6, 5),
+                    padding=2),
+    bench.BenchCase("conv1d_s2_d2_g2", "conv1d", (2, 4, 47), (4, 2, 3),
+                    padding=(2, 0), stride=2, dilation=2, groups=2),
+    bench.BenchCase("conv3d_even_taps", "conv3d", (2, 3, 6, 8, 7),
+                    (4, 3, 2, 3, 2), padding=1),
+)
+
+
+@pytest.mark.parametrize("case", EXTRA_CASES, ids=lambda c: c.name)
+def test_counters_equal_the_prediction_off_the_suite(case):
+    """A warm call re-transforms only the activations: one rfft and one
+    irfft over the predicted rows (``run_case`` raises on a mismatch)."""
+    row = bench.run_case(case, repeats=1)
+    predicted = row["predicted_counters"]
+    assert {k: row["counters"][k] for k in predicted} == predicted
 
 
 def test_inject_drill_recovers_every_op():
